@@ -66,13 +66,18 @@ def euler_number(n: int) -> Fraction:
 
 def euler_poly(m: int, x) -> Fraction:
     """E_m(x) = sum_i C(m,i) E_{m-i}(0) x^i, exactly."""
-    x = Fraction(x)
     if m >= len(_zero_values):
         _extend(m)
+    return _poly(_zero_values, m, x)
+
+
+def _poly(zero_values, m: int, x) -> Fraction:
+    """E_m(x) from zero_values[i] = E_i(0), i <= m."""
+    x = Fraction(x)
     acc = Fraction(0)
     xpow = Fraction(1)
     for i in range(m + 1):
-        acc += comb(m, i) * _zero_values[m - i] * xpow
+        acc += comb(m, i) * zero_values[m - i] * xpow
         xpow *= x
     return acc
 
@@ -96,13 +101,7 @@ class EulerTable:
     def poly(self, m: int, x) -> Fraction:
         """E_m(x) from the tabled coefficients."""
         self._check(m)
-        x = Fraction(x)
-        acc = Fraction(0)
-        xpow = Fraction(1)
-        for i in range(m + 1):
-            acc += comb(m, i) * self.zero_values[m - i] * xpow
-            xpow *= x
-        return acc
+        return _poly(self.zero_values, m, x)
 
     def _check(self, m: int) -> None:
         if not 0 <= m <= self.max_degree:

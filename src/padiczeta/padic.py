@@ -16,8 +16,14 @@ cancels below its guaranteed absolute precision the result degrades to a
 bounded zero instead of pretending to vanish exactly.
 
 All values are immutable; every operation is a pure function of its inputs,
-so the module is safe for unsynchronised concurrent use.  The only internal
-memoisation (Teichmuller residue tables) sits behind ``functools.lru_cache``.
+so the module is safe for unsynchronised concurrent use.  Teichmuller values
+are memoised behind ``functools.lru_cache``: single residues (bounded, used by
+``PadicContext.teichmuller``) and whole residue tables (used by the oracle
+kernels).
+
+``PadicContext.log`` and ``exp`` sum their series as one integer residue over
+cached coefficients (see the helpers at the end of the module), with the
+precision that term-by-term ``PadicNumber`` arithmetic gives.
 """
 
 from __future__ import annotations
@@ -98,26 +104,33 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"not a rational literal: {text!r}") from exc
 
 
-@lru_cache(maxsize=None)
-def teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
-    """omega(u) mod p**prec for u = 0..p-1 (entry 0 is unused and set to 0).
+def _teichmuller_root(p: int, prec: int, u: int) -> int:
+    """omega(u) mod p**prec for a residue u coprime to p.
 
     Computed by the Frobenius iteration y -> y**p, which gains one digit per
     step; the iteration is capped and checked for a fixed point.
     """
     mod = p**prec
-    out = [0] * p
-    for u in range(1, p):
-        y = u % mod
-        for _ in range(prec + 2):
-            y_next = pow(y, p, mod)
-            if y_next == y:
-                break
-            y = y_next
-        if pow(y, p, mod) != y:
-            raise PrecisionError("Teichmuller iteration failed to stabilise")
-        out[u] = y
-    return tuple(out)
+    y = u % mod
+    for _ in range(prec + 2):
+        y_next = pow(y, p, mod)
+        if y_next == y:
+            break
+        y = y_next
+    if pow(y, p, mod) != y:
+        raise PrecisionError("Teichmuller iteration failed to stabilise")
+    return y
+
+
+@lru_cache(maxsize=4096)
+def _teichmuller_digit(p: int, prec: int, u: int) -> int:
+    return _teichmuller_root(p, prec, u)
+
+
+@lru_cache(maxsize=None)
+def teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
+    """omega(u) mod p**prec for u = 0..p-1 (entry 0 is unused and set to 0)."""
+    return (0,) + tuple(_teichmuller_root(p, prec, u) for u in range(1, p))
 
 
 class PadicNumber:
@@ -525,8 +538,8 @@ class PadicContext:
         x = self.coerce(x)
         if x.is_zero() or x.valuation != 0:
             raise NotAUnit("Teichmuller character needs a p-adic unit")
-        table = teichmuller_table(self.p, self.internal_prec)
-        return PadicNumber(self.p, 0, table[x.unit % self.p], self.internal_prec)
+        w = _teichmuller_digit(self.p, self.internal_prec, x.unit % self.p)
+        return PadicNumber(self.p, 0, w, self.internal_prec)
 
     def angle(self, x) -> PadicNumber:
         """<x> = u/omega(u) for the unit part u of x; always 1 mod p."""
@@ -550,22 +563,15 @@ class PadicContext:
     def log(self, u) -> PadicNumber:
         """log on 1 + pZ_p via the alternating series sum (-1)^(n+1) (u-1)^n / n."""
         u = self.coerce(u)
-        if u.is_zero() or u.valuation != 0 or u.unit % self.p != 1:
+        p = self.p
+        if u.is_zero() or u.valuation != 0 or u.unit % p != 1:
             raise OutsideLogDomain("log needs an argument congruent to 1 mod p")
-        z = u - 1
+        target = u.relprec
+        z = PadicNumber._normalize(p, 0, u.unit - 1, target)
         if z.is_zero():
             return z
-        k = z.valuation
-        target = z.absprec
-        acc = z
-        zpow = z
-        n = 1
-        while (n + 1) * k - _ilog(self.p, n + 1) < target:
-            n += 1
-            zpow = zpow * z
-            term = zpow / n
-            acc = acc + term if n % 2 == 1 else acc - term
-        return acc
+        series = _horner(_log_coefficients(p, z.valuation, target), z.unit, p**target)
+        return PadicNumber._normalize(p, 0, series, target)
 
     def exp(self, z) -> PadicNumber:
         """exp on pZ_p via the power series with factorial-valuation bookkeeping."""
@@ -578,18 +584,10 @@ class PadicContext:
             return PadicNumber(self.p, 0, 1, z.valuation)
         if z.valuation < 1:
             raise OutsideExpDomain("exp needs valuation >= 1")
-        k = z.valuation
+        p = self.p
         target = z.absprec
-        acc = z + 1
-        term = z
-        n = 1
-        # stop once n*k - (n-1)/(p-1) >= target: a lower bound for the
-        # valuation n*k - v_p(n!) of every later term
-        while (n + 1) * (k * (self.p - 1) - 1) + 1 < target * (self.p - 1):
-            n += 1
-            term = term * z / n
-            acc = acc + term
-        return acc
+        series = _horner(_exp_coefficients(p, z.valuation, target), z.unit, p**target)
+        return PadicNumber._normalize(p, 0, 1 + series, target)
 
     # ---- <x>^s and generalised binomials ----
 
@@ -618,6 +616,64 @@ class PadicContext:
         for j in range(1, i):
             acc = acc * (s - j)
         return acc / math.factorial(i)
+
+
+# ---- log/exp series on integer residues ----------------------------------------
+#
+# For z = p**k * zu known modulo p**target (k >= 1), term n of either series
+# is c_n * zu**n with c_n = p**e_n / m_n for a p-adic unit m_n and e_n >= k,
+# so every term is known modulo p**target: changing zu by a multiple of
+# p**(target-k) moves it by a multiple of p**target.  A capped sum's residue
+# modulo its smallest absolute precision does not depend on the order of
+# addition, so sum_n c_n zu**n reduced once modulo p**target is the value
+# term-by-term PadicNumber arithmetic gives.  The coefficients depend on
+# (p, k, target) only and are cached; the term counts follow the stopping
+# rules of the object-arithmetic loops.
+
+
+@lru_cache(maxsize=256)
+def _log_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
+    """(-1)**(n+1) p**(n*k) / n modulo p**target for n = 1..N."""
+    mod = p**target
+    out = []
+    n = 1
+    while True:
+        t = vp_int(n, p)
+        e = n * k - t
+        c = 0
+        if e < target:
+            c = pow(n // p**t, -1, p ** (target - e)) * p**e
+        out.append(c if n % 2 == 1 else (-c) % mod)
+        if (n + 1) * k - _ilog(p, n + 1) >= target:
+            return tuple(out)
+        n += 1
+
+
+@lru_cache(maxsize=256)
+def _exp_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
+    """p**(n*k) / n! modulo p**target for n = 1..N."""
+    mod = p**target
+    out = []
+    val, inv_unit = 0, 1  # v_p of p**(n*k)/n!, inverse of the unit part of n!
+    n = 1
+    while True:
+        t = vp_int(n, p)
+        val += k - t
+        inv_unit = inv_unit * pow(n // p**t, -1, mod) % mod
+        out.append(inv_unit * p**val % mod if val < target else 0)
+        # stop once n*k - (n-1)/(p-1) >= target: a lower bound for the
+        # valuation n*k - v_p(n!) of every later term
+        if (n + 1) * (k * (p - 1) - 1) + 1 >= target * (p - 1):
+            return tuple(out)
+        n += 1
+
+
+def _horner(coeffs: tuple[int, ...], zu: int, mod: int) -> int:
+    """sum_{n>=1} coeffs[n-1] * zu**n modulo mod."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc + c) * zu % mod
+    return acc
 
 
 def _ilog(p: int, n: int) -> int:

@@ -24,7 +24,7 @@ from .report import (
     compare_values,
     hypothesis_violation,
 )
-from .zeta_czp import SeriesBudget, _coerce_exponent, zeta_czp
+from .zeta_czp import _DEFAULT_BUDGET, SeriesBudget, _coerce_exponent, zeta_czp
 
 __all__ = [
     "dzeta_char_dx",
@@ -37,8 +37,6 @@ __all__ = [
     "zeta_char_oracle",
     "zeta_char_special",
 ]
-
-_DEFAULT_BUDGET = SeriesBudget()
 
 
 def _check_char(ctx: PadicContext, chi: DirichletCharacter) -> None:

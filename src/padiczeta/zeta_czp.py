@@ -10,6 +10,18 @@ Z_p and |E_i(0)|_p <= 1), which yields an explicit truncation index for any
 target precision.  The truncated alternating sums of <x+a>^(1-s) serve as
 the independent oracle; they are computed by the modular-exponentiation
 kernels, a genuinely different route from the exp/log evaluation used here.
+
+The coefficients C(1-s, i) w(i) do not depend on x.  For each weight w (E_i(0)
+for zeta(s, x), E_i(u) for the shifted expansion, E_{i+1}(0) for the
+integral) they are computed once per (p, internal precision, 1-s) as integer
+residues in capped-relative form, carrying the precision a running product
+of ``PadicNumber`` values would carry, and extended on demand to as many
+terms as an argument needs.  An LRU cache keeps the last ``_COEFFICIENT_SETS``
+such sets (a set is a few dozen integer triples at the default precision).
+Each x then costs one integer Horner pass in 1/x modulo the sum's absolute
+precision, which gives the same value and precision as summing the terms as
+``PadicNumber`` objects.  Whole values are memoised as well, since
+representation sums repeat arguments.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import lru_cache
 
 from . import euler, kernels
 from .errors import (
@@ -28,7 +40,7 @@ from .errors import (
     ExponentOutsideDomain,
     ShiftConditionViolated,
 )
-from .padic import PadicContext, PadicNumber, vp_fraction
+from .padic import PadicContext, PadicNumber, _embed_fraction, vp_fraction, vp_int
 
 __all__ = [
     "SeriesBudget",
@@ -97,35 +109,138 @@ def _tail_start(p: int, decay: int, target_total: int) -> int:
     return max(-(-num // den), 1)
 
 
-def _weighted_series(
+# A weight (u, offset) stands for w(i) = E_{i+offset}(u).
+_EULER_ZERO = (Fraction(0), 0)
+_EULER_NEXT = (Fraction(0), 1)
+_COEFFICIENT_SETS = 256
+
+
+class _Coefficients:
+    """C(1-s, i) w(i) for i = 0, 1, ..., extended on demand.
+
+    Entry i is (valuation, unit, relprec) with the unit known modulo
+    p**relprec, (absprec, 0, 0) for a coefficient only known to vanish
+    modulo p**absprec, or None where w(i) = 0.  The running binomial obeys
+    the rules of PadicNumber arithmetic: a product keeps the smaller relprec
+    and adds valuations (absprecs, once a factor is a bounded zero),
+    1-s-i keeps the absolute precision of 1-s, and dividing by i+1 lowers
+    the valuation by v_p(i+1).
+    """
+
+    def __init__(self, p: int, prec: int, one_minus_s: tuple, weight: tuple):
+        self.p = p
+        self.prec = prec
+        self.weight = weight
+        val, unit, rel = one_minus_s
+        # 1-s lies in Z_p, so val >= 0 and 1-s is an integer modulo p**absprec
+        if rel == 0:
+            self.a, self.a_abs = 0, val
+        else:
+            self.a, self.a_abs = unit * p**val, val + rel
+        self.binom = (0, 1, prec)
+        self.items: list[tuple[int, int, int] | None] = []
+        self.lock = threading.Lock()
+
+    def upto(self, n: int) -> list:
+        """The entry list, holding at least n entries (it only ever grows)."""
+        if len(self.items) < n:
+            with self.lock:
+                while len(self.items) < n:
+                    self._extend()
+        return self.items
+
+    def _weight(self, i: int) -> Fraction:
+        u, offset = self.weight
+        if u == 0:
+            return euler.euler_zero(i + offset)
+        return euler.euler_poly(i + offset, u)
+
+    def _extend(self) -> None:
+        p = self.p
+        i = len(self.items)
+        bv, bu, br = self.binom
+        w = self._weight(i)
+        if w == 0:
+            item = None
+        elif br == 0:
+            item = (bv + vp_fraction(w, p), 0, 0)
+        else:
+            # w is embedded at the internal precision, which bounds br
+            fw = _embed_fraction(p, w, self.prec)
+            item = (bv + fw.valuation, bu * fw.unit % p**br, br)
+        d = PadicNumber._normalize(p, 0, self.a - i, self.a_abs)  # 1-s-i
+        dv, du, dr = d.valuation, d.unit, d.relprec
+        if br == 0 or dr == 0:
+            bv, bu, br = bv + dv, 0, 0
+        else:
+            bv, br = bv + dv, min(br, dr)
+        t = vp_int(i + 1, p)
+        bv -= t
+        if br:
+            mod = p**br
+            bu = bu * du * pow((i + 1) // p**t, -1, mod) % mod
+        self.binom = (bv, bu, br)
+        self.items.append(item)
+
+
+@lru_cache(maxsize=_COEFFICIENT_SETS)
+def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple) -> _Coefficients:
+    return _Coefficients(p, prec, one_minus_s, weight)
+
+
+def _laurent_series(
     ctx: PadicContext,
     one_minus_s: PadicNumber,
     x: PadicNumber,
-    weight: Callable[[int], Fraction],
+    weight: tuple,
     decay: int,
     budget: SeriesBudget,
 ) -> PadicNumber:
-    """sum_i C(one_minus_s, i) weight(i) x^(-i) with tail-safe truncation."""
+    """sum_i C(one_minus_s, i) w(i) x^(-i) with tail-safe truncation.
+
+    Term i is coefficient i times x^(-i), which has valuation i*dx and, for
+    i >= 1, the relative precision of x.  The sum is known modulo the
+    smallest absolute precision of its terms; it is formed by Horner's rule
+    in p**dx / unit(x), scaled by p**-base for the smallest coefficient
+    valuation base, modulo p**(absprec - base).
+    """
+    p = ctx.p
     target_total = budget.target(ctx) + ctx.series_guard
-    terms = _tail_start(ctx.p, decay, target_total)
+    terms = _tail_start(p, decay, target_total)
     if terms > budget.max_terms:
         raise BudgetExhausted(
             f"series needs {terms} terms, budget allows {budget.max_terms}"
         )
-    inv_x = 1 / x
-    acc = None
-    binom = ctx.one()
-    xpow = ctx.one()
+    items = _coefficients(p, ctx.internal_prec, _number_key(one_minus_s), weight).upto(terms)
+    dx, rx = -x.valuation, x.relprec
+    absprec = base = None
     for i in range(terms):
-        w = weight(i)
-        if w != 0:
-            term = binom * ctx.from_fraction(w) * xpow
-            acc = term if acc is None else acc + term
-        binom = binom * (one_minus_s - i) / (i + 1)
-        xpow = xpow * inv_x
-    if acc is None:
-        acc = ctx.exact_zero()
-    return acc
+        item = items[i]
+        if item is None:
+            continue
+        v, _, r = item
+        if r == 0:
+            a = v + i * dx
+        else:
+            a = v + (r if i == 0 else min(r, rx)) + i * dx
+            if base is None or v < base:
+                base = v
+        if absprec is None or a < absprec:
+            absprec = a
+    if absprec is None:
+        return ctx.exact_zero()
+    if base is None or absprec <= base:
+        return ctx.bounded_zero(absprec)
+    mod = p ** (absprec - base)
+    y = pow(x.unit, -1, mod) * p**dx % mod
+    acc = 0
+    for i in range(terms - 1, -1, -1):
+        acc *= y
+        item = items[i]
+        if item is not None and item[2]:
+            acc += item[1] * p ** (item[0] - base)
+        acc %= mod
+    return PadicNumber._normalize(p, base, acc, absprec)
 
 
 # Memo for repeated evaluations (representation sums hit the same arguments
@@ -159,8 +274,8 @@ def zeta_czp(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) ->
         return hit
     one_minus_s = ctx.one() - sp
     prefactor = ctx.unit_power(arg.angle, one_minus_s)
-    series = _weighted_series(
-        ctx, one_minus_s, arg.value, euler.euler_zero, -arg.value.valuation, budget
+    series = _laurent_series(
+        ctx, one_minus_s, arg.value, _EULER_ZERO, -arg.value.valuation, budget
     )
     value = (prefactor * series).cap_absprec(budget.target(ctx))
     with _memo_lock:
@@ -232,14 +347,7 @@ def zeta_shifted(
     one_minus_s = ctx.one() - sp
     prefactor = ctx.unit_power(arg.angle, one_minus_s)
     decay = -arg.value.valuation + min(0, vu)
-    series = _weighted_series(
-        ctx,
-        one_minus_s,
-        arg.value,
-        lambda i: euler.euler_poly(i, u),
-        decay,
-        budget,
-    )
+    series = _laurent_series(ctx, one_minus_s, arg.value, (u, 0), decay, budget)
     return (prefactor * series).cap_absprec(budget.target(ctx))
 
 
@@ -325,13 +433,8 @@ def integral_of_zeta(
     sp = _coerce_exponent(ctx, s)
     one_minus_s = ctx.one() - sp
     prefactor = ctx.unit_power(arg.angle, one_minus_s)
-    tail = _weighted_series(
-        ctx,
-        one_minus_s,
-        arg.value,
-        lambda i: euler.euler_zero(i + 1),
-        -arg.value.valuation,
-        budget,
+    tail = _laurent_series(
+        ctx, one_minus_s, arg.value, _EULER_NEXT, -arg.value.valuation, budget
     )
     value = 2 * zeta_czp(ctx, sp, arg, budget) + 2 * prefactor * tail
     return value.cap_absprec(budget.target(ctx))

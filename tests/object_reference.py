@@ -1,0 +1,145 @@
+"""The object-arithmetic evaluation of the Laurent series and of log/exp.
+
+Every step here is a ``PadicNumber`` operation, so the precision rules are
+those of the arithmetic itself.  The library evaluates the same quantities on
+integer residues; ``test_integer_paths.py`` checks that both produce the
+same bytes.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from padiczeta import euler
+from padiczeta.errors import (
+    BudgetExhausted,
+    ExponentOutsideDomain,
+    OutsideExpDomain,
+    OutsideLogDomain,
+)
+from padiczeta.padic import PadicContext, PadicNumber, vp_fraction
+from padiczeta.zeta_czp import SeriesBudget, ZetaArgumentCZp, _coerce_exponent
+
+
+def _ilog(p: int, n: int) -> int:
+    k = 0
+    while p ** (k + 1) <= n:
+        k += 1
+    return k
+
+
+def _tail_start(p: int, decay: int, target_total: int) -> int:
+    num = target_total * (p - 1) - 1
+    den = decay * (p - 1) - 1
+    return max(-(-num // den), 1)
+
+
+def log(ctx: PadicContext, u) -> PadicNumber:
+    u = ctx.coerce(u)
+    if u.is_zero() or u.valuation != 0 or u.unit % ctx.p != 1:
+        raise OutsideLogDomain("log needs an argument congruent to 1 mod p")
+    z = u - 1
+    if z.is_zero():
+        return z
+    k = z.valuation
+    target = z.absprec
+    acc = z
+    zpow = z
+    n = 1
+    while (n + 1) * k - _ilog(ctx.p, n + 1) < target:
+        n += 1
+        zpow = zpow * z
+        term = zpow / n
+        acc = acc + term if n % 2 == 1 else acc - term
+    return acc
+
+
+def exp(ctx: PadicContext, z) -> PadicNumber:
+    z = ctx.coerce(z)
+    if z.is_exact_zero:
+        return ctx.one()
+    if z.is_bounded_zero:
+        if z.valuation < 1:
+            raise OutsideExpDomain("exp needs valuation >= 1")
+        return PadicNumber(ctx.p, 0, 1, z.valuation)
+    if z.valuation < 1:
+        raise OutsideExpDomain("exp needs valuation >= 1")
+    k = z.valuation
+    target = z.absprec
+    acc = z + 1
+    term = z
+    n = 1
+    while (n + 1) * (k * (ctx.p - 1) - 1) + 1 < target * (ctx.p - 1):
+        n += 1
+        term = term * z / n
+        acc = acc + term
+    return acc
+
+
+def unit_power(ctx: PadicContext, u, s) -> PadicNumber:
+    u = ctx.coerce(u)
+    s = ctx.coerce(s)
+    if not s.is_zero() and s.valuation < 0:
+        raise ExponentOutsideDomain("exponent must lie in Z_p")
+    if s.is_exact_zero:
+        return ctx.one()
+    return exp(ctx, s * log(ctx, u))
+
+
+def weighted_series(ctx, one_minus_s, x, weight, decay, budget) -> PadicNumber:
+    """sum_i C(one_minus_s, i) weight(i) x^(-i) with tail-safe truncation."""
+    target_total = budget.target(ctx) + ctx.series_guard
+    terms = _tail_start(ctx.p, decay, target_total)
+    if terms > budget.max_terms:
+        raise BudgetExhausted(
+            f"series needs {terms} terms, budget allows {budget.max_terms}"
+        )
+    inv_x = 1 / x
+    acc = None
+    binom = ctx.one()
+    xpow = ctx.one()
+    for i in range(terms):
+        w = weight(i)
+        if w != 0:
+            term = binom * ctx.from_fraction(w) * xpow
+            acc = term if acc is None else acc + term
+        binom = binom * (one_minus_s - i) / (i + 1)
+        xpow = xpow * inv_x
+    if acc is None:
+        acc = ctx.exact_zero()
+    return acc
+
+
+def _prefactor_and_series(ctx, s, x, weight, decay_shift, budget):
+    arg = ZetaArgumentCZp.build(ctx, x)
+    sp = _coerce_exponent(ctx, s)
+    one_minus_s = ctx.one() - sp
+    prefactor = unit_power(ctx, arg.angle, one_minus_s)
+    series = weighted_series(
+        ctx, one_minus_s, arg.value, weight, -arg.value.valuation + decay_shift, budget
+    )
+    return prefactor, series
+
+
+def zeta_czp(ctx, s, x, budget=SeriesBudget()) -> PadicNumber:
+    prefactor, series = _prefactor_and_series(ctx, s, x, euler.euler_zero, 0, budget)
+    return (prefactor * series).cap_absprec(budget.target(ctx))
+
+
+def zeta_shifted(ctx, s, x, u, budget=SeriesBudget()) -> PadicNumber:
+    """The shifted expansion for u != 0 (the library's validity checks are
+    not repeated)."""
+    u = Fraction(u)
+    prefactor, series = _prefactor_and_series(
+        ctx, s, x, lambda i: euler.euler_poly(i, u), min(0, vp_fraction(u, ctx.p)), budget
+    )
+    return (prefactor * series).cap_absprec(budget.target(ctx))
+
+
+def integral_of_zeta(ctx, s, x, budget=SeriesBudget()) -> PadicNumber:
+    prefactor, tail = _prefactor_and_series(
+        ctx, s, x, lambda i: euler.euler_zero(i + 1), 0, budget
+    )
+    value = 2 * zeta_czp(ctx, s, x, budget) + 2 * prefactor * tail
+    return value.cap_absprec(budget.target(ctx))
+

@@ -1,0 +1,213 @@
+"""The integer-residue series and log/exp give the bytes of object arithmetic.
+
+``object_reference`` evaluates every step as a ``PadicNumber`` operation;
+the library works on integer residues with cached coefficients.  Values are
+compared through ``render`` and ``to_json_dict``, library errors by their
+type.
+"""
+
+import json
+import random
+import sys
+import threading
+from fractions import Fraction
+
+import object_reference as ref
+import pytest
+
+from padiczeta import euler
+from padiczeta.errors import BudgetExhausted, PadicError
+from padiczeta.padic import (
+    PadicContext,
+    PadicNumber,
+    render,
+    teichmuller_table,
+    to_json_dict,
+    vp_fraction,
+)
+from padiczeta.zeta_czp import (
+    SeriesBudget,
+    _laurent_series,
+    integral_of_zeta,
+    zeta_czp,
+    zeta_shifted,
+)
+
+PRIMES = (3, 5, 7, 1009)
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except PadicError as exc:  # the exception type is part of the contract
+        return type(exc).__name__
+    return render(value), json.dumps(to_json_dict(value), sort_keys=True)
+
+
+def _same(reference, library, *args):
+    expected = _outcome(reference, *args)
+    assert _outcome(library, *args) == expected, (reference.__name__, args)
+
+
+def _coprime(rng, p, hi=10**6):
+    while True:
+        n = rng.randrange(1, hi)
+        if n % p:
+            return n
+
+
+def _digits(rng, p, count, lead_nonzero=False):
+    first = rng.randrange(1, p) if lead_nonzero else rng.randrange(p)
+    return ",".join([str(first)] + [str(rng.randrange(p)) for _ in range(count - 1)])
+
+
+def _exponents(ctx, rng):
+    p = ctx.p
+    return [
+        1,  # 1 - s is a bounded zero
+        0,
+        -1,  # s = 1 - m: the binomial turns into a bounded zero
+        -4,
+        2,
+        rng.randrange(2, p**12),
+        Fraction(_coprime(rng, 2), _coprime(rng, p, 1000)),
+        ctx.parse_value("0:" + _digits(rng, p, 2)),  # low relprec
+        ctx.parse_value("0:1,0"),  # 1 - s = O(p^2): bounded from the first binomial on
+        ctx.parse_value("1:" + _digits(rng, p, 3, lead_nonzero=True)),
+        ctx.bounded_zero(3),
+    ]
+
+
+def _arguments(ctx, rng, k):
+    p = ctx.p
+    return [
+        Fraction(_coprime(rng, p) * rng.choice((1, -1)), p**k),
+        ctx.parse_value(f"{-k}:" + _digits(rng, p, 2, lead_nonzero=True)),
+        ctx.parse_value(f"{-k}:" + _digits(rng, p, 9, lead_nonzero=True)),
+    ]
+
+
+def _weights(ctx, x, u):
+    """(weight key, weight function, decay) of the three series at x."""
+    k = -x.valuation
+    return [
+        ((Fraction(0), 0), euler.euler_zero, k),
+        ((Fraction(0), 1), lambda i: euler.euler_zero(i + 1), k),
+        ((u, 0), lambda i: euler.euler_poly(i, u), k + min(0, vp_fraction(u, ctx.p))),
+    ]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_laurent_series_bytes(p):
+    rng = random.Random(4100 + p)
+    ctx = PadicContext(p, 8, 4)
+    budget = SeriesBudget(target_prec=8)
+    for s in _exponents(ctx, rng):
+        one_minus_s = ctx.one() - ctx.coerce(s)
+        # largest |v_p(x)| first, so later arguments extend cached coefficients
+        for k in (3, 2, 1):
+            for x in _arguments(ctx, rng, k):
+                u = Fraction(_coprime(rng, p, 50), p ** (k - 1))
+                _same(ref.zeta_czp, zeta_czp, ctx, s, x, budget)
+                _same(ref.integral_of_zeta, integral_of_zeta, ctx, s, x, budget)
+                _same(ref.zeta_shifted, zeta_shifted, ctx, s, x, u, budget)
+                # the bare sums: the prefactor and the final cap can hide
+                # their precision
+                xp = ctx.coerce(x)
+                for weight, fn, decay in _weights(ctx, xp, u):
+                    expected = _outcome(
+                        ref.weighted_series, ctx, one_minus_s, xp, fn, decay, budget
+                    )
+                    got = _outcome(_laurent_series, ctx, one_minus_s, xp, weight, decay, budget)
+                    assert got == expected, (s, x, weight)
+
+
+def test_default_precision_bytes(ctx3, ctx7):
+    rng = random.Random(4200)
+    for ctx in (ctx3, ctx7):
+        for s in (1, -2, Fraction(3, 2), rng.randrange(2, ctx.p**12)):
+            x = Fraction(_coprime(rng, ctx.p), ctx.p)
+            _same(ref.zeta_czp, zeta_czp, ctx, s, x)
+            _same(ref.integral_of_zeta, integral_of_zeta, ctx, s, x)
+            _same(ref.zeta_shifted, zeta_shifted, ctx, s, x, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("p", (3, 7))
+def test_budget_exhausted_at_same_term_count(p):
+    ctx = PadicContext(p, 16)
+    x = Fraction(2, p)
+    terms = ref._tail_start(p, 1, ctx.workprec + ctx.series_guard)
+    for fn, reference in ((zeta_czp, ref.zeta_czp), (integral_of_zeta, ref.integral_of_zeta)):
+        short = SeriesBudget(max_terms=terms - 1)
+        with pytest.raises(BudgetExhausted):
+            reference(ctx, 5, x, short)
+        with pytest.raises(BudgetExhausted):
+            fn(ctx, 5, x, short)
+        _same(reference, fn, ctx, 5, x, SeriesBudget(max_terms=terms))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_log_exp_unit_power_bytes(p):
+    rng = random.Random(4300 + p)
+    for workprec, guard in ((16, 8), (5, 0), (1, 0)):
+        ctx = PadicContext(p, workprec, guard)
+        prec = ctx.internal_prec
+        for _ in range(40):
+            rel = rng.randrange(1, prec + 3)
+            unit = PadicNumber._normalize(p, 0, 1 + p * rng.randrange(p**rel), rel)
+            k = rng.randrange(-1, 5)
+            rz = rng.randrange(1, prec + 3)
+            z = PadicNumber._normalize(p, k, _coprime(rng, p, p**rz + 2), k + rz)
+            s = PadicNumber._normalize(p, rng.randrange(-1, 3), rng.randrange(p**rz), rz + 2)
+            zeros = [ctx.bounded_zero(rng.randrange(-1, prec + 1)), ctx.exact_zero()]
+            for arg in [unit, z, ctx.one(), _coprime(rng, p, 100)] + zeros:
+                _same(ref.log, PadicContext.log, ctx, arg)
+                _same(ref.exp, PadicContext.exp, ctx, arg)
+            for exponent in [s] + zeros:
+                _same(ref.unit_power, PadicContext.unit_power, ctx, unit, exponent)
+
+
+def test_concurrent_extension_of_shared_coefficients():
+    # a precision no other test uses, so every thread starts on a cold set
+    ctx = PadicContext(5, 13, 2)
+    s = Fraction(7, 3)
+    xs = [Fraction(n, 5**k) for k in (3, 2, 1) for n in (1, 2, 3, 4, 6, 7)]
+    expected = {x: _outcome(ref.integral_of_zeta, ctx, s, x) for x in xs}
+    results = {}
+    errors = []
+
+    def work(index, order):
+        try:
+            for x in order:
+                # integral_of_zeta is not memoised: each call reads the set
+                results[(index, x)] = _outcome(integral_of_zeta, ctx, s, x)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    rng = random.Random(4400)
+    threads = [
+        threading.Thread(target=work, args=(i, rng.sample(xs, len(xs)))) for i in range(6)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(results) == len(threads) * len(xs)
+    assert all(value == expected[x] for (_, x), value in results.items())
+
+
+def test_teichmuller_single_residue_leaves_table_cold():
+    before = teichmuller_table.cache_info()
+    ctx = PadicContext(10007, 4, 0)
+    w = ctx.teichmuller(ctx.from_int(5))
+    assert pow(w.unit, 10006, 10007**4) == 1 and w.unit % 10007 == 5
+    assert teichmuller_table.cache_info().currsize == before.currsize
+    table = teichmuller_table(7, 12)
+    ctx7 = PadicContext(7, 12, 0)
+    assert [ctx7.teichmuller(u).unit for u in range(1, 7)] == list(table[1:])
