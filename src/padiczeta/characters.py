@@ -38,10 +38,6 @@ class DirichletCharacter:
         return self.p**self.v
 
     @property
-    def is_trivial(self) -> bool:
-        return self.k == 0
-
-    @property
     def is_even(self) -> bool:
         """chi(-1) = (-1)^k, so even means even k."""
         return self.k % 2 == 0
@@ -72,9 +68,6 @@ class DirichletCharacter:
             return DirichletCharacter(p, v, k)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-
-    def value(self, ctx: PadicContext, a) -> PadicNumber:
-        return char_eval(ctx, self, a)
 
 
 def char_eval(ctx: PadicContext, chi: DirichletCharacter, a) -> PadicNumber:

@@ -54,7 +54,9 @@ def _common_options() -> argparse.ArgumentParser:
         default="text",
         help="output format (csv applies to verify and table)",
     )
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument(
+        "--threads", type=int, default=1, help="has no effect (verify runs serially)"
+    )
     common.add_argument(
         "--oracle-depth", type=int, default=5, help="truncation depth N for oracles"
     )
@@ -203,6 +205,8 @@ def _cmd_verify(args) -> int:
     if args.list_identities:
         _emit(args, "\n".join(IDENTITY_NAMES) + "\n")
         return 0
+    if args.oracle_depth < 2:
+        raise ValueError(f"--oracle-depth must be at least 2, got {args.oracle_depth}")
     if args.primes:
         primes = tuple(int(t) for t in args.primes.split(","))
     elif args.p is not None:
@@ -221,7 +225,7 @@ def _cmd_verify(args) -> int:
         slack=slack,
     )
     if args.calibrate:
-        measured = calibrate(cfg, threads=args.threads)
+        measured = calibrate(cfg)
         body = (
             json.dumps(
                 {"families": measured, "version": 1},
@@ -238,7 +242,7 @@ def _cmd_verify(args) -> int:
             print(f"measured slack exceeds fixture: {exceeded}", file=sys.stderr)
             return 1
         return 0
-    reports = run_verify(cfg, _selected_identities(args), threads=args.threads)
+    reports = run_verify(cfg, _selected_identities(args))
     if args.format == "json":
         body = "".join(report_to_json_line(r) + "\n" for r in reports)
     elif args.format == "csv":

@@ -1,9 +1,9 @@
 """Identity grids, the verification driver, and slack calibration.
 
-Each named identity expands into a list of gridpoint tasks; a task is a pure
-zero-argument callable returning reports.  Tasks are executed by a worker
-pool and re-ordered by gridpoint index before emission, so output bytes do
-not depend on the thread count.
+Each named identity is one registry record: a grid of parameter tuples and a
+check that turns one tuple into reports.  ``run_verify`` runs the checks
+serially, identity by identity and gridpoint by gridpoint, so the report
+order is the grid order.
 
 Oracle-backed identities pass when the agreement depth reaches N - c, where
 the per-family slack constants c come from a checked-in calibration fixture
@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
+from itertools import product
 from typing import Callable, Mapping
 
 from . import euler, kernels
@@ -71,19 +72,8 @@ __all__ = [
     "run_verify",
 ]
 
-Task = tuple[str, Callable[[], list[VerificationReport]]]
-
-CALIBRATED_FAMILIES = (
-    "oracle-czp",
-    "oracle-char",
-    "ell-oracle",
-    "special-pos",
-    "change-of-variable",
-    "derivative-czp",
-    "derivative-char",
-    "raabe-czp-oracle",
-    "raabe-char-oracle",
-)
+Reports = list[VerificationReport]
+Task = tuple[str, Callable[[], Reports]]
 
 
 def default_slack() -> dict[str, int]:
@@ -138,9 +128,12 @@ class VerifyConfig:
         return ks or (max(1, self.workprec // 2),)
 
 
+def _random_s(cfg: VerifyConfig, name: str, p: int, digits: int = 12) -> int:
+    return cfg.rng(name, p).randrange(1, p**digits)
+
+
 def _s_grid(cfg: VerifyConfig, name: str, p: int) -> list:
-    rng = cfg.rng(name, p)
-    return [0, 1, -1, 2, -2, 3, rng.randrange(1, p**12)]
+    return [0, 1, -1, 2, -2, 3, _random_s(cfg, name, p)]
 
 
 def _x_grid(p: int) -> list[Fraction]:
@@ -156,114 +149,145 @@ def _char_ks(p: int) -> list[int]:
     return [k for k in (0, 1, 2) if k <= p - 2]
 
 
-def _guard(identity: str, params: dict, fn) -> list[VerificationReport]:
-    try:
-        return fn()
-    except PadicError as exc:
-        return [budget_failure(identity, params, f"{exc.code}: {exc}")]
+# ---- the identity registry ----------------------------------------------------
 
 
-# ---- identity task builders ---------------------------------------------------
+@dataclass(frozen=True)
+class _Identity:
+    """One identity of the network.
+
+    ``grid(cfg)`` returns its parameter tuples in report order, drawing any
+    random point from ``cfg.rng(name, p)``; ``check(cfg, *params)`` returns
+    the reports of one gridpoint and calls the evaluators by their
+    module-global names.  ``families`` maps each report identity that is
+    compared against an oracle to the calibrated slack family it feeds.
+    """
+
+    name: str
+    grid: Callable[[VerifyConfig], list[tuple]]
+    check: Callable[..., Reports]
+    families: Mapping[str, str]
+
+    def tasks(self, cfg: VerifyConfig) -> list[Task]:
+        return [(self.name, partial(self.check, cfg, *params)) for params in self.grid(cfg)]
 
 
-def _tasks_euler_exact(cfg: VerifyConfig) -> list[Task]:
-    return [("euler-exact", lambda: euler.verify_euler_identities(20))]
+_REGISTRY: list[_Identity] = []
 
 
-def _tasks_alternating_sum(cfg: VerifyConfig) -> list[Task]:
-    def run() -> list[VerificationReport]:
-        failures = []
-        count = 0
-        for m in (0, 1, 2, 3, 5, 8):
-            for rho in (1, 2, 9, 27, 729):
-                for x in (Fraction(0), Fraction(1), Fraction(1, 2)):
-                    count += 1
-                    literal = sum((-1) ** a * (x + a) ** m for a in range(rho))
-                    if alternating_power_sum(m, rho, x) != literal:
-                        failures.append(f"m={m} rho={rho} x={x}")
-        return [
-            compare_exact(
-                "alternating-sum",
-                {"points": count},
-                Fraction(0),
-                Fraction(0) if not failures else Fraction(1),
-                note="; ".join(failures[:4]),
-            )
-        ]
+def _identity(name: str, grid, families: Mapping[str, str] | None = None):
+    """Register the decorated check as identity ``name``, run over ``grid``."""
 
-    return [("alternating-sum", run)]
+    def register(check):
+        _REGISTRY.append(_Identity(name, grid, check, families or {}))
+        return check
+
+    return register
 
 
-def _tasks_shift_integral(cfg: VerifyConfig) -> list[Task]:
-    polys = ([1], [0, 1], [0, 0, 1], [1, -2, 0, 3])
-    xs = (Fraction(0), Fraction(3), Fraction(1, 2), Fraction(-2))
-    tasks: list[Task] = []
-    for coeffs in polys:
-        for x in xs:
-            f = Integrand.polynomial(coeffs)
-            tasks.append(
-                (
-                    "shift-integral",
-                    lambda f=f, x=x: verify_shift_identities(f, x),
-                )
-            )
-    return tasks
+def _single(cfg: VerifyConfig) -> list[tuple]:
+    return [()]
 
 
-def _tasks_integral_convergence(cfg: VerifyConfig) -> list[Task]:
-    depths = tuple(range(2, min(cfg.oracle_depth, 6) + 1))
-    xs = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3))
-    m_max = 12
+def _per_p(axes) -> Callable[[VerifyConfig], list[tuple]]:
+    """The grid of (p, *point) for each p and each point of product(*axes(cfg, p))."""
+    return lambda cfg: [(p, *point) for p in cfg.primes for point in product(*axes(cfg, p))]
 
-    def run(p: int, x: Fraction) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        prec = cfg.workprec + 6 + max(depths)
-        sums = kernels.monomial_alternating_sums(p, prec, x, m_max, depths)
-        out = []
-        for n_depth in depths:
-            worst = None
-            for m in range(m_max + 1):
-                target = ctx.from_fraction(euler.euler_poly(m, x), relprec=prec)
-                d = agreement_depth(sums[(m, n_depth)], target)
-                if worst is None or d < worst[0]:
-                    worst = (d, m)
-            out.append(
-                compare_values(
-                    "integral-convergence",
-                    {"p": p, "x": x, "N": n_depth, "m_max": m_max},
-                    sums[(worst[1], n_depth)],
-                    ctx.from_fraction(euler.euler_poly(worst[1], x), relprec=prec),
-                    required_depth=n_depth,
-                    reference_depth=n_depth,
-                    note=f"worst m={worst[1]}",
-                )
-            )
-        return out
 
+def _compare_calibrated(
+    cfg: VerifyConfig, identity: str, params: dict, value, oracle, depth: int, **kwargs
+) -> VerificationReport:
+    """compare_values at reference depth N = ``depth``, passing at agreement
+    depth N - c, where c is the calibrated slack of the report's family."""
+    return compare_values(
+        identity,
+        params,
+        value,
+        oracle,
+        required_depth=depth - cfg.c(_REPORT_FAMILY[identity]),
+        reference_depth=depth,
+        **kwargs,
+    )
+
+
+# ---- identities, in report order ------------------------------------------------
+
+
+@_identity("euler-exact", _single)
+def _check_euler_exact(cfg: VerifyConfig) -> Reports:
+    return euler.verify_euler_identities(20)
+
+
+@_identity("alternating-sum", _single)
+def _check_alternating_sum(cfg: VerifyConfig) -> Reports:
+    failures = []
+    count = 0
+    for m in (0, 1, 2, 3, 5, 8):
+        for rho in (1, 2, 9, 27, 729):
+            for x in (Fraction(0), Fraction(1), Fraction(1, 2)):
+                count += 1
+                literal = sum((-1) ** a * (x + a) ** m for a in range(rho))
+                if alternating_power_sum(m, rho, x) != literal:
+                    failures.append(f"m={m} rho={rho} x={x}")
     return [
-        ("integral-convergence", lambda p=p, x=x: run(p, x))
-        for p in cfg.primes
-        for x in xs
+        compare_exact(
+            "alternating-sum",
+            {"points": count},
+            Fraction(0),
+            Fraction(0) if not failures else Fraction(1),
+            note="; ".join(failures[:4]),
+        )
     ]
 
 
-def _tasks_zeta_one(cfg: VerifyConfig) -> list[Task]:
-    tasks: list[Task] = []
-    per_p = {3: 17, 5: 17, 7: 16}
+@_identity(
+    "shift-integral",
+    lambda cfg: list(
+        product(
+            ((1,), (0, 1), (0, 0, 1), (1, -2, 0, 3)),
+            (Fraction(0), Fraction(3), Fraction(1, 2), Fraction(-2)),
+        )
+    ),
+)
+def _check_shift_integral(cfg: VerifyConfig, coeffs, x) -> Reports:
+    return verify_shift_identities(Integrand.polynomial(coeffs), x)
 
-    def run(p: int, x: Fraction) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        val = zeta_czp(ctx, 1, x, cfg.budget())
-        return [
+
+@_identity(
+    "integral-convergence",
+    _per_p(lambda cfg, p: ((Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3)),)),
+)
+def _check_integral_convergence(cfg: VerifyConfig, p: int, x: Fraction) -> Reports:
+    depths = tuple(range(2, min(cfg.oracle_depth, 6) + 1))
+    m_max = 12
+    ctx = cfg.ctx(p)
+    prec = cfg.workprec + 6 + max(depths)
+    sums = kernels.monomial_alternating_sums(p, prec, x, m_max, depths)
+    out = []
+    for n_depth in depths:
+        worst = None
+        for m in range(m_max + 1):
+            target = ctx.from_fraction(euler.euler_poly(m, x), relprec=prec)
+            d = agreement_depth(sums[(m, n_depth)], target)
+            if worst is None or d < worst[0]:
+                worst = (d, m)
+        out.append(
             compare_values(
-                "zeta-one",
-                {"p": p, "x": x},
-                val,
-                ctx.from_int(1, relprec=cfg.workprec),
-                required_depth=cfg.workprec,
+                "integral-convergence",
+                {"p": p, "x": x, "N": n_depth, "m_max": m_max},
+                sums[(worst[1], n_depth)],
+                ctx.from_fraction(euler.euler_poly(worst[1], x), relprec=prec),
+                required_depth=n_depth,
+                reference_depth=n_depth,
+                note=f"worst m={worst[1]}",
             )
-        ]
+        )
+    return out
 
+
+def _grid_zeta_one(cfg: VerifyConfig) -> list[tuple]:
+    per_p = {3: 17, 5: 17, 7: 16}
+    points = []
     for p in cfg.primes:
         rng = cfg.rng("zeta-one", p)
         for _ in range(per_p.get(p, 16)):
@@ -273,472 +297,337 @@ def _tasks_zeta_one(cfg: VerifyConfig) -> list[Task]:
                 num = rng.randrange(1, p**6)
             if rng.random() < 0.5:
                 num = -num
-            x = Fraction(num, p**e)
-            tasks.append(("zeta-one", lambda p=p, x=x: run(p, x)))
-    return tasks
+            points.append((p, Fraction(num, p**e)))
+    return points
 
 
-def _tasks_special_neg(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, x: Fraction) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        worst = None
-        for m in range(1, 9):
-            series = zeta_czp(ctx, 1 - m, x, cfg.budget())
-            exact = zeta_special_neg(ctx, m, x)
-            d = agreement_depth(series, exact)
-            if worst is None or d < worst[0]:
-                worst = (d, m, series, exact)
-        return [
-            compare_values(
-                "special-neg",
-                {"p": p, "x": x, "m_max": 8},
-                worst[2],
-                worst[3],
-                required_depth=cfg.workprec,
-                note=f"worst m={worst[1]}",
-            )
-        ]
-
+@_identity("zeta-one", _grid_zeta_one)
+def _check_zeta_one(cfg: VerifyConfig, p: int, x: Fraction) -> Reports:
+    ctx = cfg.ctx(p)
+    val = zeta_czp(ctx, 1, x, cfg.budget())
     return [
-        ("special-neg", lambda p=p, x=x: run(p, x))
-        for p in cfg.primes
-        for x in _x_grid(p)
-    ]
-
-
-def _tasks_special_pos(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, m: int, x: Fraction) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        depth = cfg.depth_czp()
-        params = {"p": p, "m": m, "x": x, "N": depth}
-        return _guard(
-            "special-pos",
-            params,
-            lambda: [
-                compare_values(
-                    "special-pos",
-                    params,
-                    *zeta_special_pos(ctx, m, x, depth, cfg.budget()),
-                    required_depth=depth - cfg.c("special-pos"),
-                    reference_depth=depth,
-                )
-            ],
+        compare_values(
+            "zeta-one",
+            {"p": p, "x": x},
+            val,
+            ctx.from_int(1, relprec=cfg.workprec),
+            required_depth=cfg.workprec,
         )
-
-    return [
-        ("special-pos", lambda p=p, m=m, x=x: run(p, m, x))
-        for p in cfg.primes
-        for m in (1, 2, 3)
-        for x in (Fraction(1, p), Fraction(2, p))
     ]
 
 
-def _tasks_oracle_czp(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, s, x: Fraction) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        n_max = cfg.depth_czp()
-        depths = tuple(range(2, n_max + 1))
-        series = zeta_czp(ctx, s, x, cfg.budget())
-        sums = kernels.hurwitz_sums(p, ctx.internal_prec, x, s, depths)
-        slack = cfg.c("oracle-czp")
-        worst = None
-        for n_depth in depths:
-            d = agreement_depth(series, sums[n_depth])
-            margin = d - n_depth
-            if worst is None or margin < worst[0]:
-                worst = (margin, n_depth)
-        n_depth = worst[1]
-        return [
-            compare_values(
-                "oracle-czp",
-                {"p": p, "s": s, "x": x, "N": n_depth},
-                series,
-                sums[n_depth],
-                required_depth=n_depth - slack,
-                reference_depth=n_depth,
-                note=f"min margin over N=2..{n_max}: {worst[0]}",
-            )
-        ]
-
+@_identity("special-neg", _per_p(lambda cfg, p: (_x_grid(p),)))
+def _check_special_neg(cfg: VerifyConfig, p: int, x: Fraction) -> Reports:
+    ctx = cfg.ctx(p)
+    worst = None
+    for m in range(1, 9):
+        series = zeta_czp(ctx, 1 - m, x, cfg.budget())
+        exact = zeta_special_neg(ctx, m, x)
+        d = agreement_depth(series, exact)
+        if worst is None or d < worst[0]:
+            worst = (d, m, series, exact)
     return [
-        ("oracle-czp", lambda p=p, s=s, x=x: run(p, s, x))
-        for p in cfg.primes
-        for s in _s_grid(cfg, "oracle-czp", p)
-        for x in _x_grid(p)
+        compare_values(
+            "special-neg",
+            {"p": p, "x": x, "m_max": 8},
+            worst[2],
+            worst[3],
+            required_depth=cfg.workprec,
+            note=f"worst m={worst[1]}",
+        )
     ]
 
 
-def _tasks_oracle_char(cfg: VerifyConfig) -> list[Task]:
-    tasks: list[Task] = []
+@_identity(
+    "special-pos",
+    _per_p(lambda cfg, p: ((1, 2, 3), _x_grid(p)[:2])),
+    {"special-pos": "special-pos"},
+)
+def _check_special_pos(cfg: VerifyConfig, p: int, m: int, x: Fraction) -> Reports:
+    ctx = cfg.ctx(p)
+    depth = cfg.depth_czp()
+    params = {"p": p, "m": m, "x": x, "N": depth}
+    try:
+        values = zeta_special_pos(ctx, m, x, depth, cfg.budget())
+        return [_compare_calibrated(cfg, "special-pos", params, *values, depth)]
+    except PadicError as exc:
+        return [budget_failure("special-pos", params, f"{exc.code}: {exc}")]
 
-    def run(p: int, v: int, k: int, s, x: int) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k)
-        depth = cfg.depth_char()
-        series = zeta_char(ctx, chi, s, x, cfg.budget())
-        oracle = zeta_char_oracle(ctx, chi, s, x, depth)
-        return [
+
+@_identity(
+    "oracle-czp",
+    _per_p(lambda cfg, p: (_s_grid(cfg, "oracle-czp", p), _x_grid(p))),
+    {"oracle-czp": "oracle-czp"},
+)
+def _check_oracle_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
+    ctx = cfg.ctx(p)
+    n_max = cfg.depth_czp()
+    depths = tuple(range(2, n_max + 1))
+    series = zeta_czp(ctx, s, x, cfg.budget())
+    sums = kernels.hurwitz_sums(p, ctx.internal_prec, x, s, depths)
+    worst = None
+    for n_depth in depths:
+        d = agreement_depth(series, sums[n_depth])
+        margin = d - n_depth
+        if worst is None or margin < worst[0]:
+            worst = (margin, n_depth)
+    n_depth = worst[1]
+    return [
+        _compare_calibrated(
+            cfg,
+            "oracle-czp",
+            {"p": p, "s": s, "x": x, "N": n_depth},
+            series,
+            sums[n_depth],
+            n_depth,
+            note=f"min margin over N=2..{n_max}: {worst[0]}",
+        )
+    ]
+
+
+@_identity(
+    "oracle-char",
+    _per_p(
+        lambda cfg, p: (
+            (1, 2), _char_ks(p), (0, 2, _random_s(cfg, "oracle-char", p)), (0, 1)
+        )
+    ),
+    {"oracle-char": "oracle-char"},
+)
+def _check_oracle_char(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> Reports:
+    ctx = cfg.ctx(p)
+    chi = DirichletCharacter(p, v, k)
+    depth = cfg.depth_char()
+    series = zeta_char(ctx, chi, s, x, cfg.budget())
+    oracle = zeta_char_oracle(ctx, chi, s, x, depth)
+    params = {"p": p, "char": chi.label, "s": s, "x": x, "N": depth}
+    return [_compare_calibrated(cfg, "oracle-char", params, series, oracle, depth)]
+
+
+@_identity(
+    "ell-oracle",
+    _per_p(lambda cfg, p: ((1, 2), [k for k in (1, 3) if k <= p - 2], (0, 2, 5))),
+    {"ell-oracle": "ell-oracle"},
+)
+def _check_ell_oracle(cfg: VerifyConfig, p: int, v: int, k: int, s) -> Reports:
+    ctx = cfg.ctx(p)
+    chi = DirichletCharacter(p, v, k)
+    depth = cfg.depth_char()
+    value = ell(ctx, chi, s, cfg.budget())
+    oracle = ell_limit_oracle(ctx, chi, s, depth)
+    params = {"p": p, "char": chi.label, "s": s, "N": depth}
+    return [_compare_calibrated(cfg, "ell-oracle", params, value, oracle, depth)]
+
+
+@_identity(
+    "ell-even-zero",
+    _per_p(
+        lambda cfg, p: (
+            (1, 2), range(0, p - 1, 2), (0, 1, -1, 2, _random_s(cfg, "ell-even-zero", p))
+        )
+    ),
+)
+def _check_ell_even_zero(cfg: VerifyConfig, p: int, v: int, k: int, s) -> Reports:
+    ctx = cfg.ctx(p)
+    chi = DirichletCharacter(p, v, k)
+    value = ell(ctx, chi, s, cfg.budget())
+    return [
+        compare_values(
+            "ell-even-zero",
+            {"p": p, "char": chi.label, "s": s},
+            value,
+            ctx.bounded_zero(cfg.workprec),
+            required_depth=cfg.workprec,
+        )
+    ]
+
+
+@_identity(
+    "functional-czp", _per_p(lambda cfg, p: (_s_grid(cfg, "functional-czp", p), _x_grid(p)))
+)
+def _check_functional_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
+    ctx = cfg.ctx(p)
+    sp = ctx.coerce(s)
+    lhs = zeta_czp(ctx, sp, x + 1, cfg.budget()) + zeta_czp(ctx, sp, x, cfg.budget())
+    xe = ctx.from_fraction(x)
+    rhs = 2 * xe / ctx.omega_v(xe) * ctx.angle_power(xe, -sp)
+    return [compare_values("functional-czp", {"p": p, "s": s, "x": x}, lhs, rhs)]
+
+
+@_identity(
+    "reflection-czp", _per_p(lambda cfg, p: (_s_grid(cfg, "reflection-czp", p), _x_grid(p)))
+)
+def _check_reflection_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
+    ctx = cfg.ctx(p)
+    lhs, rhs = reflection_czp(ctx, s, x, cfg.budget())
+    return [compare_values("reflection-czp", {"p": p, "s": s, "x": x}, lhs, rhs)]
+
+
+@_identity(
+    "distribution-czp",
+    _per_p(lambda cfg, p: ((0, 2, 3, _random_s(cfg, "distribution-czp", p)), _x_grid(p))),
+)
+def _check_distribution_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
+    ctx = cfg.ctx(p)
+    n_parts = 5 if p == 3 else 3
+    forms = distribution_czp_forms(ctx, s, x, n_parts, cfg.budget())
+    params = {"p": p, "s": s, "x": x, "N": n_parts}
+    out = [compare_values("distribution-czp", params, forms["lhs"], forms["rhs"])]
+    if cfg.report_both_forms:
+        out.append(
             compare_values(
-                "oracle-char",
-                {"p": p, "char": chi.label, "s": s, "x": x, "N": depth},
-                series,
-                oracle,
-                required_depth=depth - cfg.c("oracle-char"),
-                reference_depth=depth,
+                "distribution-czp-unscaled",
+                params,
+                forms["lhs"],
+                forms["rhs_unscaled"],
+                informational=True,
+                note="residual without the <N>^(s-1) factor, recorded only",
             )
-        ]
+        )
+    return out
 
+
+@_identity(
+    "derivative-czp",
+    _per_p(
+        lambda cfg, p: (
+            (0, 2, _random_s(cfg, "derivative-czp", p, 6)), _x_grid(p)[:2], cfg.fd_exponents()
+        )
+    ),
+    {"derivative-czp": "derivative-czp"},
+)
+def _check_derivative_czp(cfg: VerifyConfig, p: int, s, x: Fraction, k: int) -> Reports:
+    ctx = cfg.ctx(p)
+    h = p**k
+    fd = (
+        zeta_czp(ctx, s, x + h, cfg.budget()) - zeta_czp(ctx, s, x, cfg.budget())
+    ) / ctx.from_int(h)
+    formula = dzeta_dx(ctx, s, x, cfg.budget())
+    params = {"p": p, "s": s, "x": x, "h": f"{p}^{k}"}
+    return [_compare_calibrated(cfg, "derivative-czp", params, fd, formula, k)]
+
+
+def _grid_shifted_expansion(cfg: VerifyConfig) -> list[tuple]:
+    """(p, s, x, u, against_oracle): per p the grid against zeta(s, x + u),
+    then one point against the truncated-sum oracle."""
+    points = []
     for p in cfg.primes:
-        rng = cfg.rng("oracle-char", p)
-        s_values = [0, 2, rng.randrange(1, p**12)]
-        for v in (1, 2):
-            for k in _char_ks(p):
-                for s in s_values:
-                    for x in (0, 1):
-                        tasks.append(
-                            (
-                                "oracle-char",
-                                lambda p=p, v=v, k=k, s=s, x=x: run(p, v, k, s, x),
-                            )
-                        )
-    return tasks
+        s_values = (0, 2, _random_s(cfg, "shifted-expansion", p))
+        for s, x, u in product(s_values, _x_grid(p), (Fraction(1), Fraction(1, 2))):
+            points.append((p, s, x, u, False))
+        points.append((p, 2, Fraction(1, p * p), Fraction(1, 2), True))
+    return points
 
 
-def _tasks_ell_oracle(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, v: int, k: int, s) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k)
-        depth = cfg.depth_char()
-        return [
-            compare_values(
-                "ell-oracle",
-                {"p": p, "char": chi.label, "s": s, "N": depth},
-                ell(ctx, chi, s, cfg.budget()),
-                ell_limit_oracle(ctx, chi, s, depth),
-                required_depth=depth - cfg.c("ell-oracle"),
-                reference_depth=depth,
-            )
-        ]
-
-    tasks: list[Task] = []
-    for p in cfg.primes:
-        odd_ks = [k for k in (1, 3) if k <= p - 2]
-        for v in (1, 2):
-            for k in odd_ks:
-                for s in (0, 2, 5):
-                    tasks.append(
-                        ("ell-oracle", lambda p=p, v=v, k=k, s=s: run(p, v, k, s))
-                    )
-    return tasks
-
-
-def _tasks_ell_even_zero(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, v: int, k: int, s) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k)
-        value = ell(ctx, chi, s, cfg.budget())
-        return [
-            compare_values(
-                "ell-even-zero",
-                {"p": p, "char": chi.label, "s": s},
-                value,
-                ctx.bounded_zero(cfg.workprec),
-                required_depth=cfg.workprec,
-            )
-        ]
-
-    tasks: list[Task] = []
-    for p in cfg.primes:
-        rng = cfg.rng("ell-even-zero", p)
-        even_ks = [k for k in range(0, p - 1, 2)]
-        s_values = [0, 1, -1, 2, rng.randrange(1, p**12)]
-        for v in (1, 2):
-            for k in even_ks:
-                for s in s_values:
-                    tasks.append(
-                        ("ell-even-zero", lambda p=p, v=v, k=k, s=s: run(p, v, k, s))
-                    )
-    return tasks
-
-
-def _tasks_functional_czp(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, s, x: Fraction) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        sp = ctx.coerce(s)
-        lhs = zeta_czp(ctx, sp, x + 1, cfg.budget()) + zeta_czp(ctx, sp, x, cfg.budget())
-        xe = ctx.from_fraction(x)
-        rhs = 2 * xe / ctx.omega_v(xe) * ctx.angle_power(xe, -sp)
-        return [
-            compare_values("functional-czp", {"p": p, "s": s, "x": x}, lhs, rhs)
-        ]
-
-    return [
-        ("functional-czp", lambda p=p, s=s, x=x: run(p, s, x))
-        for p in cfg.primes
-        for s in _s_grid(cfg, "functional-czp", p)
-        for x in _x_grid(p)
-    ]
-
-
-def _tasks_reflection_czp(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, s, x: Fraction) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        lhs, rhs = reflection_czp(ctx, s, x, cfg.budget())
-        return [
-            compare_values("reflection-czp", {"p": p, "s": s, "x": x}, lhs, rhs)
-        ]
-
-    return [
-        ("reflection-czp", lambda p=p, s=s, x=x: run(p, s, x))
-        for p in cfg.primes
-        for s in _s_grid(cfg, "reflection-czp", p)
-        for x in _x_grid(p)
-    ]
-
-
-def _tasks_distribution_czp(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, s, x: Fraction) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        n_parts = 5 if p == 3 else 3
-        forms = distribution_czp_forms(ctx, s, x, n_parts, cfg.budget())
-        params = {"p": p, "s": s, "x": x, "N": n_parts}
-        out = [
-            compare_values("distribution-czp", params, forms["lhs"], forms["rhs"])
-        ]
-        if cfg.report_both_forms:
-            out.append(
-                compare_values(
-                    "distribution-czp-unscaled",
-                    params,
-                    forms["lhs"],
-                    forms["rhs_unscaled"],
-                    informational=True,
-                    note="residual without the <N>^(s-1) factor, recorded only",
-                )
-            )
-        return out
-
-    return [
-        ("distribution-czp", lambda p=p, s=s, x=x: run(p, s, x))
-        for p in cfg.primes
-        for s in [0, 2, 3, cfg.rng("distribution-czp", p).randrange(1, p**12)]
-        for x in _x_grid(p)
-    ]
-
-
-def _tasks_derivative_czp(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, s, x: Fraction, k: int) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        h = p**k
-        fd = (
-            zeta_czp(ctx, s, x + h, cfg.budget()) - zeta_czp(ctx, s, x, cfg.budget())
-        ) / ctx.from_int(h)
-        formula = dzeta_dx(ctx, s, x, cfg.budget())
-        return [
-            compare_values(
-                "derivative-czp",
-                {"p": p, "s": s, "x": x, "h": f"{p}^{k}"},
-                fd,
-                formula,
-                required_depth=k - cfg.c("derivative-czp"),
-                reference_depth=k,
-            )
-        ]
-
-    tasks: list[Task] = []
-    for p in cfg.primes:
-        rng = cfg.rng("derivative-czp", p)
-        for s in (0, 2, rng.randrange(1, p**6)):
-            for x in (Fraction(1, p), Fraction(2, p)):
-                for k in cfg.fd_exponents():
-                    tasks.append(
-                        ("derivative-czp", lambda p=p, s=s, x=x, k=k: run(p, s, x, k))
-                    )
-    return tasks
-
-
-def _tasks_shifted_expansion(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, s, x: Fraction, u: Fraction) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        lhs = zeta_shifted(ctx, s, x, u, cfg.budget())
+@_identity(
+    "shifted-expansion", _grid_shifted_expansion, {"shifted-expansion-oracle": "oracle-czp"}
+)
+def _check_shifted_expansion(
+    cfg: VerifyConfig, p: int, s, x: Fraction, u: Fraction, against_oracle: bool
+) -> Reports:
+    ctx = cfg.ctx(p)
+    lhs = zeta_shifted(ctx, s, x, u, cfg.budget())
+    if not against_oracle:
         rhs = zeta_czp(ctx, s, x + u, cfg.budget())
         return [
             compare_values("shifted-expansion", {"p": p, "s": s, "x": x, "u": u}, lhs, rhs)
         ]
+    depth = cfg.depth_czp()
+    oracle = zeta_czp_oracle(ctx, s, x + u, depth)
+    params = {"p": p, "s": s, "x": x, "u": u, "N": depth}
+    return [_compare_calibrated(cfg, "shifted-expansion-oracle", params, lhs, oracle, depth)]
 
-    def run_oracle(p: int, s, x: Fraction, u: Fraction) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        depth = cfg.depth_czp()
-        lhs = zeta_shifted(ctx, s, x, u, cfg.budget())
-        oracle = zeta_czp_oracle(ctx, s, x + u, depth)
-        return [
+
+@_identity(
+    "raabe-czp",
+    # (p, s, x, with_oracle): the oracle runs at the second s and the first x
+    lambda cfg: [
+        (p, s, x, (i, j) == (1, 0))
+        for p in cfg.primes
+        for (i, s), (j, x) in product(
+            enumerate((0, 2, 3, _random_s(cfg, "raabe-czp", p))), enumerate(_x_grid(p)[:2])
+        )
+    ],
+    {"raabe-czp-oracle": "raabe-czp-oracle"},
+)
+def _check_raabe_czp(cfg: VerifyConfig, p: int, s, x: Fraction, with_oracle: bool) -> Reports:
+    ctx = cfg.ctx(p)
+    forms = raabe_closed_forms(ctx, s, x, cfg.budget())
+    params = {"p": p, "s": s, "x": x}
+    out = [compare_values("raabe-czp", params, forms["termwise"], forms["closed"])]
+    if cfg.report_both_forms:
+        out.append(
             compare_values(
-                "shifted-expansion-oracle",
-                {"p": p, "s": s, "x": x, "u": u, "N": depth},
-                lhs,
-                oracle,
-                required_depth=depth - cfg.c("oracle-czp"),
-                reference_depth=depth,
-            )
-        ]
-
-    tasks: list[Task] = []
-    for p in cfg.primes:
-        rng = cfg.rng("shifted-expansion", p)
-        for s in (0, 2, rng.randrange(1, p**12)):
-            for x in _x_grid(p):
-                for u in (Fraction(1), Fraction(1, 2)):
-                    tasks.append(
-                        (
-                            "shifted-expansion",
-                            lambda p=p, s=s, x=x, u=u: run(p, s, x, u),
-                        )
-                    )
-        tasks.append(
-            (
-                "shifted-expansion-oracle",
-                lambda p=p: run_oracle(p, 2, Fraction(1, p * p), Fraction(1, 2)),
+                "raabe-czp-variant",
+                params,
+                forms["termwise"],
+                forms["variant"],
+                informational=True,
+                note="residual of the alternative closed form, recorded only",
             )
         )
-    return tasks
-
-
-def _tasks_raabe_czp(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, s, x: Fraction, with_oracle: bool) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        forms = raabe_closed_forms(ctx, s, x, cfg.budget())
-        params = {"p": p, "s": s, "x": x}
-        out = [
-            compare_values(
-                "raabe-czp", params, forms["termwise"], forms["closed"]
+    if with_oracle:
+        depth = cfg.depth_raabe(p)
+        oracle = integral_of_zeta_oracle(ctx, s, x, depth, cfg.budget())
+        out.append(
+            _compare_calibrated(
+                cfg, "raabe-czp-oracle", {**params, "N": depth}, forms["termwise"], oracle, depth
             )
-        ]
-        if cfg.report_both_forms:
-            out.append(
-                compare_values(
-                    "raabe-czp-variant",
-                    params,
-                    forms["termwise"],
-                    forms["variant"],
-                    informational=True,
-                    note="residual of the alternative closed form, recorded only",
-                )
-            )
-        if with_oracle:
-            depth = cfg.depth_raabe(p)
-            oracle = integral_of_zeta_oracle(ctx, s, x, depth, cfg.budget())
-            out.append(
-                compare_values(
-                    "raabe-czp-oracle",
-                    {**params, "N": depth},
-                    forms["termwise"],
-                    oracle,
-                    required_depth=depth - cfg.c("raabe-czp-oracle"),
-                    reference_depth=depth,
-                )
-            )
-        return out
-
-    tasks: list[Task] = []
-    for p in cfg.primes:
-        rng = cfg.rng("raabe-czp", p)
-        s_values = [0, 2, 3, rng.randrange(1, p**12)]
-        for i, s in enumerate(s_values):
-            for j, x in enumerate((Fraction(1, p), Fraction(2, p))):
-                with_oracle = i == 1 and j == 0
-                tasks.append(
-                    (
-                        "raabe-czp",
-                        lambda p=p, s=s, x=x, w=with_oracle: run(p, s, x, w),
-                    )
-                )
-    return tasks
-
-
-def _char_grid(cfg: VerifyConfig) -> list[tuple[int, int, int, object, int]]:
-    """(p, v, k, s, x) gridpoints for the x-in-Z_p identity suite."""
-    points = []
-    for p in cfg.primes:
-        for v in (1, 2):
-            for k in _char_ks(p):
-                for s in (0, 1, -1, 2):
-                    for x in (0, 1, 2, p):
-                        points.append((p, v, k, s, x))
-    return points
-
-
-def _tasks_char_suite(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, v: int, k: int, s, x: int) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k)
-        n_parts = 5 if p == 3 else 3
-        reports = functional_reflection_distribution(
-            ctx, chi, s, x, n_parts, cfg.budget()
         )
-        if not cfg.report_both_forms:
-            reports = [r for r in reports if r.identity != "distribution-char-unscaled"]
-        return reports
+    return out
 
+
+@_identity(
+    "char-suite",
+    # the x-in-Z_p identity suite
+    _per_p(lambda cfg, p: ((1, 2), _char_ks(p), (0, 1, -1, 2), (0, 1, 2, p))),
+)
+def _check_char_suite(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> Reports:
+    ctx = cfg.ctx(p)
+    chi = DirichletCharacter(p, v, k)
+    n_parts = 5 if p == 3 else 3
+    reports = functional_reflection_distribution(ctx, chi, s, x, n_parts, cfg.budget())
+    if not cfg.report_both_forms:
+        reports = [r for r in reports if r.identity != "distribution-char-unscaled"]
+    return reports
+
+
+@_identity(
+    "special-char",
+    lambda cfg: [
+        (p, v, k0, k, x)
+        for p in cfg.primes
+        for v, ks in ((1, (1, 2, 3, 4, 5, 6)), (2, (1, 2)))
+        for k0, k, x in product((0, 1), ks, (0, 1))
+    ],
+)
+def _check_special_char(cfg: VerifyConfig, p: int, v: int, k0: int, k: int, x: int) -> Reports:
+    ctx = cfg.ctx(p)
+    chi = DirichletCharacter(p, v, k0)
+    lhs, rhs = zeta_char_special(ctx, chi, k, x, cfg.budget())
     return [
-        ("char-suite", lambda p=p, v=v, k=k, s=s, x=x: run(p, v, k, s, x))
-        for (p, v, k, s, x) in _char_grid(cfg)
+        compare_values("special-char", {"p": p, "char": chi.label, "k": k, "x": x}, lhs, rhs)
     ]
 
 
-def _tasks_special_char(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, v: int, k0: int, k: int, x: int) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k0)
-        lhs, rhs = zeta_char_special(ctx, chi, k, x, cfg.budget())
-        return [
-            compare_values(
-                "special-char",
-                {"p": p, "char": chi.label, "k": k, "x": x},
-                lhs,
-                rhs,
-            )
-        ]
-
-    tasks: list[Task] = []
-    for p in cfg.primes:
-        for v, ks in ((1, (1, 2, 3, 4, 5, 6)), (2, (1, 2))):
-            for k0 in (0, 1):
-                for k in ks:
-                    for x in (0, 1):
-                        tasks.append(
-                            (
-                                "special-char",
-                                lambda p=p, v=v, k0=k0, k=k, x=x: run(p, v, k0, k, x),
-                            )
-                        )
-    return tasks
+def _grid_derivative_char(cfg: VerifyConfig) -> list[tuple]:
+    """(p, v, k, s, x, h_exp); h_exp None is the corollary at s = 0, x = 1."""
+    points = []
+    for p, v, k in product(cfg.primes, (1, 2), (0, 1)):
+        for s, x, h_exp in product((0, 2), (0, 1), cfg.fd_exponents()[:2]):
+            points.append((p, v, k, s, x, h_exp))
+        points.append((p, v, k, 0, 1, None))
+    return points
 
 
-def _tasks_derivative_char(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, v: int, k: int, s, x: int, h_exp: int) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k)
-        h = p**h_exp
-        fd = (
-            zeta_char(ctx, chi, s, x + h, cfg.budget())
-            - zeta_char(ctx, chi, s, x, cfg.budget())
-        ) / ctx.from_int(h)
-        formula = dzeta_char_dx(ctx, chi, s, x, cfg.budget())
-        return [
-            compare_values(
-                "derivative-char",
-                {"p": p, "char": chi.label, "s": s, "x": x, "h": f"{p}^{h_exp}"},
-                fd,
-                formula,
-                required_depth=h_exp - cfg.c("derivative-char"),
-                reference_depth=h_exp,
-            )
-        ]
-
-    def run_corollary(p: int, v: int, k: int, x: int) -> list[VerificationReport]:
+@_identity("derivative-char", _grid_derivative_char, {"derivative-char": "derivative-char"})
+def _check_derivative_char(
+    cfg: VerifyConfig, p: int, v: int, k: int, s, x: int, h_exp: int | None
+) -> Reports:
+    ctx = cfg.ctx(p)
+    chi = DirichletCharacter(p, v, k)
+    if h_exp is None:
         # d/dx at (chi omega, 0, x) collapses to the plain character sum
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k)
         lhs = dzeta_char_dx(ctx, chi.twist(1), 0, x, cfg.budget())
         rhs = None
         for j in range(p**v):
@@ -754,251 +643,147 @@ def _tasks_derivative_char(cfg: VerifyConfig) -> list[Task]:
                 rhs.cap_absprec(cfg.workprec),
             )
         ]
-
-    tasks: list[Task] = []
-    for p in cfg.primes:
-        for v in (1, 2):
-            for k in (0, 1):
-                for s in (0, 2):
-                    for x in (0, 1):
-                        for h_exp in cfg.fd_exponents()[:2]:
-                            tasks.append(
-                                (
-                                    "derivative-char",
-                                    lambda p=p, v=v, k=k, s=s, x=x, h=h_exp: run(
-                                        p, v, k, s, x, h
-                                    ),
-                                )
-                            )
-                tasks.append(
-                    (
-                        "derivative-char-at-zero",
-                        lambda p=p, v=v, k=k: run_corollary(p, v, k, 1),
-                    )
-                )
-    return tasks
+    h = p**h_exp
+    fd = (
+        zeta_char(ctx, chi, s, x + h, cfg.budget())
+        - zeta_char(ctx, chi, s, x, cfg.budget())
+    ) / ctx.from_int(h)
+    formula = dzeta_char_dx(ctx, chi, s, x, cfg.budget())
+    params = {"p": p, "char": chi.label, "s": s, "x": x, "h": f"{p}^{h_exp}"}
+    return [_compare_calibrated(cfg, "derivative-char", params, fd, formula, h_exp)]
 
 
-def _tasks_representation_char(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, v: int, k: int, s, x: int, factor: int, power: int) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k)
-        lhs, rhs = representation_pair(ctx, chi, s, x, factor, power, cfg.budget())
-        kind = f"{factor}*p^(v+{power})" if factor > 1 else f"p^(v+{power})"
-        return [
-            compare_values(
-                "representation-char",
-                {"p": p, "char": chi.label, "s": s, "x": x, "M": kind},
-                lhs,
-                rhs,
-            )
-        ]
-
-    tasks: list[Task] = []
-    for p in cfg.primes:
-        factor = 5 if p == 3 else 3
-        for v in (1, 2):
-            for k in (0, 1):
-                for s in (0, 2):
-                    for x in (0, 1):
-                        tasks.append(
-                            (
-                                "representation-char",
-                                lambda p=p, v=v, k=k, s=s, x=x, f=factor: run(
-                                    p, v, k, s, x, f, 0
-                                ),
-                            )
-                        )
-                        tasks.append(
-                            (
-                                "representation-char",
-                                lambda p=p, v=v, k=k, s=s, x=x: run(p, v, k, s, x, 1, 1),
-                            )
-                        )
-    return tasks
-
-
-def _tasks_power_series_char(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, v: int, k: int, s, x_mult: int) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k)
-        x = x_mult * p**v
-        decay = v
-        terms = -(-((cfg.workprec + 2) * (p - 1)) // (decay * (p - 1) - 1)) + 2
-        series = power_series_zeta(ctx, chi, s, x, terms, cfg.budget())
-        direct = zeta_char(ctx, chi, s, x, cfg.budget())
-        return [
-            compare_values(
-                "power-series-char",
-                {"p": p, "char": chi.label, "s": s, "x": x, "K": terms},
-                series,
-                direct,
-            )
-        ]
-
+@_identity(
+    "representation-char",
+    # (p, v, k, s, x, factor, power): the modulus is factor * p^(v + power)
+    lambda cfg: [
+        (p, v, k, s, x, factor, power)
+        for p, v, k, s, x in product(cfg.primes, (1, 2), (0, 1), (0, 2), (0, 1))
+        for factor, power in ((5 if p == 3 else 3, 0), (1, 1))
+    ],
+)
+def _check_representation_char(
+    cfg: VerifyConfig, p: int, v: int, k: int, s, x: int, factor: int, power: int
+) -> Reports:
+    ctx = cfg.ctx(p)
+    chi = DirichletCharacter(p, v, k)
+    lhs, rhs = representation_pair(ctx, chi, s, x, factor, power, cfg.budget())
+    kind = f"{factor}*p^(v+{power})" if factor > 1 else f"p^(v+{power})"
     return [
-        (
-            "power-series-char",
-            lambda p=p, v=v, k=k, s=s, m=m: run(p, v, k, s, m),
+        compare_values(
+            "representation-char",
+            {"p": p, "char": chi.label, "s": s, "x": x, "M": kind},
+            lhs,
+            rhs,
         )
-        for p in cfg.primes
-        for v in (1, 2)
-        for k in (0, 1)
-        for s in (0, 2)
-        for m in (1, 2)
     ]
 
 
-def _tasks_raabe_char(cfg: VerifyConfig) -> list[Task]:
-    def run(p: int, v: int, k: int, s, x: int) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k)
-        depth = cfg.depth_raabe(p)
-        lhs, rhs = raabe_char(ctx, chi, s, x, depth, cfg.budget())
-        return [
-            compare_values(
-                "raabe-char",
-                {"p": p, "char": chi.label, "s": s, "x": x, "N": depth},
-                lhs,
-                rhs,
-                required_depth=depth - cfg.c("raabe-char-oracle"),
-                reference_depth=depth,
-            )
-        ]
-
-    combos = {
-        3: [(1, 0, 1, 2), (1, 1, 0, 1), (2, 1, 2, 0)],
-        5: [(1, 0, 1, 2), (1, 1, 0, 1)],
-        7: [(1, 1, 0, 1), (1, 0, 2, 0)],
-    }
-    tasks: list[Task] = []
-    for p in cfg.primes:
-        for (v, k, s, x) in combos.get(p, [(1, 0, 1, 1)]):
-            tasks.append(
-                ("raabe-char", lambda p=p, v=v, k=k, s=s, x=x: run(p, v, k, s, x))
-            )
-    return tasks
-
-
-def _tasks_change_of_variable(cfg: VerifyConfig) -> list[Task]:
-    cases = [
-        (3, 1, 0, (0, 1), 0),
-        (5, 1, 2, (0, 0, 1), 2),
-        (5, 1, 0, (1,), 0),
-        (7, 1, 1, (0, 1), 1),
-    ]
-
-    def run(p: int, v: int, k: int, coeffs, x: int) -> list[VerificationReport]:
-        ctx = cfg.ctx(p)
-        chi = DirichletCharacter(p, v, k)
-        depth = min(cfg.oracle_depth, 4)
-        f = Integrand.polynomial(coeffs)
-        lhs, rhs = change_of_variable(ctx, chi, f, x, depth)
-        return [
-            compare_values(
-                "change-of-variable",
-                {"p": p, "char": chi.label, "f": list(map(str, coeffs)), "x": x, "N": depth},
-                lhs,
-                rhs,
-                required_depth=depth - cfg.c("change-of-variable"),
-                reference_depth=depth,
-            )
-        ]
-
+@_identity("power-series-char", _per_p(lambda cfg, p: ((1, 2), (0, 1), (0, 2), (1, 2))))
+def _check_power_series_char(cfg: VerifyConfig, p: int, v: int, k: int, s, x_mult: int) -> Reports:
+    ctx = cfg.ctx(p)
+    chi = DirichletCharacter(p, v, k)
+    x = x_mult * p**v
+    decay = v
+    terms = -(-((cfg.workprec + 2) * (p - 1)) // (decay * (p - 1) - 1)) + 2
+    series = power_series_zeta(ctx, chi, s, x, terms, cfg.budget())
+    direct = zeta_char(ctx, chi, s, x, cfg.budget())
     return [
-        ("change-of-variable", lambda c=case: run(*c))
-        for case in cases
-        if case[0] in cfg.primes
+        compare_values(
+            "power-series-char",
+            {"p": p, "char": chi.label, "s": s, "x": x, "K": terms},
+            series,
+            direct,
+        )
     ]
 
 
+# p -> (v, k, s, x) points
+_RAABE_CHAR_POINTS = {
+    3: [(1, 0, 1, 2), (1, 1, 0, 1), (2, 1, 2, 0)],
+    5: [(1, 0, 1, 2), (1, 1, 0, 1)],
+    7: [(1, 1, 0, 1), (1, 0, 2, 0)],
+}
+
+
+@_identity(
+    "raabe-char",
+    lambda cfg: [
+        (p, *point) for p in cfg.primes for point in _RAABE_CHAR_POINTS.get(p, [(1, 0, 1, 1)])
+    ],
+    {"raabe-char": "raabe-char-oracle"},
+)
+def _check_raabe_char(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> Reports:
+    ctx = cfg.ctx(p)
+    chi = DirichletCharacter(p, v, k)
+    depth = cfg.depth_raabe(p)
+    lhs, rhs = raabe_char(ctx, chi, s, x, depth, cfg.budget())
+    params = {"p": p, "char": chi.label, "s": s, "x": x, "N": depth}
+    return [_compare_calibrated(cfg, "raabe-char", params, lhs, rhs, depth)]
+
+
+# (p, v, k, coefficients of f, x)
+_CHANGE_OF_VARIABLE_CASES = (
+    (3, 1, 0, (0, 1), 0),
+    (5, 1, 2, (0, 0, 1), 2),
+    (5, 1, 0, (1,), 0),
+    (7, 1, 1, (0, 1), 1),
+)
+
+
+@_identity(
+    "change-of-variable",
+    lambda cfg: [case for case in _CHANGE_OF_VARIABLE_CASES if case[0] in cfg.primes],
+    {"change-of-variable": "change-of-variable"},
+)
+def _check_change_of_variable(
+    cfg: VerifyConfig, p: int, v: int, k: int, coeffs, x: int
+) -> Reports:
+    ctx = cfg.ctx(p)
+    chi = DirichletCharacter(p, v, k)
+    depth = min(cfg.oracle_depth, 4)
+    lhs, rhs = change_of_variable(ctx, chi, Integrand.polynomial(coeffs), x, depth)
+    params = {"p": p, "char": chi.label, "f": list(map(str, coeffs)), "x": x, "N": depth}
+    return [_compare_calibrated(cfg, "change-of-variable", params, lhs, rhs, depth)]
+
+
+# identity name -> task builder(cfg); run_verify looks the builders up here
+# when it runs
 _BUILDERS: dict[str, Callable[[VerifyConfig], list[Task]]] = {
-    "euler-exact": _tasks_euler_exact,
-    "alternating-sum": _tasks_alternating_sum,
-    "shift-integral": _tasks_shift_integral,
-    "integral-convergence": _tasks_integral_convergence,
-    "zeta-one": _tasks_zeta_one,
-    "special-neg": _tasks_special_neg,
-    "special-pos": _tasks_special_pos,
-    "oracle-czp": _tasks_oracle_czp,
-    "oracle-char": _tasks_oracle_char,
-    "ell-oracle": _tasks_ell_oracle,
-    "ell-even-zero": _tasks_ell_even_zero,
-    "functional-czp": _tasks_functional_czp,
-    "reflection-czp": _tasks_reflection_czp,
-    "distribution-czp": _tasks_distribution_czp,
-    "derivative-czp": _tasks_derivative_czp,
-    "shifted-expansion": _tasks_shifted_expansion,
-    "raabe-czp": _tasks_raabe_czp,
-    "char-suite": _tasks_char_suite,
-    "special-char": _tasks_special_char,
-    "derivative-char": _tasks_derivative_char,
-    "representation-char": _tasks_representation_char,
-    "power-series-char": _tasks_power_series_char,
-    "raabe-char": _tasks_raabe_char,
-    "change-of-variable": _tasks_change_of_variable,
+    identity.name: identity.tasks for identity in _REGISTRY
 }
 
 IDENTITY_NAMES = tuple(_BUILDERS)
 
+# report identity -> calibrated slack family
+_REPORT_FAMILY = {
+    report: family for identity in _REGISTRY for report, family in identity.families.items()
+}
 
-def run_verify(
-    cfg: VerifyConfig, names: list[str] | None = None, threads: int = 1
-) -> list[VerificationReport]:
-    """Run the selected identities and return reports in grid order."""
+CALIBRATED_FAMILIES = tuple(dict.fromkeys(_REPORT_FAMILY.values()))
+
+
+def run_verify(cfg: VerifyConfig, names: list[str] | None = None) -> Reports:
+    """Run the selected identities serially and return reports in grid order."""
     selected = list(IDENTITY_NAMES) if not names else names
     unknown = [n for n in selected if n not in _BUILDERS]
     if unknown:
         raise PadicError(f"unknown identities: {', '.join(unknown)}")
-    tasks: list[Task] = []
-    for name in selected:
-        tasks.extend(_BUILDERS[name](cfg))
-    if threads <= 1:
-        chunks = [fn() for _, fn in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda t: t[1](), tasks))
-    return [rep for chunk in chunks for rep in chunk]
+    return [rep for name in selected for _, task in _BUILDERS[name](cfg) for rep in task()]
 
 
-def calibrate(cfg: VerifyConfig, threads: int = 1) -> dict[str, int]:
+def calibrate(cfg: VerifyConfig) -> dict[str, int]:
     """Measure the oracle slack constants on the standard grids.
 
     Returns max(0, reference_depth - agreement_depth) per family, the
     smallest integers making every oracle comparison pass.
     """
     wide = replace(cfg, slack={name: 10**6 for name in CALIBRATED_FAMILIES})
-    family_sources = {
-        "oracle-czp": ["oracle-czp", "shifted-expansion"],
-        "oracle-char": ["oracle-char"],
-        "ell-oracle": ["ell-oracle"],
-        "special-pos": ["special-pos"],
-        "change-of-variable": ["change-of-variable"],
-        "derivative-czp": ["derivative-czp"],
-        "derivative-char": ["derivative-char"],
-        "raabe-czp-oracle": ["raabe-czp"],
-        "raabe-char-oracle": ["raabe-char"],
-    }
     measured = {name: 0 for name in CALIBRATED_FAMILIES}
-    report_family = {
-        "oracle-czp": "oracle-czp",
-        "shifted-expansion-oracle": "oracle-czp",
-        "oracle-char": "oracle-char",
-        "ell-oracle": "ell-oracle",
-        "special-pos": "special-pos",
-        "change-of-variable": "change-of-variable",
-        "derivative-czp": "derivative-czp",
-        "derivative-char": "derivative-char",
-        "raabe-czp-oracle": "raabe-czp-oracle",
-        "raabe-char": "raabe-char-oracle",
-    }
-    names = sorted({n for group in family_sources.values() for n in group})
-    for rep in run_verify(wide, names, threads):
-        family = report_family.get(rep.identity)
-        if family is None or rep.reference_depth is None:
+    names = [identity.name for identity in _REGISTRY if identity.families]
+    for rep in run_verify(wide, names):
+        family = _REPORT_FAMILY.get(rep.identity)
+        if family is None or rep.reference_depth is None or rep.agreement_depth is None:
             continue
-        depth = rep.agreement_depth
-        if depth is None:
-            continue
-        measured[family] = max(measured[family], rep.reference_depth - depth)
+        measured[family] = max(measured[family], rep.reference_depth - rep.agreement_depth)
     return measured

@@ -5,6 +5,7 @@ primes, 16 guaranteed digits, oracle depth 6) feeds most criteria; the
 remaining ones drive the library or the CLI directly.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ def reports():
         oracle_depth=ORACLE_DEPTH,
         report_both_forms=True,
     )
-    return run_verify(cfg, None, threads=1)
+    return run_verify(cfg, None)
 
 
 def _select(reports, *identities):
@@ -168,3 +169,8 @@ def test_c9_determinism_across_threads(tmp_path):
     status = "PASS" if outputs[0] == outputs[1] == outputs[2] else "FAIL"
     print(f"ACCEPTANCE 9 determinism across 1/2/8 threads: {status}")
     assert outputs[0] == outputs[1] == outputs[2]
+    # the report bytes are pinned: any change to them must be deliberate
+    assert (
+        hashlib.sha256(outputs[0]).hexdigest()
+        == "a46e1897fefb790a1d1f09ebc5dd1038902e7ef7f9fb9d89b961c5652ff694ea"
+    )

@@ -113,7 +113,42 @@ class TestVerifyCommand:
 
     def test_list_identities(self, capsys):
         code, out, _ = run_cli(["verify", "--list-identities"], capsys)
-        assert code == 0 and "raabe-czp" in out.split()
+        assert code == 0
+        assert out.split() == [
+            "euler-exact",
+            "alternating-sum",
+            "shift-integral",
+            "integral-convergence",
+            "zeta-one",
+            "special-neg",
+            "special-pos",
+            "oracle-czp",
+            "oracle-char",
+            "ell-oracle",
+            "ell-even-zero",
+            "functional-czp",
+            "reflection-czp",
+            "distribution-czp",
+            "derivative-czp",
+            "shifted-expansion",
+            "raabe-czp",
+            "char-suite",
+            "special-char",
+            "derivative-char",
+            "representation-char",
+            "power-series-char",
+            "raabe-char",
+            "change-of-variable",
+        ]
+
+    def test_oracle_depth_below_two_rejected(self, capsys):
+        code, _, err = run_cli(
+            ["verify", "--oracle-depth", "0", "--identity", "oracle-czp", "--p", "3"], capsys
+        )
+        assert code == 2
+        obj = json.loads(err.strip().splitlines()[-1])
+        assert obj["error"]["code"] == "InvalidArgument"
+        assert "--oracle-depth" in obj["error"]["message"]
 
     def test_report_both_forms_adds_variant(self, capsys):
         code, out, _ = run_cli(
@@ -142,7 +177,17 @@ class TestVerifyCommand:
         assert code == 0
         obj = json.loads(out_path.read_text())
         assert obj["version"] == 1
-        assert set(obj["families"]) >= {"oracle-czp", "oracle-char"}
+        assert obj["families"] == {
+            "change-of-variable": 2,
+            "derivative-char": 0,
+            "derivative-czp": 0,
+            "ell-oracle": 0,
+            "oracle-char": 0,
+            "oracle-czp": 0,
+            "raabe-char-oracle": 0,
+            "raabe-czp-oracle": 0,
+            "special-pos": 0,
+        }
 
 
 class TestTableCommand:
