@@ -205,8 +205,6 @@ def _cmd_verify(args) -> int:
     if args.list_identities:
         _emit(args, "\n".join(IDENTITY_NAMES) + "\n")
         return 0
-    if args.oracle_depth < 2:
-        raise ValueError(f"--oracle-depth must be at least 2, got {args.oracle_depth}")
     if args.primes:
         primes = tuple(int(t) for t in args.primes.split(","))
     elif args.p is not None:

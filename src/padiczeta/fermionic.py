@@ -3,22 +3,20 @@
 The integral of f over Z_p against the alternating measure is the limit of
 the partial sums sum_{a < p^N} f(a) (-1)^a.  For polynomial integrands the
 closed form int (x+a)^m = E_m(x) turns everything into exact rational
-arithmetic; ``integrate_truncated`` stays a literal partial sum and is used
-as the convergence oracle.
+arithmetic; ``integrate_truncated`` stays a literal partial sum
+(``padic.alternating_sum``) and is used as the convergence oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable
 
 from . import euler
 from .characters import DirichletCharacter, char_eval
-from .errors import ArgumentViolation, EvaluationCapExceeded
-from .kernels import EVALUATION_CAP
-from .padic import PadicContext, PadicNumber
+from .errors import ArgumentViolation
+from .padic import PadicContext, PadicNumber, alternating_sum
 from .report import VerificationReport, compare_exact
 
 __all__ = [
@@ -34,43 +32,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Integrand:
-    """A function on Z_p with a declared smoothness tag.
+    """A polynomial on Z_p by its coefficients (ascending, exact rationals)."""
 
-    ``polynomial`` integrands carry their coefficient list (ascending,
-    exact rationals) and evaluation is defined by it; ``locally-analytic``
-    integrands provide an opaque PadicNumber-valued handle.
-    """
-
-    tag: str
-    coeffs: tuple[Fraction, ...] | None = None
-    fn: Callable[[PadicContext, PadicNumber], PadicNumber] | None = field(
-        default=None, compare=False
-    )
+    coeffs: tuple[Fraction, ...]
 
     @staticmethod
     def polynomial(coeffs) -> "Integrand":
         cs = tuple(Fraction(c) for c in coeffs)
         while len(cs) > 1 and cs[-1] == 0:
             cs = cs[:-1]
-        return Integrand(tag="polynomial", coeffs=cs)
+        return Integrand(cs)
 
     @staticmethod
     def monomial(degree: int) -> "Integrand":
         return Integrand.polynomial([0] * degree + [1])
 
-    @staticmethod
-    def analytic(fn) -> "Integrand":
-        return Integrand(tag="locally-analytic", fn=fn)
-
     @property
     def degree(self) -> int:
-        if self.coeffs is None:
-            raise ArgumentViolation("degree is only defined for polynomial integrands")
         return len(self.coeffs) - 1
 
     def eval_fraction(self, a) -> Fraction:
-        if self.coeffs is None:
-            raise ArgumentViolation("exact evaluation needs a polynomial integrand")
         a = Fraction(a)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -79,12 +60,10 @@ class Integrand:
 
     def eval_padic(self, ctx: PadicContext, a) -> PadicNumber:
         a = ctx.coerce(a)
-        if self.coeffs is not None:
-            acc = ctx.from_fraction(self.coeffs[-1])
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * a + ctx.from_fraction(c)
-            return acc
-        return self.fn(ctx, a)
+        acc = ctx.from_fraction(self.coeffs[-1])
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * a + ctx.from_fraction(c)
+        return acc
 
 
 def integrate_monomial_shift(ctx: PadicContext, m: int, x) -> PadicNumber:
@@ -96,44 +75,21 @@ def integrate_monomial_shift(ctx: PadicContext, m: int, x) -> PadicNumber:
 
 def integral_of_polynomial(f: Integrand, x) -> Fraction:
     """Exact closed form of int f(x+a) dmu(a) for polynomial f."""
-    if f.coeffs is None:
-        raise ArgumentViolation("closed form needs a polynomial integrand")
     x = Fraction(x)
     return sum(
         (c * euler.euler_poly(k, x) for k, c in enumerate(f.coeffs)), Fraction(0)
     )
 
 
-def integrate_truncated(
-    ctx: PadicContext, f: Integrand, depth: int, cap: int = EVALUATION_CAP
-) -> PadicNumber:
+def integrate_truncated(ctx: PadicContext, f: Integrand, depth: int) -> PadicNumber:
     """The literal partial sum sum_{a<p^depth} f(a) (-1)^a.
 
-    No convergence claim is made; this is the oracle primitive.  Summation
-    uses fixed-size chunks combined left to right, so the result does not
-    depend on how the index range is split across workers.
+    No convergence claim is made; this is the oracle primitive.  More than
+    ``EVALUATION_CAP`` terms are refused with ``EvaluationCapExceeded``.
     """
     if depth < 1:
         raise ArgumentViolation("truncation depth must be >= 1")
-    total = ctx.p**depth
-    if total > cap:
-        raise EvaluationCapExceeded(
-            f"p^N = {ctx.p}^{depth} exceeds the cap of {cap} evaluations"
-        )
-    chunk = 4096
-    partials = []
-    for start in range(0, total, chunk):
-        acc = None
-        for a in range(start, min(start + chunk, total)):
-            term = f.eval_padic(ctx, ctx.from_int(a))
-            if a % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-        partials.append(acc)
-    out = partials[0]
-    for part in partials[1:]:
-        out = out + part
-    return out
+    return alternating_sum(ctx, ctx.p**depth, lambda a: f.eval_padic(ctx, ctx.from_int(a)))
 
 
 def alternating_power_sum(m: int, rho: int, x) -> Fraction:
@@ -156,8 +112,6 @@ def verify_shift_identities(f: Integrand, x) -> list[VerificationReport]:
       I(x) = f(x-1) + I(nabla f at x)/2      (nabla f)(a) = f(a) - f(a-1)
     equivalently I(x+1) + I(x) = 2 f(x).
     """
-    if f.coeffs is None:
-        raise ArgumentViolation("shift identities are checked for polynomials")
     x = Fraction(x)
     table_ix = integral_of_polynomial(f, x)
 
@@ -211,46 +165,37 @@ def change_of_variable(
     """Both sides of the character change-of-variable identity.
 
     LHS: sum_{j<p^v} chi(x+j) g((x+j)/p^v) (-1)^j with
-    g(y) = int f(y+a) dmu(a) built from the polynomial closed form.
+    g(y) = int f(y+a) dmu(a) = sum_k c_k E_k(y) built from the polynomial
+    closed form.
     RHS: the depth-N truncated integral of a -> chi(x+a) f((x+a)/p^v).
     """
-    if f.coeffs is None:
-        raise ArgumentViolation("change of variable is exercised on polynomials")
+    if depth < 1:
+        raise ArgumentViolation("truncation depth must be >= 1")
     x = ctx.coerce(x)
     if not x.is_zero() and x.valuation < 0:
         raise ArgumentViolation("x must lie in Z_p")
-    pv = ctx.p**chi.v
-    lhs = None
-    for j in range(pv):
-        xj = x + ctx.from_int(j) if j else x
-        cv = char_eval(ctx, chi, xj)
-        if cv.is_exact_zero:
-            continue
-        y = xj / ctx.from_int(pv)
-        g_val = ctx.exact_zero()
-        for k, c in enumerate(f.coeffs):
-            if c == 0:
-                continue
-            g_val = g_val + ctx.from_fraction(c) * _euler_poly_padic(ctx, k, y)
-        term = cv * g_val
-        if j % 2 == 1:
-            term = -term
-        lhs = term if lhs is None else lhs + term
+    pv = ctx.from_int(ctx.p**chi.v)
+    # (c_k, E_k) for the nonzero coefficients c_k of f; E_k(y) = sum_i C(k,i) E_{k-i}(0) y^i
+    g_terms = []
+    for k, c in enumerate(f.coeffs):
+        if c != 0:
+            e_k = [comb(k, i) * euler.euler_zero(k - i) for i in range(k + 1)]
+            g_terms.append((ctx.from_fraction(c), Integrand.polynomial(e_k)))
 
-    def integrand(ctx_: PadicContext, a: PadicNumber) -> PadicNumber:
-        cv = char_eval(ctx_, chi, x + a)
-        if cv.is_exact_zero:
-            return ctx_.exact_zero()
-        return cv * f.eval_padic(ctx_, (x + a) / ctx_.from_int(pv))
+    def g(y: PadicNumber) -> PadicNumber:
+        acc = ctx.exact_zero()
+        for c, e_k in g_terms:
+            acc = acc + c * e_k.eval_padic(ctx, y)
+        return acc
 
-    rhs = integrate_truncated(ctx, Integrand.analytic(integrand), depth)
-    return lhs, rhs
+    def twisted(h):
+        # a -> chi(x+a) h((x+a)/p^v), the exact zero where chi vanishes
+        def term(a: int) -> PadicNumber:
+            xa = x + ctx.from_int(a)
+            cv = char_eval(ctx, chi, xa)
+            return cv if cv.is_exact_zero else cv * h(xa / pv)
 
+        return term
 
-def _euler_poly_padic(ctx: PadicContext, m: int, y: PadicNumber) -> PadicNumber:
-    """E_m evaluated at a p-adic argument (Horner on embedded coefficients)."""
-    coeffs = [comb(m, i) * euler.euler_zero(m - i) for i in range(m + 1)]
-    acc = ctx.from_fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * y + ctx.from_fraction(c)
-    return acc
+    lhs = alternating_sum(ctx, ctx.p**chi.v, twisted(g))
+    return lhs, alternating_sum(ctx, ctx.p**depth, twisted(lambda y: f.eval_padic(ctx, y)))

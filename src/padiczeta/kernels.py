@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ArgumentViolation, EvaluationCapExceeded
-from .padic import PadicNumber, teichmuller_table, vp_fraction, vp_int
+from .padic import EVALUATION_CAP, PadicNumber, teichmuller_table, vp_fraction, vp_int
 
 __all__ = [
     "char_hurwitz_sums",
@@ -28,10 +28,8 @@ __all__ = [
     "wrap_mod",
 ]
 
-EVALUATION_CAP = 10**6
 
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _inverse_teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
     mod = p**prec
     table = teichmuller_table(p, prec)

@@ -17,9 +17,9 @@ bounded zero instead of pretending to vanish exactly.
 
 All values are immutable; every operation is a pure function of its inputs,
 so the module is safe for unsynchronised concurrent use.  Teichmuller values
-are memoised behind ``functools.lru_cache``: single residues (bounded, used by
-``PadicContext.teichmuller``) and whole residue tables (used by the oracle
-kernels).
+are memoised behind bounded ``functools.lru_cache`` caches: single residues
+(used by ``PadicContext.teichmuller``) and whole residue tables (used by the
+oracle kernels).
 
 ``PadicContext.log`` and ``exp`` sum their series as one integer residue over
 cached coefficients (see the helpers at the end of the module), with the
@@ -35,6 +35,7 @@ from functools import lru_cache
 
 from .errors import (
     DivisionByZero,
+    EvaluationCapExceeded,
     ExponentOutsideDomain,
     NotAUnit,
     OutsideExpDomain,
@@ -45,9 +46,11 @@ from .errors import (
 )
 
 __all__ = [
+    "EVALUATION_CAP",
     "PadicContext",
     "PadicNumber",
     "agreement_depth",
+    "alternating_sum",
     "from_json_dict",
     "is_odd_prime",
     "parse_rational",
@@ -56,6 +59,8 @@ __all__ = [
     "vp_fraction",
     "vp_int",
 ]
+
+EVALUATION_CAP = 10**6
 
 
 def is_odd_prime(n: int) -> bool:
@@ -127,7 +132,7 @@ def _teichmuller_digit(p: int, prec: int, u: int) -> int:
     return _teichmuller_root(p, prec, u)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
     """omega(u) mod p**prec for u = 0..p-1 (entry 0 is unused and set to 0)."""
     return (0,) + tuple(_teichmuller_root(p, prec, u) for u in range(1, p))
@@ -390,6 +395,28 @@ def agreement_depth(a: PadicNumber, b: PadicNumber) -> int | float:
     if d.is_exact_zero:
         return math.inf
     return d.valuation
+
+
+def alternating_sum(ctx: PadicContext, n: int, term) -> PadicNumber:
+    """sum_{a<n} (-1)^a term(a), summed left to right from the exact zero.
+
+    n > EVALUATION_CAP is refused with ``EvaluationCapExceeded`` before any
+    term is evaluated; exact-zero terms are skipped.  The result is the
+    canonical form of the sum modulo p**(least absolute precision of the
+    terms), so it does not depend on how the terms are grouped.
+    """
+    if n > EVALUATION_CAP:
+        # n itself may be too large to print
+        raise EvaluationCapExceeded(f"the sum has more than {EVALUATION_CAP} terms")
+    acc = None
+    for a in range(n):
+        t = term(a)
+        if t.is_exact_zero:
+            continue
+        if a & 1:
+            t = -t
+        acc = t if acc is None else acc + t
+    return ctx.exact_zero() if acc is None else acc
 
 
 # ---- canonical renderings ---------------------------------------------------

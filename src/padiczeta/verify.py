@@ -31,7 +31,7 @@ from .fermionic import (
     change_of_variable,
     verify_shift_identities,
 )
-from .padic import PadicContext, agreement_depth
+from .padic import PadicContext, agreement_depth, alternating_sum
 from .report import (
     VerificationReport,
     budget_failure,
@@ -52,7 +52,7 @@ from .zeta_char import (
 )
 from .zeta_czp import (
     SeriesBudget,
-    distribution_czp_forms,
+    distribution_czp,
     dzeta_dx,
     integral_of_zeta_oracle,
     raabe_closed_forms,
@@ -99,6 +99,12 @@ class VerifyConfig:
     seed: int = 20259
     report_both_forms: bool = False
     slack: Mapping[str, int] = field(default_factory=default_slack)
+
+    def __post_init__(self):
+        if self.oracle_depth < 2:
+            raise ValueError(
+                f"oracle depth (--oracle-depth) must be at least 2, got {self.oracle_depth}"
+            )
 
     def ctx(self, p: int) -> PadicContext:
         return PadicContext(p, self.workprec, self.series_guard)
@@ -470,16 +476,16 @@ def _check_reflection_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
 def _check_distribution_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
     ctx = cfg.ctx(p)
     n_parts = 5 if p == 3 else 3
-    forms = distribution_czp_forms(ctx, s, x, n_parts, cfg.budget())
+    lhs, rhs = distribution_czp(ctx, s, x, n_parts, cfg.budget())
     params = {"p": p, "s": s, "x": x, "N": n_parts}
-    out = [compare_values("distribution-czp", params, forms["lhs"], forms["rhs"])]
+    out = [compare_values("distribution-czp", params, lhs, rhs)]
     if cfg.report_both_forms:
         out.append(
             compare_values(
                 "distribution-czp-unscaled",
                 params,
-                forms["lhs"],
-                forms["rhs_unscaled"],
+                lhs,
+                zeta_czp(ctx, s, n_parts * x, cfg.budget()),
                 informational=True,
                 note="residual without the <N>^(s-1) factor, recorded only",
             )
@@ -629,12 +635,7 @@ def _check_derivative_char(
     if h_exp is None:
         # d/dx at (chi omega, 0, x) collapses to the plain character sum
         lhs = dzeta_char_dx(ctx, chi.twist(1), 0, x, cfg.budget())
-        rhs = None
-        for j in range(p**v):
-            t = char_eval(ctx, chi, x + j)
-            if j % 2 == 1:
-                t = -t
-            rhs = t if rhs is None else rhs + t
+        rhs = alternating_sum(ctx, p**v, lambda j: char_eval(ctx, chi, x + j))
         return [
             compare_values(
                 "derivative-char-at-zero",

@@ -5,9 +5,11 @@ through the representation sum
 
     zeta(chi, s, x) = sum_{j<M} chi(x+j) zeta(s, (x+j)/M) (-1)^j
 
-for any odd positive M divisible by p^v (default M = p^v); the terms with
+at M = p^v, which must not exceed ``EVALUATION_CAP``; the terms with
 p | (x+j) vanish and the surviving arguments automatically have negative
-valuation.  ell(chi, s) = zeta(chi, s, 0).  The direct truncated sums
+valuation.  Other odd M divisible by p^v appear only in ``representation_pair``
+(the value is unchanged for p-power M and scaled by <N>^(s-1) for an odd
+coprime factor N).  ell(chi, s) = zeta(chi, s, 0).  The direct truncated sums
 sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a act as the independent oracle.
 """
 
@@ -17,8 +19,8 @@ from fractions import Fraction
 
 from . import euler, kernels
 from .characters import DirichletCharacter, char_eval
-from .errors import ArgumentOutsideZp, ArgumentViolation, ParseError
-from .padic import PadicContext, PadicNumber
+from .errors import ArgumentOutsideZp, ArgumentViolation, BudgetExhausted, ParseError
+from .padic import PadicContext, PadicNumber, alternating_sum
 from .report import (
     VerificationReport,
     compare_values,
@@ -57,39 +59,25 @@ def zeta_char(
     s,
     x,
     budget: SeriesBudget = _DEFAULT_BUDGET,
-    modulus_factor: int = 1,
-    modulus_power: int = 0,
 ) -> PadicNumber:
-    """zeta(chi, s, x) for x in Z_p via the representation sum over M residues,
-    M = modulus_factor * p^(v + modulus_power).
+    """zeta(chi, s, x) for x in Z_p via the representation sum over M = p^v residues."""
+    return _representation_sum(ctx, chi, s, x, ctx.p**chi.v, budget)
 
-    The canonical evaluation is M = p^v.  Enlarging the p-power part leaves
-    the value unchanged (the change-of-variable rearrangement behind the
-    representation is exact for pure p-power moduli).  An odd coprime factor
-    N > 1 scales the sum by <N>^(s-1) relative to the canonical value; the
-    representation-consistency checks pin down both behaviours.
-    """
+
+def _representation_sum(
+    ctx: PadicContext, chi: DirichletCharacter, s, x, big_m: int, budget: SeriesBudget
+) -> PadicNumber:
+    """sum_{j<M} chi(x+j) zeta(s, (x+j)/M) (-1)^j for an odd M divisible by p^v."""
     _check_char(ctx, chi)
-    if modulus_factor < 1 or modulus_factor % 2 == 0 or modulus_factor % ctx.p == 0:
-        raise ArgumentViolation("modulus factor must be odd, positive, coprime to p")
-    if modulus_power < 0:
-        raise ArgumentViolation("modulus power must be >= 0")
     xp = _coerce_zp(ctx, x)
-    big_m = modulus_factor * ctx.p ** (chi.v + modulus_power)
     inv_m = 1 / ctx.from_int(big_m)
-    acc = None
-    for j in range(big_m):
+
+    def term(j: int) -> PadicNumber:
         xj = xp + ctx.from_int(j) if j else xp
         cv = char_eval(ctx, chi, xj)
-        if cv.is_exact_zero:
-            continue
-        term = cv * zeta_czp(ctx, s, xj * inv_m, budget)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return ctx.exact_zero()
-    return acc.cap_absprec(budget.target(ctx))
+        return cv if cv.is_exact_zero else cv * zeta_czp(ctx, s, xj * inv_m, budget)
+
+    return alternating_sum(ctx, big_m, term).cap_absprec(budget.target(ctx))
 
 
 def ell(
@@ -146,19 +134,15 @@ def zeta_char_special(
         raise ArgumentViolation("k must be >= 1")
     lhs = zeta_char(ctx, chi.twist(k), 1 - k, x, budget)
     pv = ctx.p**chi.v
-    acc = None
-    for j in range(pv):
+
+    def term(j: int) -> PadicNumber:
         cv = char_eval(ctx, chi, x + j)
         if cv.is_exact_zero:
-            continue
-        term = cv * ctx.from_fraction(euler.euler_poly(k, Fraction(x + j, pv)))
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        rhs = ctx.exact_zero()
-    else:
-        rhs = (ctx.from_int(ctx.p) ** (chi.v * k) * acc).cap_absprec(budget.target(ctx))
+            return cv
+        return cv * ctx.from_fraction(euler.euler_poly(k, Fraction(x + j, pv)))
+
+    acc = alternating_sum(ctx, pv, term)
+    rhs = (ctx.from_int(ctx.p) ** (chi.v * k) * acc).cap_absprec(budget.target(ctx))
     return lhs, rhs
 
 
@@ -192,12 +176,7 @@ def raabe_char(
     """
     _check_char(ctx, chi)
     sp = _coerce_exponent(ctx, s)
-    acc = None
-    for i in range(ctx.p**depth):
-        term = zeta_char(ctx, chi, sp, x + i, budget)
-        if i % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
+    acc = alternating_sum(ctx, ctx.p**depth, lambda i: zeta_char(ctx, chi, sp, x + i, budget))
     rhs = 2 * (ctx.one() - ctx.from_int(x)) * zeta_char(ctx, chi, sp, x, budget) + 2 * zeta_char(
         ctx, chi.twist(1), sp - ctx.one(), x, budget
     )
@@ -222,8 +201,6 @@ def power_series_zeta(
     if terms < 1:
         raise ArgumentViolation("need at least one term")
     if terms > budget.max_terms:
-        from .errors import BudgetExhausted
-
         raise BudgetExhausted(f"{terms} terms exceed the budget of {budget.max_terms}")
     xp = ctx.coerce(x)
     if not xp.is_zero() and xp.valuation < chi.v:
@@ -308,18 +285,9 @@ def functional_reflection_distribution(
             )
         )
     else:
-        lhs = None
-        for i in range(n_parts):
-            term = zeta_char(
-                ctx,
-                chi,
-                sp,
-                ctx.from_fraction(Fraction(x) + Fraction(i, n_parts)),
-                budget,
-            )
-            if i % 2 == 1:
-                term = -term
-            lhs = term if lhs is None else lhs + term
+        lhs = alternating_sum(
+            ctx, n_parts, lambda i: zeta_char(ctx, chi, sp, x + Fraction(i, n_parts), budget)
+        )
         chi_n = char_eval(ctx, chi, ctx.from_int(n_parts))
         stated = zeta_char(ctx, chi, sp, n_parts * x, budget) / chi_n
         scale = ctx.unit_power(ctx.angle(ctx.from_int(n_parts)), sp - ctx.one())
@@ -361,8 +329,12 @@ def representation_pair(
     Pure p-power enlargements reproduce zeta(chi, s, x) exactly; an odd
     coprime factor N scales it by <N>^(s-1).
     """
+    if factor < 1 or factor % 2 == 0 or factor % ctx.p == 0:
+        raise ArgumentViolation("modulus factor must be odd, positive, coprime to p")
+    if power < 0:
+        raise ArgumentViolation("modulus power must be >= 0")
     sp = _coerce_exponent(ctx, s)
-    big = zeta_char(ctx, chi, sp, x, budget, modulus_factor=factor, modulus_power=power)
+    big = _representation_sum(ctx, chi, sp, x, factor * ctx.p ** (chi.v + power), budget)
     canonical = zeta_char(ctx, chi, sp, x, budget)
     if factor > 1:
         canonical = ctx.unit_power(ctx.angle(ctx.from_int(factor)), sp - ctx.one()) * canonical

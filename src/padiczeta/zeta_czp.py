@@ -40,7 +40,7 @@ from .errors import (
     ExponentOutsideDomain,
     ShiftConditionViolated,
 )
-from .padic import PadicContext, PadicNumber, _embed_fraction, vp_fraction, vp_int
+from .padic import PadicContext, PadicNumber, _embed_fraction, alternating_sum, vp_fraction, vp_int
 
 __all__ = [
     "SeriesBudget",
@@ -387,21 +387,8 @@ def distribution_czp(
     Summing the shifted expansion termwise with the exact Euler-polynomial
     distribution identity produces the <N>^(s-1) factor (the expansion is in
     powers of 1/x on the left but the <Nx> prefactor differs from <x> by
-    <N>); the factor is 1 at s = 1 and for N = 1.  ``distribution_czp_forms``
-    additionally exposes the right-hand side without the factor, whose
-    residual is recorded for reference.
+    <N>); the factor is 1 at s = 1 and for N = 1.
     """
-    forms = distribution_czp_forms(ctx, s, x, n_parts, budget)
-    return forms["lhs"], forms["rhs"]
-
-
-def distribution_czp_forms(
-    ctx: PadicContext,
-    s,
-    x,
-    n_parts: int,
-    budget: SeriesBudget = _DEFAULT_BUDGET,
-) -> dict[str, PadicNumber]:
     if n_parts % 2 == 0:
         raise EvenN("the distribution identity needs odd N")
     if n_parts % ctx.p == 0:
@@ -410,15 +397,12 @@ def distribution_czp_forms(
     if vp_fraction(n_parts * x, ctx.p) is None or vp_fraction(n_parts * x, ctx.p) >= 0:
         raise ArgumentViolation("N x must have negative valuation")
     sp = _coerce_exponent(ctx, s)
-    lhs = None
-    for j in range(n_parts):
-        term = zeta_czp(ctx, sp, x + Fraction(j, n_parts), budget)
-        if j % 2 == 1:
-            term = -term
-        lhs = term if lhs is None else lhs + term
+    lhs = alternating_sum(
+        ctx, n_parts, lambda j: zeta_czp(ctx, sp, x + Fraction(j, n_parts), budget)
+    )
     plain = zeta_czp(ctx, sp, n_parts * x, budget)
     factor = ctx.unit_power(ctx.angle(ctx.from_int(n_parts)), sp - ctx.one())
-    return {"lhs": lhs, "rhs": factor * plain, "rhs_unscaled": plain}
+    return lhs, factor * plain
 
 
 def integral_of_zeta(
@@ -445,13 +429,7 @@ def integral_of_zeta_oracle(
 ) -> PadicNumber:
     """Truncated alternating sum of zeta(s, x+a) over a < p^depth."""
     x = Fraction(x)
-    acc = None
-    for a in range(ctx.p**depth):
-        term = zeta_czp(ctx, s, x + a, budget)
-        if a % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    return alternating_sum(ctx, ctx.p**depth, lambda a: zeta_czp(ctx, s, x + a, budget))
 
 
 def raabe_closed_forms(

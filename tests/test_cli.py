@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from padiczeta import euler
 from padiczeta.cli import main
 from padiczeta.padic import PadicContext, from_json_dict
@@ -12,6 +14,7 @@ from padiczeta.report import (
     report_to_json_line,
     reports_to_csv,
 )
+from padiczeta.verify import VerifyConfig
 
 
 def run_cli(args, capsys):
@@ -84,6 +87,16 @@ class TestCompute:
         code, _, err = run_cli(["compute", "zeta-czp", "--s", "1"], capsys)
         assert code == 2
 
+    def test_character_modulus_above_cap_fails_fast(self, capsys):
+        # 3^13 residues exceed the evaluation cap: exit 2 before any series
+        code, _, err = run_cli(
+            ["compute", "--p", "3", "zeta-char", "--char", "13:1", "--s", "2", "--x", "1"],
+            capsys,
+        )
+        assert code == 2
+        obj = json.loads(err.strip().splitlines()[-1])
+        assert obj["error"]["code"] == "EvaluationCapExceeded"
+
 
 class TestVerifyCommand:
     def test_small_identity_passes(self, capsys):
@@ -149,6 +162,11 @@ class TestVerifyCommand:
         obj = json.loads(err.strip().splitlines()[-1])
         assert obj["error"]["code"] == "InvalidArgument"
         assert "--oracle-depth" in obj["error"]["message"]
+
+    def test_library_rejects_oracle_depth_below_two(self):
+        with pytest.raises(ValueError, match="--oracle-depth"):
+            VerifyConfig(primes=(3,), oracle_depth=1)
+        assert VerifyConfig(primes=(3,), oracle_depth=2).oracle_depth == 2
 
     def test_report_both_forms_adds_variant(self, capsys):
         code, out, _ = run_cli(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from padiczeta.errors import (
     DivisionByZero,
+    EvaluationCapExceeded,
     ExponentOutsideDomain,
     NotAUnit,
     OutsideExpDomain,
@@ -15,8 +16,11 @@ from padiczeta.errors import (
     ZeroArgument,
 )
 from padiczeta.padic import (
+    EVALUATION_CAP,
     PadicContext,
+    PadicNumber,
     agreement_depth,
+    alternating_sum,
     from_json_dict,
     render,
     to_json_dict,
@@ -339,6 +343,66 @@ class TestPrecisionModel:
         a = ctx5.from_int(7)
         assert agreement_depth(a, a) == a.absprec
         assert agreement_depth(a, ctx5.from_int(7 + 5**3, relprec=16)) == 3
+
+
+def _key(x: PadicNumber) -> tuple:
+    return (x.valuation, x.unit, x.relprec)
+
+
+@st.composite
+def _mixed_terms(draw):
+    """A prime and a list of regular numbers, bounded zeros and exact zeros
+    at mixed valuations and precisions."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    regular = st.builds(
+        lambda v, rel, u: PadicNumber(p, v, u % p**rel, rel),
+        st.integers(-3, 8),
+        st.integers(1, 10),
+        st.integers(1, p**10).filter(lambda u: u % p),
+    )
+    bounded = st.integers(-3, 12).map(lambda a: PadicNumber.bounded_zero(p, a))
+    exact = st.just(PadicNumber.exact_zero(p))
+    return p, draw(st.lists(st.one_of(regular, bounded, exact), min_size=1, max_size=40))
+
+
+class TestAlternatingSum:
+    @given(_mixed_terms(), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_grouping_does_not_change_the_sum(self, case, chunk):
+        p, terms = case
+        signed = [-t if a % 2 else t for a, t in enumerate(terms)]
+        # fixed-size chunks combined left to right, exact zeros included
+        partials = []
+        for start in range(0, len(signed), chunk):
+            acc = signed[start]
+            for t in signed[start + 1 : start + chunk]:
+                acc = acc + t
+            partials.append(acc)
+        chunked = partials[0]
+        for part in partials[1:]:
+            chunked = chunked + part
+        pairwise = signed
+        while len(pairwise) > 1:
+            pairs = [pairwise[i] + pairwise[i + 1] for i in range(0, len(pairwise) - 1, 2)]
+            pairwise = pairs + pairwise[2 * len(pairs) :]
+        total = alternating_sum(PadicContext(p, 8), len(terms), terms.__getitem__)
+        assert _key(total) == _key(chunked) == _key(pairwise[0])
+
+    def test_empty_sum_is_exact_zero(self, ctx5):
+        assert alternating_sum(ctx5, 0, None).is_exact_zero
+
+    def test_cap_refused_before_any_term(self, ctx3):
+        calls = []
+
+        def term(a):
+            calls.append(a)
+            return ctx3.one()
+
+        # 10**5000 is too long to convert to a decimal string
+        for n in (EVALUATION_CAP + 1, 10**5000):
+            with pytest.raises(EvaluationCapExceeded):
+                alternating_sum(ctx3, n, term)
+        assert calls == []
 
 
 class TestRendering:

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from padiczeta.characters import DirichletCharacter, char_eval
-from padiczeta.errors import ArgumentOutsideZp, ArgumentViolation, ParseError
+from padiczeta.errors import (
+    ArgumentOutsideZp,
+    ArgumentViolation,
+    EvaluationCapExceeded,
+    ParseError,
+)
 from padiczeta.padic import PadicContext, agreement_depth
 from padiczeta.zeta_char import (
     dzeta_char_dx,
@@ -264,9 +269,16 @@ class TestRepresentation:
     def test_bad_factor_rejected(self, ctx5):
         chi = DirichletCharacter.trivial(5, 1)
         with pytest.raises(ArgumentViolation):
-            zeta_char(ctx5, chi, 2, 0, modulus_factor=2)
+            representation_pair(ctx5, chi, 2, 0, factor=2)
         with pytest.raises(ArgumentViolation):
-            zeta_char(ctx5, chi, 2, 0, modulus_factor=5)
+            representation_pair(ctx5, chi, 2, 0, factor=5)
+        with pytest.raises(ArgumentViolation):
+            representation_pair(ctx5, chi, 2, 0, power=-1)
+
+    def test_modulus_above_evaluation_cap_refused(self):
+        # 3^13 > 10^6 residues: refused before any series is evaluated
+        with pytest.raises(EvaluationCapExceeded):
+            zeta_char(PadicContext(3, 8), DirichletCharacter(3, 13, 1), 2, 1)
 
 
 class TestPowerSeries:
