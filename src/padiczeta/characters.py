@@ -2,11 +2,12 @@
 
 Only characters with values in Z_p are supported: on units they are integer
 powers omega^k of the Teichmuller character (0 <= k <= p-2), and they vanish
-on multiples of p.  A character formally carries a modulus exponent v >= 1;
-for v >= 2 the unit values coincide with the v = 1 ones but representation
-sums run over p^v residues, which several identities are sensitive to.
-Characters whose order is divisible by p take values outside Q_p and are
-out of scope.
+on multiples of p.  A character formally carries a modulus exponent v >= 1.
+Its values do not depend on v (it is induced from a character modulo p), so
+``zeta_char`` sums over p residues for every v; v still sets the domain
+p^v Z_p of the power-series expansion and the length of the literal p^v
+sums that some identities check.  Characters whose order is divisible by p
+take values outside Q_p and are out of scope.
 """
 
 from __future__ import annotations

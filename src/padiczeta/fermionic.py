@@ -16,7 +16,7 @@ from math import comb
 from . import euler
 from .characters import DirichletCharacter, char_eval
 from .errors import ArgumentViolation
-from .padic import PadicContext, PadicNumber, alternating_sum
+from .padic import PadicContext, PadicNumber, alternating_sum, capped_power
 from .report import VerificationReport, compare_exact
 
 __all__ = [
@@ -89,7 +89,8 @@ def integrate_truncated(ctx: PadicContext, f: Integrand, depth: int) -> PadicNum
     """
     if depth < 1:
         raise ArgumentViolation("truncation depth must be >= 1")
-    return alternating_sum(ctx, ctx.p**depth, lambda a: f.eval_padic(ctx, ctx.from_int(a)))
+    n = capped_power(ctx.p, depth)
+    return alternating_sum(ctx, n, lambda a: f.eval_padic(ctx, ctx.from_int(a)))
 
 
 def alternating_power_sum(m: int, rho: int, x) -> Fraction:
@@ -174,7 +175,8 @@ def change_of_variable(
     x = ctx.coerce(x)
     if not x.is_zero() and x.valuation < 0:
         raise ArgumentViolation("x must lie in Z_p")
-    pv = ctx.from_int(ctx.p**chi.v)
+    n_pv = capped_power(ctx.p, chi.v)
+    pv = ctx.from_int(n_pv)
     # (c_k, E_k) for the nonzero coefficients c_k of f; E_k(y) = sum_i C(k,i) E_{k-i}(0) y^i
     g_terms = []
     for k, c in enumerate(f.coeffs):
@@ -197,5 +199,6 @@ def change_of_variable(
 
         return term
 
-    lhs = alternating_sum(ctx, ctx.p**chi.v, twisted(g))
-    return lhs, alternating_sum(ctx, ctx.p**depth, twisted(lambda y: f.eval_padic(ctx, y)))
+    lhs = alternating_sum(ctx, n_pv, twisted(g))
+    rhs = alternating_sum(ctx, capped_power(ctx.p, depth), twisted(lambda y: f.eval_padic(ctx, y)))
+    return lhs, rhs

@@ -17,10 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ArgumentViolation, EvaluationCapExceeded
-from .padic import EVALUATION_CAP, PadicNumber, teichmuller_table, vp_fraction, vp_int
+from .errors import ArgumentViolation
+from .padic import EVALUATION_CAP, PadicNumber, capped_power, teichmuller_table, vp_fraction, vp_int
 
 __all__ = [
+    "EVALUATION_CAP",
     "char_hurwitz_sums",
     "hurwitz_sums",
     "inverse_power_sums",
@@ -39,13 +40,6 @@ def _inverse_teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
 def wrap_mod(p: int, value: int, absprec: int) -> PadicNumber:
     """Package an integer known modulo p**absprec as a PadicNumber."""
     return PadicNumber._normalize(p, 0, value, absprec)
-
-
-def _check_cap(p: int, depth: int) -> None:
-    if p**depth > EVALUATION_CAP:
-        raise EvaluationCapExceeded(
-            f"p^N = {p}^{depth} exceeds the {EVALUATION_CAP} evaluation cap"
-        )
 
 
 def _exponent_one_minus(p: int, modexp: int, s) -> int:
@@ -79,7 +73,7 @@ def hurwitz_sums(
     if vp_fraction(x, p) is None or vp_fraction(x, p) >= 0:
         raise ArgumentViolation("oracle argument must have negative valuation")
     n_max = max(depths)
-    _check_cap(p, n_max)
+    n_terms = capped_power(p, n_max)
     guard = 4
     g_prec = prec + guard
     mod = p**g_prec
@@ -95,7 +89,7 @@ def hurwitz_sums(
     out: dict[int, PadicNumber] = {}
     acc = 0
     n_int = a_num
-    for a in range(p**n_max):
+    for a in range(n_terms):
         t = (n_int * b_inv % mod) * winv % mod
         term = pow(t, exponent, mod)
         acc = acc + term if a % 2 == 0 else acc - term
@@ -118,7 +112,7 @@ def char_hurwitz_sums(
     if vx is not None and vx < 0:
         raise ArgumentViolation("character oracle argument must lie in Z_p")
     n_max = max(depths)
-    _check_cap(p, n_max)
+    n_terms = capped_power(p, n_max)
     guard = 4
     g_prec = prec + guard
     mod = p**g_prec
@@ -132,7 +126,7 @@ def char_hurwitz_sums(
     out: dict[int, PadicNumber] = {}
     acc = 0
     n_int = x_rep
-    for a in range(p**n_max):
+    for a in range(n_terms):
         u = n_int % p
         if u:
             t = n_int * ominv[u] % mod
@@ -157,7 +151,7 @@ def monomial_alternating_sums(
     if x.denominator % p == 0:
         raise ArgumentViolation("monomial oracle needs x in Z_p")
     n_max = max(depths)
-    _check_cap(p, n_max)
+    n_terms = capped_power(p, n_max)
     mod = p**prec
     a_num, b_den = x.numerator, x.denominator
     b_inv = pow(b_den, -1, mod)
@@ -166,7 +160,7 @@ def monomial_alternating_sums(
     out: dict[tuple[int, int], PadicNumber] = {}
     n_int = a_num % mod
     step = b_den % mod
-    for a in range(p**n_max):
+    for a in range(n_terms):
         pw = 1
         if a % 2 == 0:
             for m in range(m_max + 1):
@@ -197,7 +191,7 @@ def inverse_power_sums(
     if m < 1:
         raise ArgumentViolation("exponent m must be >= 1")
     n_max = max(depths)
-    _check_cap(p, n_max)
+    n_terms = capped_power(p, n_max)
     mod = p**prec
     a_num, b_den = x.numerator, x.denominator
     b_pow = pow(b_den, m, mod)
@@ -205,7 +199,7 @@ def inverse_power_sums(
     out: dict[int, PadicNumber] = {}
     acc = 0
     n_int = a_num
-    for a in range(p**n_max):
+    for a in range(n_terms):
         term = b_pow * pow(n_int, -m, mod) % mod
         acc = acc + term if a % 2 == 0 else acc - term
         n_int += b_den

@@ -51,6 +51,7 @@ __all__ = [
     "PadicNumber",
     "agreement_depth",
     "alternating_sum",
+    "capped_power",
     "from_json_dict",
     "is_odd_prime",
     "parse_rational",
@@ -395,6 +396,18 @@ def agreement_depth(a: PadicNumber, b: PadicNumber) -> int | float:
     if d.is_exact_zero:
         return math.inf
     return d.valuation
+
+
+def capped_power(p: int, e: int) -> int:
+    """p**e as the length of a sum, refused above ``EVALUATION_CAP``.
+
+    The exponent is compared first (p**e >= 2**e), so a huge e raises
+    ``EvaluationCapExceeded`` without building p**e.
+    """
+    if e >= EVALUATION_CAP.bit_length() or p**e > EVALUATION_CAP:
+        # like n in alternating_sum, e may be too large to print
+        raise EvaluationCapExceeded(f"the sum has more than {EVALUATION_CAP} terms")
+    return p**e
 
 
 def alternating_sum(ctx: PadicContext, n: int, term) -> PadicNumber:

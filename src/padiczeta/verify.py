@@ -31,7 +31,7 @@ from .fermionic import (
     change_of_variable,
     verify_shift_identities,
 )
-from .padic import PadicContext, agreement_depth, alternating_sum
+from .padic import PadicContext, agreement_depth, alternating_sum, capped_power
 from .report import (
     VerificationReport,
     budget_failure,
@@ -368,6 +368,7 @@ def _check_special_pos(cfg: VerifyConfig, p: int, m: int, x: Fraction) -> Report
 def _check_oracle_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
     ctx = cfg.ctx(p)
     n_max = cfg.depth_czp()
+    capped_power(p, n_max)  # refuse a huge depth before its depth list is built
     depths = tuple(range(2, n_max + 1))
     series = zeta_czp(ctx, s, x, cfg.budget())
     sums = kernels.hurwitz_sums(p, ctx.internal_prec, x, s, depths)
@@ -635,7 +636,7 @@ def _check_derivative_char(
     if h_exp is None:
         # d/dx at (chi omega, 0, x) collapses to the plain character sum
         lhs = dzeta_char_dx(ctx, chi.twist(1), 0, x, cfg.budget())
-        rhs = alternating_sum(ctx, p**v, lambda j: char_eval(ctx, chi, x + j))
+        rhs = alternating_sum(ctx, capped_power(p, v), lambda j: char_eval(ctx, chi, x + j))
         return [
             compare_values(
                 "derivative-char-at-zero",

@@ -5,11 +5,12 @@ through the representation sum
 
     zeta(chi, s, x) = sum_{j<M} chi(x+j) zeta(s, (x+j)/M) (-1)^j
 
-at M = p^v, which must not exceed ``EVALUATION_CAP``; the terms with
-p | (x+j) vanish and the surviving arguments automatically have negative
-valuation.  Other odd M divisible by p^v appear only in ``representation_pair``
-(the value is unchanged for p-power M and scaled by <N>^(s-1) for an odd
-coprime factor N).  ell(chi, s) = zeta(chi, s, 0).  The direct truncated sums
+at the canonical modulus M = p, so it costs p series evaluations whatever v
+is; the terms with p | (x+j) vanish and the surviving arguments
+automatically have negative valuation.  The sum gives the same value for every M = p^e (e >= 1)
+and <N>^(s-1) times it for M = N p^e with N odd and coprime to p; literal
+sums over such larger M appear only in ``representation_pair``, which checks
+this.  ell(chi, s) = zeta(chi, s, 0).  The direct truncated sums
 sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a act as the independent oracle.
 """
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 from . import euler, kernels
 from .characters import DirichletCharacter, char_eval
 from .errors import ArgumentOutsideZp, ArgumentViolation, BudgetExhausted, ParseError
-from .padic import PadicContext, PadicNumber, alternating_sum
+from .padic import PadicContext, PadicNumber, alternating_sum, capped_power
 from .report import (
     VerificationReport,
     compare_values,
@@ -60,14 +61,14 @@ def zeta_char(
     x,
     budget: SeriesBudget = _DEFAULT_BUDGET,
 ) -> PadicNumber:
-    """zeta(chi, s, x) for x in Z_p via the representation sum over M = p^v residues."""
-    return _representation_sum(ctx, chi, s, x, ctx.p**chi.v, budget)
+    """zeta(chi, s, x) for x in Z_p via the representation sum over M = p residues."""
+    return _representation_sum(ctx, chi, s, x, ctx.p, budget)
 
 
 def _representation_sum(
     ctx: PadicContext, chi: DirichletCharacter, s, x, big_m: int, budget: SeriesBudget
 ) -> PadicNumber:
-    """sum_{j<M} chi(x+j) zeta(s, (x+j)/M) (-1)^j for an odd M divisible by p^v."""
+    """sum_{j<M} chi(x+j) zeta(s, (x+j)/M) (-1)^j for an odd M divisible by p."""
     _check_char(ctx, chi)
     xp = _coerce_zp(ctx, x)
     inv_m = 1 / ctx.from_int(big_m)
@@ -132,8 +133,8 @@ def zeta_char_special(
     _check_char(ctx, chi)
     if k < 1:
         raise ArgumentViolation("k must be >= 1")
+    pv = capped_power(ctx.p, chi.v)
     lhs = zeta_char(ctx, chi.twist(k), 1 - k, x, budget)
-    pv = ctx.p**chi.v
 
     def term(j: int) -> PadicNumber:
         cv = char_eval(ctx, chi, x + j)
@@ -176,7 +177,9 @@ def raabe_char(
     """
     _check_char(ctx, chi)
     sp = _coerce_exponent(ctx, s)
-    acc = alternating_sum(ctx, ctx.p**depth, lambda i: zeta_char(ctx, chi, sp, x + i, budget))
+    acc = alternating_sum(
+        ctx, capped_power(ctx.p, depth), lambda i: zeta_char(ctx, chi, sp, x + i, budget)
+    )
     rhs = 2 * (ctx.one() - ctx.from_int(x)) * zeta_char(ctx, chi, sp, x, budget) + 2 * zeta_char(
         ctx, chi.twist(1), sp - ctx.one(), x, budget
     )
@@ -326,7 +329,8 @@ def representation_pair(
 ) -> tuple[PadicNumber, PadicNumber]:
     """(M-representation sum, its predicted value) for M = factor * p^(v+power).
 
-    Pure p-power enlargements reproduce zeta(chi, s, x) exactly; an odd
+    The literal sum over M residues is set against ``zeta_char``'s sum at
+    M = p: pure p-power moduli reproduce that value exactly, and an odd
     coprime factor N scales it by <N>^(s-1).
     """
     if factor < 1 or factor % 2 == 0 or factor % ctx.p == 0:
@@ -334,7 +338,8 @@ def representation_pair(
     if power < 0:
         raise ArgumentViolation("modulus power must be >= 0")
     sp = _coerce_exponent(ctx, s)
-    big = _representation_sum(ctx, chi, sp, x, factor * ctx.p ** (chi.v + power), budget)
+    big_m = factor * capped_power(ctx.p, chi.v + power)
+    big = _representation_sum(ctx, chi, sp, x, big_m, budget)
     canonical = zeta_char(ctx, chi, sp, x, budget)
     if factor > 1:
         canonical = ctx.unit_power(ctx.angle(ctx.from_int(factor)), sp - ctx.one()) * canonical

@@ -20,8 +20,7 @@ terms as an argument needs.  An LRU cache keeps the last ``_COEFFICIENT_SETS``
 such sets (a set is a few dozen integer triples at the default precision).
 Each x then costs one integer Horner pass in 1/x modulo the sum's absolute
 precision, which gives the same value and precision as summing the terms as
-``PadicNumber`` objects.  Whole values are memoised as well, since
-representation sums repeat arguments.
+``PadicNumber`` objects.  It is the only cache on the series path.
 """
 
 from __future__ import annotations
@@ -40,7 +39,15 @@ from .errors import (
     ExponentOutsideDomain,
     ShiftConditionViolated,
 )
-from .padic import PadicContext, PadicNumber, _embed_fraction, alternating_sum, vp_fraction, vp_int
+from .padic import (
+    PadicContext,
+    PadicNumber,
+    _embed_fraction,
+    alternating_sum,
+    capped_power,
+    vp_fraction,
+    vp_int,
+)
 
 __all__ = [
     "SeriesBudget",
@@ -211,7 +218,8 @@ def _laurent_series(
         raise BudgetExhausted(
             f"series needs {terms} terms, budget allows {budget.max_terms}"
         )
-    items = _coefficients(p, ctx.internal_prec, _number_key(one_minus_s), weight).upto(terms)
+    key = (one_minus_s.valuation, one_minus_s.unit, one_minus_s.relprec)
+    items = _coefficients(p, ctx.internal_prec, key, weight).upto(terms)
     dx, rx = -x.valuation, x.relprec
     absprec = base = None
     for i in range(terms):
@@ -243,45 +251,15 @@ def _laurent_series(
     return PadicNumber._normalize(p, base, acc, absprec)
 
 
-# Memo for repeated evaluations (representation sums hit the same arguments
-# many times).  Values are immutable and the computation is deterministic, so
-# caching has no observable effect; the lock keeps it safe across threads.
-_memo_lock = threading.Lock()
-_memo: dict[tuple, PadicNumber] = {}
-_MEMO_CAP = 200_000
-
-
-def _number_key(v: PadicNumber) -> tuple:
-    return (v.valuation, v.unit, v.relprec)
-
-
 def zeta_czp(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) -> PadicNumber:
     """zeta(s, x) for v_p(x) <= -1 via the Laurent expansion."""
     arg = ZetaArgumentCZp.build(ctx, x)
-    sp = _coerce_exponent(ctx, s)
-    key = (
-        ctx.p,
-        ctx.workprec,
-        ctx.series_guard,
-        _number_key(sp),
-        _number_key(arg.value),
-        budget.max_terms,
-        budget.target(ctx),
-    )
-    with _memo_lock:
-        hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    one_minus_s = ctx.one() - sp
+    one_minus_s = ctx.one() - _coerce_exponent(ctx, s)
     prefactor = ctx.unit_power(arg.angle, one_minus_s)
     series = _laurent_series(
         ctx, one_minus_s, arg.value, _EULER_ZERO, -arg.value.valuation, budget
     )
-    value = (prefactor * series).cap_absprec(budget.target(ctx))
-    with _memo_lock:
-        if len(_memo) < _MEMO_CAP:
-            _memo[key] = value
-    return value
+    return (prefactor * series).cap_absprec(budget.target(ctx))
 
 
 def zeta_czp_oracle(ctx: PadicContext, s, x: Fraction, depth: int) -> PadicNumber:
@@ -429,7 +407,9 @@ def integral_of_zeta_oracle(
 ) -> PadicNumber:
     """Truncated alternating sum of zeta(s, x+a) over a < p^depth."""
     x = Fraction(x)
-    return alternating_sum(ctx, ctx.p**depth, lambda a: zeta_czp(ctx, s, x + a, budget))
+    return alternating_sum(
+        ctx, capped_power(ctx.p, depth), lambda a: zeta_czp(ctx, s, x + a, budget)
+    )
 
 
 def raabe_closed_forms(

@@ -21,6 +21,7 @@ from padiczeta.padic import (
     PadicNumber,
     agreement_depth,
     alternating_sum,
+    capped_power,
     from_json_dict,
     render,
     to_json_dict,
@@ -403,6 +404,14 @@ class TestAlternatingSum:
             with pytest.raises(EvaluationCapExceeded):
                 alternating_sum(ctx3, n, term)
         assert calls == []
+
+    def test_capped_power_checks_the_exponent_first(self):
+        assert capped_power(3, 12) == 3**12 <= EVALUATION_CAP < 3**13
+        assert capped_power(1009, 1) == 1009
+        # 3**(10**5000) could never be built; the exponent alone refuses it
+        for p, e in ((3, 13), (1009, 2), (3, 10**7), (3, 10**5000)):
+            with pytest.raises(EvaluationCapExceeded):
+                capped_power(p, e)
 
 
 class TestRendering:

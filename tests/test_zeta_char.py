@@ -10,8 +10,9 @@ from padiczeta.errors import (
     EvaluationCapExceeded,
     ParseError,
 )
-from padiczeta.padic import PadicContext, agreement_depth
+from padiczeta.padic import PadicContext, agreement_depth, render
 from padiczeta.zeta_char import (
+    _representation_sum,
     dzeta_char_dx,
     ell,
     ell_limit_oracle,
@@ -23,6 +24,7 @@ from padiczeta.zeta_char import (
     zeta_char_oracle,
     zeta_char_special,
 )
+from padiczeta.zeta_czp import _DEFAULT_BUDGET
 
 class TestCharacter:
     def test_basic_values(self, ctx5):
@@ -275,10 +277,33 @@ class TestRepresentation:
         with pytest.raises(ArgumentViolation):
             representation_pair(ctx5, chi, 2, 0, power=-1)
 
-    def test_modulus_above_evaluation_cap_refused(self):
-        # 3^13 > 10^6 residues: refused before any series is evaluated
+    def test_modulus_above_evaluation_cap_refused(self, ctx3):
+        # the literal sum over M = 3^13 > 10^6 residues is refused before any
+        # series is evaluated; zeta_char itself only sums over p residues
         with pytest.raises(EvaluationCapExceeded):
-            zeta_char(PadicContext(3, 8), DirichletCharacter(3, 13, 1), 2, 1)
+            representation_pair(ctx3, DirichletCharacter(3, 1, 1), 2, 1, factor=1, power=12)
+
+
+def _digit_literal(ctx, rng, valuation, count):
+    digits = [rng.randrange(1, ctx.p)] + [rng.randrange(ctx.p) for _ in range(count - 1)]
+    return ctx.parse_value(f"{valuation}:" + ",".join(map(str, digits)))
+
+
+@pytest.mark.parametrize(
+    "p,v", [(p, v) for p in (3, 5, 7) for v in range(1, 6) if p**v <= 343]
+)
+def test_value_and_precision_do_not_depend_on_v(p, v):
+    # zeta_char sums over M = p residues; the literal sum over M = p^v
+    # residues must give the same digits and claim the same precision
+    ctx = PadicContext(p, 12)
+    rng = random.Random(f"v-independence:{p}:{v}")
+    for k, x_val, s_val in ((0, 0, 0), (1, 0, 1), (1, 1, 0), (p - 2, 0, 0)):
+        chi = DirichletCharacter(p, v, k)
+        x = _digit_literal(ctx, rng, x_val, rng.randrange(3, 9))
+        s = _digit_literal(ctx, rng, s_val, rng.randrange(3, 9))
+        canonical = zeta_char(ctx, chi, s, x)
+        literal = _representation_sum(ctx, chi, s, x, p**v, _DEFAULT_BUDGET)
+        assert (render(canonical), canonical.absprec) == (render(literal), literal.absprec)
 
 
 class TestPowerSeries:
