@@ -6,6 +6,20 @@ pass.  They are deliberately independent of the analytic evaluation path
 (series + exp/log): unit powers here go through modular exponentiation, so
 oracle comparisons cross-check two genuinely different computations.
 
+Every unit-power sum runs through one loop, ``_angle_power_sums``: the sum of
+(-1)^b (y0 + b*step)^e modulo p^G over an integer progression with step
+divisible by p.  An angle is such an integer times a unit c that does not
+depend on b, and (c*y)^e = c^e * y^e for an integer exponent e, so c^e is
+taken out of the sum.  In ``hurwitz_sums`` x + a = (num + a*den)/den is one
+progression, a = 0, 1, ...  ``char_hurwitz_sums`` splits a = r + p*b by its
+residue r < p: on each class chi(x+a) = chi(x+r) and omega(x+a) =
+omega(x+r) are constant, (-1)^a = (-1)^r (-1)^b because p is odd, and the
+numerators num + r*den + p*den*b form a progression.  The sums are therefore
+congruent modulo p^G to those of the per-term angles, and every returned
+number is the same.  The loop raises small integers, not residues modulo
+p^G, to the power e, so a negative e inverts a small integer.  The monomial
+sums (x+a)^m have a loop of their own.
+
 For a unit t = 1 mod p and s in Z_p, t^s is congruent to t^(s mod p^K)
 modulo p^(K+1); non-integer exponents are reduced that way.  Exact integer
 exponents are used directly (Python's pow handles negative exponents with a
@@ -15,7 +29,6 @@ modulus).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ArgumentViolation
 from .padic import EVALUATION_CAP, PadicNumber, capped_power, teichmuller_table, vp_fraction, vp_int
@@ -24,22 +37,24 @@ __all__ = [
     "EVALUATION_CAP",
     "char_hurwitz_sums",
     "hurwitz_sums",
-    "inverse_power_sums",
     "monomial_alternating_sums",
     "wrap_mod",
 ]
 
-
-@lru_cache(maxsize=64)
-def _inverse_teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
-    mod = p**prec
-    table = teichmuller_table(p, prec)
-    return tuple(pow(w, -1, mod) if w else 0 for w in table)
+_GUARD = 4  # extra digits of the unit-power sums, dropped by wrap_mod
 
 
 def wrap_mod(p: int, value: int, absprec: int) -> PadicNumber:
     """Package an integer known modulo p**absprec as a PadicNumber."""
     return PadicNumber._normalize(p, 0, value, absprec)
+
+
+def _snapshots(p: int, depths: tuple[int, ...], shift: int = 0) -> dict[int, int]:
+    """{p**(N - shift): N} for each depth N; p**max(N) terms at most."""
+    if min(depths) < 1:
+        raise ArgumentViolation("oracle depth must be >= 1")
+    capped_power(p, max(depths))
+    return {p ** (n - shift): n for n in depths}
 
 
 def _exponent_one_minus(p: int, modexp: int, s) -> int:
@@ -62,6 +77,28 @@ def _exponent_one_minus(p: int, modexp: int, s) -> int:
     raise ArgumentViolation(f"unsupported exponent {s!r}")
 
 
+def _angle_power_sums(
+    p: int, g_prec: int, y0: int, step: int, e: int, counts
+) -> dict[int, int]:
+    """sum_{b<n} (-1)^b (y0 + b*step)^e modulo p**g_prec for each n in counts.
+
+    y0 and step are integers, y0 prime to p and step divisible by p, so every
+    term is a unit.  The sums are returned unreduced.
+    """
+    mod = p**g_prec
+    targets = set(counts)
+    out: dict[int, int] = {}
+    acc = 0
+    y = y0
+    for b in range(max(targets)):
+        term = pow(y, e, mod)
+        acc = acc + term if b % 2 == 0 else acc - term
+        y += step
+        if b + 1 in targets:
+            out[b + 1] = acc
+    return out
+
+
 def hurwitz_sums(
     p: int, prec: int, x: Fraction, s, depths: tuple[int, ...]
 ) -> dict[int, PadicNumber]:
@@ -72,31 +109,17 @@ def hurwitz_sums(
     x = Fraction(x)
     if vp_fraction(x, p) is None or vp_fraction(x, p) >= 0:
         raise ArgumentViolation("oracle argument must have negative valuation")
-    n_max = max(depths)
-    n_terms = capped_power(p, n_max)
-    guard = 4
-    g_prec = prec + guard
+    counts = _snapshots(p, depths)
+    g_prec = prec + _GUARD
     mod = p**g_prec
-    a_num, b_den = x.numerator, x.denominator
-    e = vp_int(b_den, p)
-    b_unit = b_den // p**e
-    b_inv = pow(b_unit, -1, mod)
-    winv = _inverse_teichmuller_table(p, g_prec)[
-        a_num * pow(b_unit, -1, p) % p
-    ]
+    num, den = x.numerator, x.denominator
+    b_unit = den // p ** vp_int(den, p)
+    # <x+a> = (num + a*den) / (b_unit * omega(num/b_unit))
+    omega = teichmuller_table(p, g_prec)[num * pow(b_unit, -1, p) % p]
     exponent = _exponent_one_minus(p, g_prec - 1, s)
-    targets = {p**n: n for n in depths}
-    out: dict[int, PadicNumber] = {}
-    acc = 0
-    n_int = a_num
-    for a in range(n_terms):
-        t = (n_int * b_inv % mod) * winv % mod
-        term = pow(t, exponent, mod)
-        acc = acc + term if a % 2 == 0 else acc - term
-        n_int += b_den
-        if a + 1 in targets:
-            out[targets[a + 1]] = wrap_mod(p, acc, prec)
-    return out
+    factor = pow(b_unit * omega, -exponent, mod)
+    sums = _angle_power_sums(p, g_prec, num, den, exponent, counts)
+    return {counts[n]: wrap_mod(p, factor * acc, prec) for n, acc in sums.items()}
 
 
 def char_hurwitz_sums(
@@ -111,31 +134,24 @@ def char_hurwitz_sums(
     vx = vp_fraction(x, p)
     if vx is not None and vx < 0:
         raise ArgumentViolation("character oracle argument must lie in Z_p")
-    n_max = max(depths)
-    n_terms = capped_power(p, n_max)
-    guard = 4
-    g_prec = prec + guard
+    counts = _snapshots(p, depths, shift=1)
+    g_prec = prec + _GUARD
     mod = p**g_prec
-    x_rep = 0 if x == 0 else x.numerator * pow(x.denominator, -1, mod) % mod
+    num, den = x.numerator, x.denominator
     om = teichmuller_table(p, g_prec)
-    ominv = _inverse_teichmuller_table(p, g_prec)
     exponent = _exponent_one_minus(p, g_prec - 1, s)
-    # chi(n) t^(1-s) with t = n/omega(n); chi(n) = omega(n)^k needs only n mod p
-    chi_tab = tuple(pow(om[u], k, mod) if u else 0 for u in range(p))
-    targets = {p**n: n for n in depths}
-    out: dict[int, PadicNumber] = {}
-    acc = 0
-    n_int = x_rep
-    for a in range(n_terms):
-        u = n_int % p
-        if u:
-            t = n_int * ominv[u] % mod
-            term = chi_tab[u] * pow(t, exponent, mod) % mod
-            acc = acc + term if a % 2 == 0 else acc - term
-        n_int += 1
-        if a + 1 in targets:
-            out[targets[a + 1]] = wrap_mod(p, acc, prec)
-    return out
+    acc = dict.fromkeys(counts, 0)
+    # class r: a = r + p*b, x + a = (num + r*den + p*den*b)/den, and
+    # chi(x+a) (-1)^a = omega(u)^k (-1)^r (-1)^b with u = x + r mod p
+    for r in range(p):
+        u = (num + r * den) * pow(den, -1, p) % p
+        if not u:
+            continue
+        weight = pow(om[u], k, mod) * pow(den * om[u], -exponent, mod) * (-1) ** r
+        sums = _angle_power_sums(p, g_prec, num + r * den, p * den, exponent, counts)
+        for n, class_sum in sums.items():
+            acc[n] += weight * class_sum
+    return {counts[n]: wrap_mod(p, total, prec) for n, total in acc.items()}
 
 
 def monomial_alternating_sums(
@@ -150,17 +166,15 @@ def monomial_alternating_sums(
     x = Fraction(x)
     if x.denominator % p == 0:
         raise ArgumentViolation("monomial oracle needs x in Z_p")
-    n_max = max(depths)
-    n_terms = capped_power(p, n_max)
+    targets = _snapshots(p, depths)
     mod = p**prec
     a_num, b_den = x.numerator, x.denominator
     b_inv = pow(b_den, -1, mod)
     acc = [0] * (m_max + 1)
-    targets = {p**n: n for n in depths}
     out: dict[tuple[int, int], PadicNumber] = {}
     n_int = a_num % mod
     step = b_den % mod
-    for a in range(n_terms):
+    for a in range(max(targets)):
         pw = 1
         if a % 2 == 0:
             for m in range(m_max + 1):
@@ -177,32 +191,4 @@ def monomial_alternating_sums(
             for m in range(m_max + 1):
                 out[(m, n_depth)] = wrap_mod(p, acc[m] * scale % mod, prec)
                 scale = scale * b_inv % mod
-    return out
-
-
-def inverse_power_sums(
-    p: int, prec: int, x: Fraction, m: int, depths: tuple[int, ...]
-) -> dict[int, PadicNumber]:
-    """Partial sums sum_{a<p^N} (x+a)^(-m) (-1)^a for x of negative valuation."""
-    x = Fraction(x)
-    vx = vp_fraction(x, p)
-    if vx is None or vx >= 0:
-        raise ArgumentViolation("inverse-power oracle needs negative valuation")
-    if m < 1:
-        raise ArgumentViolation("exponent m must be >= 1")
-    n_max = max(depths)
-    n_terms = capped_power(p, n_max)
-    mod = p**prec
-    a_num, b_den = x.numerator, x.denominator
-    b_pow = pow(b_den, m, mod)
-    targets = {p**n: n for n in depths}
-    out: dict[int, PadicNumber] = {}
-    acc = 0
-    n_int = a_num
-    for a in range(n_terms):
-        term = b_pow * pow(n_int, -m, mod) % mod
-        acc = acc + term if a % 2 == 0 else acc - term
-        n_int += b_den
-        if a + 1 in targets:
-            out[targets[a + 1]] = wrap_mod(p, acc, prec)
     return out

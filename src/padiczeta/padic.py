@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    ArgumentViolation,
     DivisionByZero,
     EvaluationCapExceeded,
     ExponentOutsideDomain,
@@ -402,8 +403,11 @@ def capped_power(p: int, e: int) -> int:
     """p**e as the length of a sum, refused above ``EVALUATION_CAP``.
 
     The exponent is compared first (p**e >= 2**e), so a huge e raises
-    ``EvaluationCapExceeded`` without building p**e.
+    ``EvaluationCapExceeded`` without building p**e.  A negative e raises
+    ``ArgumentViolation``.
     """
+    if e < 0:
+        raise ArgumentViolation(f"the exponent of a sum length must be >= 0, got {e}")
     if e >= EVALUATION_CAP.bit_length() or p**e > EVALUATION_CAP:
         # like n in alternating_sum, e may be too large to print
         raise EvaluationCapExceeded(f"the sum has more than {EVALUATION_CAP} terms")

@@ -11,7 +11,9 @@ automatically have negative valuation.  The sum gives the same value for every M
 and <N>^(s-1) times it for M = N p^e with N odd and coprime to p; literal
 sums over such larger M appear only in ``representation_pair``, which checks
 this.  ell(chi, s) = zeta(chi, s, 0).  The direct truncated sums
-sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a act as the independent oracle.
+sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a act as the independent oracle
+(``zeta_char_oracle``, and ``ell_limit_oracle`` at x = 0); the kernel sums
+them one residue class of a mod p at a time.
 """
 
 from __future__ import annotations
@@ -98,10 +100,7 @@ def ell_limit_oracle(
     ctx: PadicContext, chi: DirichletCharacter, s, depth: int
 ) -> PadicNumber:
     """Depth-N partial sum sum_{a<p^N, p∤a} <a>^(1-s) chi(a) (-1)^a."""
-    _check_char(ctx, chi)
-    return kernels.char_hurwitz_sums(
-        ctx.p, ctx.internal_prec, chi.k, Fraction(0), s, (depth,)
-    )[depth]
+    return zeta_char_oracle(ctx, chi, s, 0, depth)
 
 
 def zeta_char_oracle(

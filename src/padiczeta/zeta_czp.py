@@ -8,8 +8,10 @@ convergent Laurent expansion
 Term i has valuation at least i*|v_p(x)| - v_p(i!) (the binomial lies in
 Z_p and |E_i(0)|_p <= 1), which yields an explicit truncation index for any
 target precision.  The truncated alternating sums of <x+a>^(1-s) serve as
-the independent oracle; they are computed by the modular-exponentiation
-kernels, a genuinely different route from the exp/log evaluation used here.
+the independent oracle (``zeta_czp_oracle``; at s = 1+m they also give the
+oracle of ``zeta_special_pos``); they are computed by the
+modular-exponentiation kernel ``kernels.hurwitz_sums``, a genuinely different
+route from the exp/log evaluation used here.
 
 The coefficients C(1-s, i) w(i) do not depend on x.  For each weight w (E_i(0)
 for zeta(s, x), E_i(u) for the shifted expansion, E_{i+1}(0) for the
@@ -289,8 +291,11 @@ def zeta_special_pos(
 ) -> tuple[PadicNumber, PadicNumber]:
     """(series value, oracle value) for zeta(1+m, x).
 
-    The oracle side is omega_v(x)^m * sum_{a<p^depth} (x+a)^(-m) (-1)^a.
-    Negative m delegates to the exact negative-integer route.
+    The oracle side is omega_v(x)^m * sum_{a<p^depth} (x+a)^(-m) (-1)^a, that
+    is the Hurwitz oracle at s = 1+m (its terms are <x+a>^(-m)).  It is kept
+    modulo p^(internal_prec - e*m), e = -v_p(x): the precision of omega_v(x)^m
+    times a sum of (x+a)^(-m) known modulo p^internal_prec.  Negative m
+    delegates to the exact negative-integer route.
     """
     if m == 0:
         raise ArgumentViolation("m must be nonzero")
@@ -300,11 +305,9 @@ def zeta_special_pos(
     if arg.exact is None:
         raise ArgumentViolation("the truncated oracle needs a rational x")
     formula = zeta_czp(ctx, 1 + m, arg, budget)
-    sums = kernels.inverse_power_sums(
-        ctx.p, ctx.internal_prec, arg.exact, m, (depth,)
-    )
-    oracle = arg.omega_v**m * sums[depth]
-    return formula, oracle
+    sums = kernels.hurwitz_sums(ctx.p, ctx.internal_prec, arg.exact, 1 + m, (depth,))
+    e = vp_int(arg.exact.denominator, ctx.p)
+    return formula, sums[depth].cap_absprec(ctx.internal_prec - e * m)
 
 
 def zeta_shifted(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiczeta.errors import (
+    ArgumentViolation,
     DivisionByZero,
     EvaluationCapExceeded,
     ExponentOutsideDomain,
@@ -409,8 +410,14 @@ class TestAlternatingSum:
         assert capped_power(3, 12) == 3**12 <= EVALUATION_CAP < 3**13
         assert capped_power(1009, 1) == 1009
         # 3**(10**5000) could never be built; the exponent alone refuses it
-        for p, e in ((3, 13), (1009, 2), (3, 10**7), (3, 10**5000)):
-            with pytest.raises(EvaluationCapExceeded):
+        for p, e, error in (
+            (3, 13, EvaluationCapExceeded),
+            (1009, 2, EvaluationCapExceeded),
+            (3, 10**7, EvaluationCapExceeded),
+            (3, 10**5000, EvaluationCapExceeded),
+            (3, -1, ArgumentViolation),
+        ):
+            with pytest.raises(error):
                 capped_power(p, e)
 
 
