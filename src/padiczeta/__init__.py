@@ -8,7 +8,7 @@ the whole identity network at finite precision.
 
 from .characters import DirichletCharacter, char_eval
 from .errors import PadicError
-from .euler import EulerTable, build_table, euler_number, euler_poly, euler_zero
+from .euler import euler_number, euler_poly, euler_zero
 from .fermionic import (
     Integrand,
     alternating_power_sum,
@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DirichletCharacter",
-    "EulerTable",
     "Integrand",
     "PadicContext",
     "PadicError",
@@ -62,7 +61,6 @@ __all__ = [
     "ZetaArgumentCZp",
     "agreement_depth",
     "alternating_power_sum",
-    "build_table",
     "char_eval",
     "distribution_czp",
     "dzeta_char_dx",

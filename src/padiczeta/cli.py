@@ -271,9 +271,7 @@ def _cmd_table(args) -> int:
     ctx = _context(args)
     budget = SeriesBudget(max_terms=args.max_terms, target_prec=args.prec)
     if args.kind == "euler":
-        table = euler.build_table(args.max)
-        body = euler.table_to_json_bytes(table).decode()
-        _emit(args, body)
+        _emit(args, euler.table_json(args.max))
         return 0
 
     rows: list[dict] = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from padiczeta import euler
 from padiczeta.cli import main
 from padiczeta.padic import PadicContext, from_json_dict
 from padiczeta.report import (
@@ -87,6 +87,35 @@ class TestCompute:
     def test_missing_operand(self, capsys):
         code, _, err = run_cli(["compute", "zeta-czp", "--s", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compute", "euler-number", "--m", "-1"],
+            ["compute", "euler-poly", "--m", "-3", "--x", "1/2"],
+            ["table", "euler", "--max", "-1"],
+        ],
+    )
+    def test_negative_euler_degree_exit_code(self, capsys, args):
+        run_cli(["compute", "euler-number", "--m", "30"], capsys)  # a warm list must not answer
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "DegreeOverflow"
+
+    def test_high_precision_zeta_czp_is_fast_and_unchanged(self):
+        # 400 digits need E_i(0) for i up to about 800; a fresh process builds
+        # them from the integer triangle
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "padiczeta.cli", "compute", "--p", "3", "--prec", "400",
+             "zeta-czp", "--s", "1/2", "--x", "1/3"],
+            capture_output=True,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0
+        digest = hashlib.sha256(proc.stdout).hexdigest()
+        assert digest == "b3126040f16d8010bb8f64609b1d452dfa26d9da9b1502ead23b6ab36a939e2a"
+        assert elapsed < 5, elapsed
 
     def test_large_character_modulus_prints_the_v_one_value(self, capsys):
         # zeta_char sums over p residues whatever v is, so a modulus of 3^13
@@ -229,11 +258,12 @@ class TestVerifyCommand:
 
 class TestTableCommand:
     def test_euler_table_matches_cache_bytes(self, capsys, tmp_path):
+        # pinned: the table's bytes must not depend on how the Euler values are computed
         out_path = tmp_path / "euler.json"
         code, _, _ = run_cli(["table", "euler", "--max", "20", "-o", str(out_path)], capsys)
         assert code == 0
-        cached = euler.save_table(euler.build_table(20), tmp_path / "cache.json")
-        assert out_path.read_bytes() == cached.read_bytes()
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == "fd0211715d0a2807884053d295f136b673c49606721244c52b11ce3df14442c6"
 
     def test_zeta_values_csv_deterministic(self, capsys):
         args = [

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import euler_reference as ref
 import pytest
 import sympy
 
@@ -62,16 +64,6 @@ def test_zero_value_denominators_are_two_powers():
         assert den & (den - 1) == 0  # power of two, so a p-adic integer for odd p
 
 
-def test_table_protocol():
-    table = euler.build_table(10)
-    assert table.max_degree == 10
-    assert table.poly(2, Fraction(1)) == 0
-    with pytest.raises(DegreeOverflow):
-        table.poly(11, Fraction(1))
-    with pytest.raises(DegreeOverflow):
-        table.number(11)
-
-
 def test_identity_network_exact():
     reports = euler.verify_euler_identities(14)
     assert {r.identity for r in reports} == {
@@ -84,18 +76,41 @@ def test_identity_network_exact():
     assert all(r.status == "pass" for r in reports)
 
 
-def test_cache_determinism(tmp_path):
-    table = euler.build_table(12)
-    p1 = euler.save_table(table, tmp_path / "a.json")
-    p2 = euler.save_table(euler.build_table(12), tmp_path / "b.json")
-    assert p1.read_bytes() == p2.read_bytes()
-    loaded = euler.load_table(p1)
-    assert loaded == table
-    assert euler.cache_filename(12) == "euler_table_M12.json"
+def test_zero_values_and_numbers_match_the_fraction_recurrence():
+    for n in range(301):
+        assert euler.euler_zero(n) == ref.euler_zero(n), n
+        assert euler.euler_number(n) == ref.euler_number(n), n
 
 
-def test_cache_directory_naming(tmp_path):
-    table = euler.build_table(5)
-    path = euler.save_table(table, tmp_path)
-    assert path.name == "euler_table_M5.json"
-    assert euler.load_table(path).max_degree == 5
+def _poly_points():
+    rng = random.Random(20259)
+    points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
+    for _ in range(24):
+        points.append(Fraction(rng.randrange(-50, 51), rng.randrange(1, 30)))
+    for _ in range(10):
+        den = rng.randrange(10**12, 10**15)
+        points.append(Fraction(rng.randrange(-(10**18), 10**18), den))
+    return points
+
+
+def test_poly_matches_the_fraction_sum():
+    points = _poly_points()
+    assert len(set(points)) > 30
+    for m in range(80):
+        for x in points:
+            assert euler.euler_poly(m, x) == ref.euler_poly(m, x), (m, x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euler.euler_zero(-1),
+        lambda: euler.euler_number(-1),
+        lambda: euler.euler_poly(-3, Fraction(1, 2)),
+        lambda: euler.table_json(-1),
+    ],
+)
+def test_negative_degree_raises(call):
+    euler.euler_number(40)  # a warm list must not answer from its far end
+    with pytest.raises(DegreeOverflow):
+        call()
