@@ -1,29 +1,30 @@
-"""Integer-arithmetic hot loops behind the truncated alternating-sum oracles.
+"""Integer-arithmetic kernels behind the truncated alternating-sum oracles.
 
-These routines compute partial sums sum_{a < p^N} f(a) (-1)^a exactly modulo
-p^G using plain integers, snapshotting at every requested depth N in a single
-pass.  They are deliberately independent of the analytic evaluation path
-(series + exp/log): unit powers here go through modular exponentiation, so
-oracle comparisons cross-check two genuinely different computations.
+Each kernel returns sum_{a < p^N} (-1)^a f(a) exactly modulo p^G at every
+requested depth N, without visiting the p^N terms.  ``_alternating_newton_sum``
+takes f(0), ..., f(D-1) and uses Newton's forward differences (Mahler's
+theorem; Robert, *A Course in p-adic Analysis*, GTM 198, ch. 4):
 
-Every unit-power sum runs through one loop, ``_angle_power_sums``: the sum of
-(-1)^b (y0 + b*step)^e modulo p^G over an integer progression with step
-divisible by p.  An angle is such an integer times a unit c that does not
-depend on b, and (c*y)^e = c^e * y^e for an integer exponent e, so c^e is
-taken out of the sum.  In ``hurwitz_sums`` x + a = (num + a*den)/den is one
-progression, a = 0, 1, ...  ``char_hurwitz_sums`` splits a = r + p*b by its
-residue r < p: on each class chi(x+a) = chi(x+r) and omega(x+a) =
-omega(x+r) are constant, (-1)^a = (-1)^r (-1)^b because p is odd, and the
-numerators num + r*den + p*den*b form a progression.  The sums are therefore
-congruent modulo p^G to those of the per-term angles, and every returned
-number is the same.  The loop raises small integers, not residues modulo
-p^G, to the power e, so a negative e inverts a small integer.  The monomial
-sums (x+a)^m have a loop of their own.
+    sum_{b<n} (-1)^b f(b) = sum_{j<D} Delta^j f(0) S_j(n),  S_j(n) = sum_{b<n} (-1)^b C(b,j),
 
-For a unit t = 1 mod p and s in Z_p, t^s is congruent to t^(s mod p^K)
-modulo p^(K+1); non-integer exponents are reduced that way.  Exact integer
-exponents are used directly (Python's pow handles negative exponents with a
-modulus).
+where S_j(n) is the y^j coefficient of (1 - (-1)^n (1+y)^n)/(2+y): an integer
+found by halvings, and 2 is a unit for odd p.  As f(b) = sum_{j<=b} Delta^j
+f(0) C(b,j), this holds for any f when n <= D, and for every n once Delta^j
+f(0) = 0 mod p^G for all j >= D.  In ``_angle_power_sums`` f(b) = (y0 +
+b*step)^e with y0 prime to p and v = v_p(step) >= 1.  With t = step/y0,
+f(b) = y0^e sum_k C(e,k) t^k b^k, C(e,k) in Z_p for any e in Z_p (negative or
+reduced too); Delta^j(b^k)(0) = j! S(k,j) (Stirling) is 0 for k < j, so
+v_p(Delta^j f(0)) >= j*v + v_p(j!), and D = the least d with d*v + v_p(d!) >= G
+suffices.  The monomials (x+a)^m are polynomials of degree m in a: D = m + 1.
+
+The oracles stay independent of the series path: nothing reads an Euler
+number or log/exp, and unit powers are modular ``pow`` of the actual terms.
+An angle <x+a> is y0 + b*step times a unit c free of b, and c^e leaves the
+sum.  ``hurwitz_sums`` (and the special-value oracle, s = 1 + m) is one
+progression x + a = (num + a*den)/den.  ``char_hurwitz_sums`` splits a = r +
+p*b: on each class chi(x+a) and omega(x+a) are constant and (-1)^a = (-1)^r
+(-1)^b.  As t^s = t^(s mod p^K) mod p^(K+1) for t = 1 mod p, s in Z_p, a
+non-integer exponent is reduced; Python's pow inverts a negative one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArgumentViolation
-from .padic import EVALUATION_CAP, PadicNumber, capped_power, teichmuller_table, vp_fraction, vp_int
+from .padic import EVALUATION_CAP, PadicNumber, capped_power, teichmuller_table
+from .padic import vp_factorial, vp_fraction, vp_int
 
 __all__ = [
     "EVALUATION_CAP",
@@ -77,26 +79,38 @@ def _exponent_one_minus(p: int, modexp: int, s) -> int:
     raise ArgumentViolation(f"unsupported exponent {s!r}")
 
 
-def _angle_power_sums(
-    p: int, g_prec: int, y0: int, step: int, e: int, counts
-) -> dict[int, int]:
+def _alternating_newton_sum(p: int, g_prec: int, values, counts) -> dict[int, int]:
+    """sum_{b<n} (-1)^b values[b] mod p**g_prec for each n in counts (module docstring)."""
+    mod = p**g_prec
+    half = (mod + 1) // 2  # 1/2 modulo the odd p**g_prec
+    diffs, row = [], list(values)  # Delta^j f(0) for j < D
+    while row:
+        diffs.append(row[0])
+        row = [(b - a) % mod for a, b in zip(row, row[1:])]
+    out: dict[int, int] = {}
+    for n in counts:
+        sign = (-1) ** n
+        total, s_j, binom = 0, 0, 1  # binom = C(n, j)
+        for j, diff in enumerate(diffs):
+            s_j = ((j == 0) - sign * binom - s_j) * half % mod
+            total += diff * s_j
+            binom = binom * (n - j) // (j + 1)
+        out[n] = total % mod
+    return out
+
+
+def _angle_power_sums(p: int, g_prec: int, y0: int, step: int, e: int, counts) -> dict[int, int]:
     """sum_{b<n} (-1)^b (y0 + b*step)^e modulo p**g_prec for each n in counts.
 
-    y0 and step are integers, y0 prime to p and step divisible by p, so every
-    term is a unit.  The sums are returned unreduced.
+    y0 is prime to p and p divides step, so every term is a unit.
     """
+    v = vp_int(step, p)
+    degree = 0
+    while degree * v + vp_factorial(degree, p) < g_prec:
+        degree += 1
     mod = p**g_prec
-    targets = set(counts)
-    out: dict[int, int] = {}
-    acc = 0
-    y = y0
-    for b in range(max(targets)):
-        term = pow(y, e, mod)
-        acc = acc + term if b % 2 == 0 else acc - term
-        y += step
-        if b + 1 in targets:
-            out[b + 1] = acc
-    return out
+    values = [pow(y0 + b * step, e, mod) for b in range(degree)]
+    return _alternating_newton_sum(p, g_prec, values, counts)
 
 
 def hurwitz_sums(
@@ -159,9 +173,8 @@ def monomial_alternating_sums(
 ) -> dict[tuple[int, int], PadicNumber]:
     """Partial sums sum_{a<p^N} (x+a)^m (-1)^a for all 0 <= m <= m_max.
 
-    One pass over a < p^max(depths), snapshotting every requested depth.
-    x may be any rational with denominator coprime to p.  The returned
-    values are exact modulo p**prec.
+    (x+a)^m has degree m in a, so m + 1 values give every depth.  x may be any
+    rational with denominator coprime to p; the values are exact mod p**prec.
     """
     x = Fraction(x)
     if x.denominator % p == 0:
@@ -170,25 +183,11 @@ def monomial_alternating_sums(
     mod = p**prec
     a_num, b_den = x.numerator, x.denominator
     b_inv = pow(b_den, -1, mod)
-    acc = [0] * (m_max + 1)
     out: dict[tuple[int, int], PadicNumber] = {}
-    n_int = a_num % mod
-    step = b_den % mod
-    for a in range(max(targets)):
-        pw = 1
-        if a % 2 == 0:
-            for m in range(m_max + 1):
-                acc[m] += pw
-                pw = pw * n_int % mod
-        else:
-            for m in range(m_max + 1):
-                acc[m] -= pw
-                pw = pw * n_int % mod
-        n_int = (n_int + step) % mod
-        if a + 1 in targets:
-            n_depth = targets[a + 1]
-            scale = 1
-            for m in range(m_max + 1):
-                out[(m, n_depth)] = wrap_mod(p, acc[m] * scale % mod, prec)
-                scale = scale * b_inv % mod
+    for m in range(m_max + 1):
+        # (x+a)^m = (a_num + a*b_den)^m / b_den^m
+        values = [pow(a_num + a * b_den, m, mod) for a in range(m + 1)]
+        scale = pow(b_inv, m, mod)
+        for n, total in _alternating_newton_sum(p, prec, values, targets).items():
+            out[(m, targets[n])] = wrap_mod(p, total * scale % mod, prec)
     return out

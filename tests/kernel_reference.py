@@ -2,10 +2,10 @@
 
 Each term a < p^N is computed on its own: the Hurwitz sums scale x + a by the
 inverse Teichmuller digit of x, the character sums look up chi and omega^-1
-by the residue of x + a, and the inverse-power sums raise x + a to -m.  The
-library folds all three into one unit-power loop over an arithmetic
-progression; ``test_kernels.py`` checks that both give the same
-``PadicNumber``s.
+by the residue of x + a, the inverse-power sums raise x + a to -m, and the
+monomial sums raise x + a to every m <= m_max.  The library sums none of
+these terms: it evaluates each sum from a few forward differences.
+``test_kernels.py`` checks that both give the same ``PadicNumber``s.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from padiczeta.errors import ArgumentViolation
-from padiczeta.kernels import _exponent_one_minus, wrap_mod
+from padiczeta.kernels import _exponent_one_minus, _snapshots, wrap_mod
 from padiczeta.padic import PadicNumber, capped_power, teichmuller_table, vp_fraction, vp_int
 
 
@@ -119,4 +119,44 @@ def inverse_power_sums(
         n_int += b_den
         if a + 1 in targets:
             out[targets[a + 1]] = wrap_mod(p, acc, prec)
+    return out
+
+
+def monomial_alternating_sums(
+    p: int, prec: int, x: Fraction, m_max: int, depths: tuple[int, ...]
+) -> dict[tuple[int, int], PadicNumber]:
+    """Partial sums sum_{a<p^N} (x+a)^m (-1)^a for all 0 <= m <= m_max.
+
+    One pass over a < p^max(depths), snapshotting every requested depth.
+    x may be any rational with denominator coprime to p.  The returned
+    values are exact modulo p**prec.
+    """
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise ArgumentViolation("monomial oracle needs x in Z_p")
+    targets = _snapshots(p, depths)
+    mod = p**prec
+    a_num, b_den = x.numerator, x.denominator
+    b_inv = pow(b_den, -1, mod)
+    acc = [0] * (m_max + 1)
+    out: dict[tuple[int, int], PadicNumber] = {}
+    n_int = a_num % mod
+    step = b_den % mod
+    for a in range(max(targets)):
+        pw = 1
+        if a % 2 == 0:
+            for m in range(m_max + 1):
+                acc[m] += pw
+                pw = pw * n_int % mod
+        else:
+            for m in range(m_max + 1):
+                acc[m] -= pw
+                pw = pw * n_int % mod
+        n_int = (n_int + step) % mod
+        if a + 1 in targets:
+            n_depth = targets[a + 1]
+            scale = 1
+            for m in range(m_max + 1):
+                out[(m, n_depth)] = wrap_mod(p, acc[m] * scale % mod, prec)
+                scale = scale * b_inv % mod
     return out

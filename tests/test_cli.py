@@ -102,6 +102,22 @@ class TestCompute:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == "DegreeOverflow"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compute", "euler-number", "--m", "100000000"],
+            ["compute", "euler-poly", "--m", "100000000", "--x", "1/2"],
+            ["table", "euler", "--max", "100000000"],
+        ],
+    )
+    def test_huge_euler_degree_refused_fast(self, capsys, args):
+        # the triangle row would hold about n^2 log2(n) bits: refused before it grows
+        start = time.perf_counter()
+        code, out, err = run_cli(args, capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "DegreeOverflow"
+
     def test_high_precision_zeta_czp_is_fast_and_unchanged(self):
         # 400 digits need E_i(0) for i up to about 800; a fresh process builds
         # them from the integer triangle
@@ -201,6 +217,21 @@ class TestVerifyCommand:
         assert code == 2
         obj = json.loads(err.strip().splitlines()[-1])
         assert obj["error"]["code"] == "EvaluationCapExceeded"
+
+    @pytest.mark.parametrize("depth, expected", [(12, 0), (13, 2)])
+    def test_cap_on_the_oracle_depth(self, capsys, depth, expected):
+        # 3^12 <= 10^6 < 3^13: no kernel visits the p^N terms, so only the
+        # explicit check on p^N refuses depth 13, and depth 12 runs at once
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            ["verify", "--p", "3", "--identity", "oracle-czp", "--oracle-depth", str(depth)],
+            capsys,
+        )
+        assert time.perf_counter() - start < 5
+        assert code == expected
+        if expected:
+            obj = json.loads(err.strip().splitlines()[-1])
+            assert obj["error"]["code"] == "EvaluationCapExceeded"
 
     def test_oracle_depth_below_two_rejected(self, capsys):
         code, _, err = run_cli(

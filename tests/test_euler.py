@@ -114,3 +114,19 @@ def test_negative_degree_raises(call):
     euler.euler_number(40)  # a warm list must not answer from its far end
     with pytest.raises(DegreeOverflow):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euler.euler_zero(euler.MAX_DEGREE + 1),
+        lambda: euler.euler_number(10**8),
+        lambda: euler.euler_poly(euler.MAX_DEGREE + 1, Fraction(1, 2)),
+        lambda: euler.table_json(10**8),
+    ],
+)
+def test_degree_above_the_bound_raises_before_growth(call):
+    grown = len(euler._zigzags)
+    with pytest.raises(DegreeOverflow):
+        call()
+    assert len(euler._zigzags) == grown

@@ -1,9 +1,10 @@
 """The oracle kernels give the numbers of the literal per-term loops.
 
-``kernel_reference`` computes every term a < p^N on its own; the library sums
-unit powers over arithmetic progressions (the character sums one progression
-per residue class mod p).  Numbers are compared through ``render`` and
-``absprec``.
+``kernel_reference`` computes every term a < p^N on its own; the library
+evaluates each sum from the forward differences of its first few terms
+(``kernels._alternating_newton_sum``).  Numbers are compared through
+``render`` and ``absprec``; the Newton sums themselves are compared with
+literal sums at the edges of their degree bound.
 """
 
 from fractions import Fraction
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 from padiczeta import kernels
 from padiczeta.characters import DirichletCharacter
-from padiczeta.errors import ArgumentViolation
-from padiczeta.padic import PadicContext, render
+from padiczeta.errors import ArgumentViolation, EvaluationCapExceeded
+from padiczeta.padic import PadicContext, render, vp_int
 from padiczeta.verify import _REGISTRY, VerifyConfig
 from padiczeta.zeta_char import ell_limit_oracle, raabe_char, zeta_char_oracle
 from padiczeta.zeta_czp import (
@@ -34,8 +35,13 @@ def _grid(name):
     return identity.grid(ACCEPTANCE)
 
 
+# the literal loops cost p^N terms: p = 3 and 5 reach the acceptance depth 6,
+# p = 7 stops at 7^4 = 2401 terms to keep the suite quick
+_MAX_DEPTH = {3: 8, 5: 6, 7: 4}
+
+
 def _depths(p, low=2):
-    return tuple(range(low, (3 if p == 7 else 4) + 1))
+    return tuple(range(low, _MAX_DEPTH[p] + 1))
 
 
 def _key(number):
@@ -79,6 +85,17 @@ def test_ell_oracle_grid():
         expected = ref.char_hurwitz_sums(p, ctx.internal_prec, k, Fraction(0), s, _depths(p, low=1))
         for depth, value in expected.items():
             assert _key(ell_limit_oracle(ctx, chi, s, depth)) == _key(value), (p, k, s, depth)
+
+
+def test_integral_convergence_grid():
+    m_max = 12
+    for p, x in _grid("integral-convergence"):
+        depths = _depths(p)
+        prec = ACCEPTANCE.workprec + 6 + max(depths)
+        _same_sums(
+            ref.monomial_alternating_sums(p, prec, x, m_max, depths),
+            kernels.monomial_alternating_sums(p, prec, x, m_max, depths),
+        )
 
 
 def test_special_pos_grid():
@@ -131,6 +148,77 @@ def test_kernels_match_reference(inputs):
     assert _key(oracle) == _key(_special_pos_reference(ctx, m, outside, depth))
 
 
+def _newton_degree(p, g_prec, v):
+    """The least d with d*v + v_p(d!) >= g_prec (v_p(d!) by Legendre's sum)."""
+    d = 0
+    while d * v + sum(d // p**i for i in range(1, d + 1)) < g_prec:
+        d += 1
+    return d
+
+
+def _literal(p, g_prec, f, counts):
+    return {n: sum((-1) ** b * f(b) for b in range(n)) % p**g_prec for n in counts}
+
+
+@st.composite
+def _progressions(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    g_prec = draw(st.integers(1, 40))
+    unit = st.integers(-(10**6), 10**6).filter(lambda n: n % p)
+    v = draw(st.integers(1, 3))
+    step = p**v * draw(st.one_of(st.just(1), unit))  # cofactor 1 or any integer prime to p
+    e = draw(
+        st.one_of(
+            st.integers(-(10**3), -1),
+            st.just(0),
+            # the reduced exponent of a non-integer s, as hurwitz_sums makes it
+            st.builds(Fraction, unit, st.integers(2, 10**4).filter(lambda n: n % p)).map(
+                lambda s: kernels._exponent_one_minus(p, g_prec - 1, s)
+            ),
+        )
+    )
+    degree = _newton_degree(p, g_prec, v)
+    counts = {1, degree - 1, degree, degree + 1, draw(st.integers(1, 4 * degree + 8))} - {0}
+    return p, g_prec, draw(unit), step, e, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_progressions())
+def test_angle_power_sums_match_literal_sums(inputs):
+    p, g_prec, y0, step, e, counts = inputs
+    assert vp_int(y0, p) == 0 and 1 <= vp_int(step, p) <= 3
+    got = kernels._angle_power_sums(p, g_prec, y0, step, e, counts)
+    mod = p**g_prec
+    expected = _literal(p, g_prec, lambda b: pow(y0 + b * step, e, mod), counts)
+    assert {n: total % mod for n, total in got.items()} == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.integers(1, 30),
+    st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=16),
+    st.integers(1, 200),
+)
+def test_newton_sum_of_a_polynomial_and_of_short_counts(p, g_prec, coeffs, extra):
+    # any values are summed exactly up to n = D; a polynomial of degree < D
+    # at every n
+    mod, degree = p**g_prec, len(coeffs)
+    counts = {1, degree - 1, degree, degree + 1, extra} - {0}
+
+    def poly(b):
+        return sum(c * b**i for i, c in enumerate(coeffs)) % mod
+
+    values = [poly(b) for b in range(degree)]
+    assert kernels._alternating_newton_sum(p, g_prec, values, counts) == _literal(
+        p, g_prec, poly, counts
+    )
+    short = {n for n in counts if n <= degree}
+    assert kernels._alternating_newton_sum(p, g_prec, coeffs, short) == _literal(
+        p, g_prec, lambda b: coeffs[b], short
+    )
+
+
 def test_negative_and_zero_depth_raise_argument_violation():
     ctx = PadicContext(3, 8)
     chi = DirichletCharacter(3, 1, 1)
@@ -145,3 +233,17 @@ def test_negative_and_zero_depth_raise_argument_violation():
     for call in calls:
         with pytest.raises(ArgumentViolation):
             call()
+
+
+def test_depth_over_the_cap_raises():
+    # no kernel visits the p^N terms: the check on p**max(depths) alone keeps
+    # the oracle depth under EVALUATION_CAP (3^12 <= 10^6 < 3^13)
+    calls = [
+        (lambda d: kernels.hurwitz_sums(3, 8, Fraction(1, 3), 2, (d,)), 12),
+        (lambda d: kernels.char_hurwitz_sums(3, 8, 1, Fraction(1), 2, (d,)), 12),
+        (lambda d: kernels.monomial_alternating_sums(3, 8, Fraction(1), 2, (d,)), (2, 12)),
+    ]
+    for call, key in calls:
+        assert key in call(12)
+        with pytest.raises(EvaluationCapExceeded):
+            call(13)
