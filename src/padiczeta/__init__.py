@@ -4,6 +4,11 @@ Exact Euler-number/polynomial arithmetic, the fermionic p-adic integral with
 truncated-sum oracles, the zeta function on arguments outside Z_p and its
 character-twisted companion on Z_p, plus a verification suite that checks
 the whole identity network at finite precision.
+
+The two evaluators are not re-exported here, so that ``padiczeta.zeta_czp``
+and ``padiczeta.zeta_char`` name their modules:
+``from padiczeta.zeta_czp import zeta_czp`` and
+``from padiczeta.zeta_char import zeta_char``.
 """
 
 from .characters import DirichletCharacter, char_eval
@@ -30,7 +35,6 @@ from .zeta_char import (
     ell_limit_oracle,
     power_series_zeta,
     raabe_char,
-    zeta_char,
     zeta_char_oracle,
 )
 from .zeta_czp import (
@@ -41,7 +45,6 @@ from .zeta_czp import (
     integral_of_zeta,
     raabe_closed_forms,
     reflection_czp,
-    zeta_czp,
     zeta_czp_oracle,
     zeta_shifted,
     zeta_special_neg,
@@ -80,9 +83,7 @@ __all__ = [
     "reflection_czp",
     "render",
     "to_json_dict",
-    "zeta_char",
     "zeta_char_oracle",
-    "zeta_czp",
     "zeta_czp_oracle",
     "zeta_shifted",
     "zeta_special_neg",

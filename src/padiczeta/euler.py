@@ -37,7 +37,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import DegreeOverflow
-from .report import VerificationReport
+from .report import VerificationReport, params_tuple
 
 __all__ = [
     "euler_number",
@@ -152,16 +152,11 @@ def verify_euler_identities(max_degree: int) -> list[VerificationReport]:
         reports.append(
             VerificationReport(
                 identity=name,
-                params=tuple((k, str(v)) for k, v in params.items()),
+                params=params_tuple(params),
                 lhs="(exact rational identity)",
                 rhs="(exact rational identity)",
-                lhs_prec=None,
-                rhs_prec=None,
-                agreement_depth=None,
-                required_depth=None,
-                reference_depth=None,
                 status="pass" if not failures else "fail",
-                note="" if not failures else "; ".join(failures[:4]),
+                note="; ".join(failures[:4]),
             )
         )
 

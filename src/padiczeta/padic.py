@@ -48,6 +48,7 @@ from .errors import (
 
 __all__ = [
     "EVALUATION_CAP",
+    "MAX_MODULUS_BITS",
     "PadicContext",
     "PadicNumber",
     "agreement_depth",
@@ -63,6 +64,9 @@ __all__ = [
 ]
 
 EVALUATION_CAP = 10**6
+# the largest modulus p**internal_prec a PadicContext accepts, in bits
+# (128 KiB integers: about 661,000 digits at p = 3, 78,900 at p = 10007)
+MAX_MODULUS_BITS = 2**20
 
 
 def is_odd_prime(n: int) -> bool:
@@ -237,9 +241,8 @@ class PadicNumber:
     # ---- coercion of int/Fraction partners -------------------------------
 
     def _embed_like(self, q) -> "PadicNumber":
-        if isinstance(q, int):
-            q = Fraction(q)
-        elif not isinstance(q, Fraction):
+        # an int has .numerator and .denominator too, so it is not converted
+        if not isinstance(q, (int, Fraction)):
             return NotImplemented
         if q == 0:
             return PadicNumber.exact_zero(self.p)
@@ -506,7 +509,9 @@ class PadicContext:
 
     ``workprec`` is the number of guaranteed p-adic digits results aim for;
     ``series_guard`` extra digits are carried through intermediate work to
-    absorb precision loss in series tails and factorial divisions.
+    absorb precision loss in series tails and factorial divisions.  A modulus
+    p**(workprec + series_guard) of more than ``MAX_MODULUS_BITS`` bits is
+    refused with ValueError.
     """
 
     p: int
@@ -520,6 +525,11 @@ class PadicContext:
             raise ValueError("workprec must be >= 1")
         if self.series_guard < 0:
             raise ValueError("series_guard must be >= 0")
+        # internal_prec * log2(p) is the size of p**internal_prec, which is not built
+        if self.internal_prec * math.log2(self.p) > MAX_MODULUS_BITS:
+            raise ValueError(
+                f"p**{self.internal_prec} has more than {MAX_MODULUS_BITS} bits"
+            )
 
     @property
     def internal_prec(self) -> int:

@@ -10,6 +10,7 @@ difference that is the exact zero).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -29,17 +30,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VerificationReport:
     identity: str
     params: tuple[tuple[str, str], ...]
-    lhs: str
-    rhs: str
-    lhs_prec: int | None
-    rhs_prec: int | None
-    agreement_depth: int | None
-    required_depth: int | None
-    reference_depth: int | None  # the N (or step exponent) an oracle ran at
+    lhs: str = ""
+    rhs: str = ""
+    lhs_prec: int | None = None
+    rhs_prec: int | None = None
+    agreement_depth: int | None = None
+    required_depth: int | None = None
+    reference_depth: int | None = None  # the N (or step exponent) an oracle ran at
     status: str  # pass | fail | hypothesis-violation | budget
     note: str = ""
 
@@ -49,11 +50,7 @@ class VerificationReport:
 
 
 def render_param(value) -> str:
-    if isinstance(value, PadicNumber):
-        return render(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
+    return render(value) if isinstance(value, PadicNumber) else str(value)
 
 
 def params_tuple(params: dict) -> tuple[tuple[str, str], ...]:
@@ -118,11 +115,6 @@ def compare_exact(
         params=params_tuple(params),
         lhs=str(lhs),
         rhs=str(rhs),
-        lhs_prec=None,
-        rhs_prec=None,
-        agreement_depth=None,
-        required_depth=None,
-        reference_depth=None,
         status="pass" if lhs == rhs else "fail",
         note=note,
     )
@@ -130,63 +122,41 @@ def compare_exact(
 
 def hypothesis_violation(identity: str, params: dict, note: str) -> VerificationReport:
     return VerificationReport(
-        identity=identity,
-        params=params_tuple(params),
-        lhs="",
-        rhs="",
-        lhs_prec=None,
-        rhs_prec=None,
-        agreement_depth=None,
-        required_depth=None,
-        reference_depth=None,
-        status="hypothesis-violation",
-        note=note,
+        identity=identity, params=params_tuple(params), status="hypothesis-violation", note=note
     )
 
 
 def budget_failure(identity: str, params: dict, note: str) -> VerificationReport:
     return VerificationReport(
-        identity=identity,
-        params=params_tuple(params),
-        lhs="",
-        rhs="",
-        lhs_prec=None,
-        rhs_prec=None,
-        agreement_depth=None,
-        required_depth=None,
-        reference_depth=None,
-        status="budget",
-        note=note,
+        identity=identity, params=params_tuple(params), status="budget", note=note
     )
 
 
+def _row(rep: VerificationReport) -> dict:
+    """Field name -> value; a shallow ``dataclasses.asdict``, as every value
+    is immutable."""
+    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+
+
+def _params_text(rep: VerificationReport) -> str:
+    return " ".join(f"{k}={v}" for k, v in rep.params)
+
+
 def report_to_json_line(rep: VerificationReport) -> str:
-    obj = {
-        "identity": rep.identity,
-        "params": dict(rep.params),
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "lhs_prec": rep.lhs_prec,
-        "rhs_prec": rep.rhs_prec,
-        "agreement_depth": rep.agreement_depth,
-        "required_depth": rep.required_depth,
-        "reference_depth": rep.reference_depth,
-        "status": rep.status,
-        "note": rep.note,
-    }
+    obj = {**_row(rep), "params": dict(rep.params)}
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def report_to_text(rep: VerificationReport) -> str:
-    params = " ".join(f"{k}={v}" for k, v in rep.params)
     depth = "exact" if rep.agreement_depth is None else str(rep.agreement_depth)
     req = "-" if rep.required_depth is None else str(rep.required_depth)
-    line = f"[{rep.status:>20}] {rep.identity} {params} depth={depth} required={req}"
+    line = f"[{rep.status:>20}] {rep.identity} {_params_text(rep)} depth={depth} required={req}"
     if rep.note:
         line += f"  # {rep.note}"
     return line
 
 
+# the CSV column order
 CSV_FIELDS = [
     "identity",
     "status",
@@ -207,19 +177,5 @@ def reports_to_csv(reports) -> str:
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     for rep in reports:
-        writer.writerow(
-            {
-                "identity": rep.identity,
-                "status": rep.status,
-                "agreement_depth": rep.agreement_depth,
-                "required_depth": rep.required_depth,
-                "reference_depth": rep.reference_depth,
-                "lhs_prec": rep.lhs_prec,
-                "rhs_prec": rep.rhs_prec,
-                "params": " ".join(f"{k}={v}" for k, v in rep.params),
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "note": rep.note,
-            }
-        )
+        writer.writerow({**_row(rep), "params": _params_text(rep)})
     return buf.getvalue()

@@ -23,13 +23,19 @@ from fractions import Fraction
 from . import euler, kernels
 from .characters import DirichletCharacter, char_eval
 from .errors import ArgumentOutsideZp, ArgumentViolation, BudgetExhausted, ParseError
-from .padic import PadicContext, PadicNumber, alternating_sum, capped_power
+from .padic import PadicContext, PadicNumber, alternating_sum, capped_power, vp_int
 from .report import (
     VerificationReport,
     compare_values,
     hypothesis_violation,
 )
-from .zeta_czp import _DEFAULT_BUDGET, SeriesBudget, _coerce_exponent, zeta_czp
+from .zeta_czp import (
+    _DEFAULT_BUDGET,
+    SeriesBudget,
+    _coerce_exponent,
+    _series_terms,
+    zeta_czp,
+)
 
 __all__ = [
     "dzeta_char_dx",
@@ -70,9 +76,14 @@ def zeta_char(
 def _representation_sum(
     ctx: PadicContext, chi: DirichletCharacter, s, x, big_m: int, budget: SeriesBudget
 ) -> PadicNumber:
-    """sum_{j<M} chi(x+j) zeta(s, (x+j)/M) (-1)^j for an odd M divisible by p."""
+    """sum_{j<M} chi(x+j) zeta(s, (x+j)/M) (-1)^j for an odd M divisible by p.
+
+    Every term with chi(x+j) != 0 is a series in (x+j)/M of valuation
+    -v_p(M), so its term budget is checked before any character value.
+    """
     _check_char(ctx, chi)
     xp = _coerce_zp(ctx, x)
+    _series_terms(ctx, vp_int(big_m, ctx.p), budget)
     inv_m = 1 / ctx.from_int(big_m)
 
     def term(j: int) -> PadicNumber:

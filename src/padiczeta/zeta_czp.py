@@ -15,14 +15,16 @@ route from the exp/log evaluation used here.
 
 The coefficients C(1-s, i) w(i) do not depend on x.  For each weight w (E_i(0)
 for zeta(s, x), E_i(u) for the shifted expansion, E_{i+1}(0) for the
-integral) they are computed once per (p, internal precision, 1-s) as integer
-residues in capped-relative form, carrying the precision a running product
-of ``PadicNumber`` values would carry, and extended on demand to as many
-terms as an argument needs.  An LRU cache keeps the last ``_COEFFICIENT_SETS``
-such sets (a set is a few dozen integer triples at the default precision).
-Each x then costs one integer Horner pass in 1/x modulo the sum's absolute
-precision, which gives the same value and precision as summing the terms as
-``PadicNumber`` objects.  It is the only cache on the series path.
+integral) they are ``PadicNumber`` products, computed once per (p, internal
+precision, 1-s) by the arithmetic's own precision rules and extended on demand
+to as many terms as an argument needs.  An LRU cache keeps the last
+``_COEFFICIENT_SETS`` such sets (a set is a few dozen numbers at the default
+precision).  Each x then costs one integer Horner pass in 1/x modulo the sum's
+absolute precision, which gives the same value and precision as summing the
+terms as ``PadicNumber`` objects.  It is the only cache on the series path.
+The term count is checked against the budget before the series or the
+prefactor <x>^(1-s) does any work, so an unreachable precision is refused at
+once.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import euler, kernels
 from .errors import (
@@ -84,11 +86,11 @@ _DEFAULT_BUDGET = SeriesBudget()
 
 @dataclass(frozen=True)
 class ZetaArgumentCZp:
-    """An argument with v_p(x) <= -1, with its angle/Teichmuller parts cached."""
+    """An argument with v_p(x) <= -1; its angle and Teichmuller parts are
+    computed on first use and then kept."""
 
+    ctx: PadicContext
     value: PadicNumber
-    angle: PadicNumber
-    omega_v: PadicNumber
     exact: Fraction | None
 
     @staticmethod
@@ -101,7 +103,15 @@ class ZetaArgumentCZp:
         xp = ctx.coerce(x)
         if xp.is_zero() or xp.valuation >= 0:
             raise ArgumentInZp("argument must have negative valuation")
-        return ZetaArgumentCZp(xp, ctx.angle(xp), ctx.omega_v(xp), exact)
+        return ZetaArgumentCZp(ctx, xp, exact)
+
+    @cached_property
+    def angle(self) -> PadicNumber:
+        return self.ctx.angle(self.value)
+
+    @cached_property
+    def omega_v(self) -> PadicNumber:
+        return self.ctx.omega_v(self.value)
 
 
 def _coerce_exponent(ctx: PadicContext, s) -> PadicNumber:
@@ -111,11 +121,21 @@ def _coerce_exponent(ctx: PadicContext, s) -> PadicNumber:
     return sp
 
 
-def _tail_start(p: int, decay: int, target_total: int) -> int:
-    """Smallest i0 with i*decay - v_p(i!) >= target_total for every i >= i0."""
-    num = target_total * (p - 1) - 1
+def _series_terms(ctx: PadicContext, decay: int, budget: SeriesBudget) -> int:
+    """Terms a series with decay v_p(term i) >= i*decay - v_p(i!) needs.
+
+    That is the smallest i0 with i*decay - v_p(i!) >= target + guard for
+    every i >= i0; more than ``budget.max_terms`` raises BudgetExhausted.
+    """
+    p = ctx.p
+    num = (budget.target(ctx) + ctx.series_guard) * (p - 1) - 1
     den = decay * (p - 1) - 1
-    return max(-(-num // den), 1)
+    terms = max(-(-num // den), 1)
+    if terms > budget.max_terms:
+        raise BudgetExhausted(
+            f"series needs {terms} terms, budget allows {budget.max_terms}"
+        )
+    return terms
 
 
 # A weight (u, offset) stands for w(i) = E_{i+offset}(u).
@@ -127,30 +147,21 @@ _COEFFICIENT_SETS = 256
 class _Coefficients:
     """C(1-s, i) w(i) for i = 0, 1, ..., extended on demand.
 
-    Entry i is (valuation, unit, relprec) with the unit known modulo
-    p**relprec, (absprec, 0, 0) for a coefficient only known to vanish
-    modulo p**absprec, or None where w(i) = 0.  The running binomial obeys
-    the rules of PadicNumber arithmetic: a product keeps the smaller relprec
-    and adds valuations (absprecs, once a factor is a bounded zero),
-    1-s-i keeps the absolute precision of 1-s, and dividing by i+1 lowers
-    the valuation by v_p(i+1).
+    Every entry and the running binomial are ``PadicNumber`` products, so
+    their precision is that of the arithmetic; an entry is the exact zero
+    where w(i) = 0.
     """
 
     def __init__(self, p: int, prec: int, one_minus_s: tuple, weight: tuple):
         self.p = p
         self.prec = prec
         self.weight = weight
-        val, unit, rel = one_minus_s
-        # 1-s lies in Z_p, so val >= 0 and 1-s is an integer modulo p**absprec
-        if rel == 0:
-            self.a, self.a_abs = 0, val
-        else:
-            self.a, self.a_abs = unit * p**val, val + rel
-        self.binom = (0, 1, prec)
-        self.items: list[tuple[int, int, int] | None] = []
+        self.one_minus_s = PadicNumber(p, *one_minus_s)
+        self.binom = PadicNumber(p, 0, 1, prec)
+        self.items: list[PadicNumber] = []
         self.lock = threading.Lock()
 
-    def upto(self, n: int) -> list:
+    def upto(self, n: int) -> list[PadicNumber]:
         """The entry list, holding at least n entries (it only ever grows)."""
         if len(self.items) < n:
             with self.lock:
@@ -158,38 +169,12 @@ class _Coefficients:
                     self._extend()
         return self.items
 
-    def _weight(self, i: int) -> Fraction:
-        u, offset = self.weight
-        if u == 0:
-            return euler.euler_zero(i + offset)
-        return euler.euler_poly(i + offset, u)
-
     def _extend(self) -> None:
-        p = self.p
         i = len(self.items)
-        bv, bu, br = self.binom
-        w = self._weight(i)
-        if w == 0:
-            item = None
-        elif br == 0:
-            item = (bv + vp_fraction(w, p), 0, 0)
-        else:
-            # w is embedded at the internal precision, which bounds br
-            fw = _embed_fraction(p, w, self.prec)
-            item = (bv + fw.valuation, bu * fw.unit % p**br, br)
-        d = PadicNumber._normalize(p, 0, self.a - i, self.a_abs)  # 1-s-i
-        dv, du, dr = d.valuation, d.unit, d.relprec
-        if br == 0 or dr == 0:
-            bv, bu, br = bv + dv, 0, 0
-        else:
-            bv, br = bv + dv, min(br, dr)
-        t = vp_int(i + 1, p)
-        bv -= t
-        if br:
-            mod = p**br
-            bu = bu * du * pow((i + 1) // p**t, -1, mod) % mod
-        self.binom = (bv, bu, br)
-        self.items.append(item)
+        u, offset = self.weight
+        w = euler.euler_zero(i + offset) if u == 0 else euler.euler_poly(i + offset, u)
+        self.items.append(self.binom * _embed_fraction(self.p, w, self.prec))
+        self.binom = self.binom * (self.one_minus_s - i) / (i + 1)
 
 
 @lru_cache(maxsize=_COEFFICIENT_SETS)
@@ -214,21 +199,15 @@ def _laurent_series(
     valuation base, modulo p**(absprec - base).
     """
     p = ctx.p
-    target_total = budget.target(ctx) + ctx.series_guard
-    terms = _tail_start(p, decay, target_total)
-    if terms > budget.max_terms:
-        raise BudgetExhausted(
-            f"series needs {terms} terms, budget allows {budget.max_terms}"
-        )
+    terms = _series_terms(ctx, decay, budget)
     key = (one_minus_s.valuation, one_minus_s.unit, one_minus_s.relprec)
     items = _coefficients(p, ctx.internal_prec, key, weight).upto(terms)
     dx, rx = -x.valuation, x.relprec
     absprec = base = None
     for i in range(terms):
-        item = items[i]
-        if item is None:
+        v, r = items[i].valuation, items[i].relprec
+        if r is None:
             continue
-        v, _, r = item
         if r == 0:
             a = v + i * dx
         else:
@@ -246,9 +225,9 @@ def _laurent_series(
     acc = 0
     for i in range(terms - 1, -1, -1):
         acc *= y
-        item = items[i]
-        if item is not None and item[2]:
-            acc += item[1] * p ** (item[0] - base)
+        c = items[i]
+        if c.relprec:
+            acc += c.unit * p ** (c.valuation - base)
         acc %= mod
     return PadicNumber._normalize(p, base, acc, absprec)
 
@@ -257,10 +236,10 @@ def zeta_czp(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) ->
     """zeta(s, x) for v_p(x) <= -1 via the Laurent expansion."""
     arg = ZetaArgumentCZp.build(ctx, x)
     one_minus_s = ctx.one() - _coerce_exponent(ctx, s)
-    prefactor = ctx.unit_power(arg.angle, one_minus_s)
     series = _laurent_series(
         ctx, one_minus_s, arg.value, _EULER_ZERO, -arg.value.valuation, budget
     )
+    prefactor = ctx.unit_power(arg.angle, one_minus_s)
     return (prefactor * series).cap_absprec(budget.target(ctx))
 
 
@@ -324,11 +303,10 @@ def zeta_shifted(
     vu = vp_fraction(u, ctx.p)
     if arg.value.valuation - vu >= 0:
         raise ShiftConditionViolated("need v_p(x) < v_p(u)")
-    sp = _coerce_exponent(ctx, s)
-    one_minus_s = ctx.one() - sp
-    prefactor = ctx.unit_power(arg.angle, one_minus_s)
+    one_minus_s = ctx.one() - _coerce_exponent(ctx, s)
     decay = -arg.value.valuation + min(0, vu)
     series = _laurent_series(ctx, one_minus_s, arg.value, (u, 0), decay, budget)
+    prefactor = ctx.unit_power(arg.angle, one_minus_s)
     return (prefactor * series).cap_absprec(budget.target(ctx))
 
 
@@ -397,12 +375,12 @@ def integral_of_zeta(
     arg = ZetaArgumentCZp.build(ctx, x)
     sp = _coerce_exponent(ctx, s)
     one_minus_s = ctx.one() - sp
-    prefactor = ctx.unit_power(arg.angle, one_minus_s)
     tail = _laurent_series(
         ctx, one_minus_s, arg.value, _EULER_NEXT, -arg.value.valuation, budget
     )
-    value = 2 * zeta_czp(ctx, sp, arg, budget) + 2 * prefactor * tail
-    return value.cap_absprec(budget.target(ctx))
+    plain = zeta_czp(ctx, sp, arg, budget)
+    prefactor = ctx.unit_power(arg.angle, one_minus_s)
+    return (2 * plain + 2 * prefactor * tail).cap_absprec(budget.target(ctx))
 
 
 def integral_of_zeta_oracle(

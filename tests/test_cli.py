@@ -133,6 +133,26 @@ class TestCompute:
         assert digest == "b3126040f16d8010bb8f64609b1d452dfa26d9da9b1502ead23b6ab36a939e2a"
         assert elapsed < 5, elapsed
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            # the term budget is checked before any Teichmuller or log/exp work
+            (["--prec", "100000", "zeta-czp", "--s", "1/2", "--x", "2/3"], "BudgetExhausted"),
+            (["--prec", "100000", "zeta-char", "--char", "1:1", "--s", "2", "--x", "2"],
+             "BudgetExhausted"),
+            # p**100000008 is never built: the context refuses its size
+            (["--prec", "100000000", "zeta-czp", "--s", "1/2", "--x", "2/3"], "InvalidArgument"),
+        ],
+    )
+    def test_huge_precision_refused_fast(self, args, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "padiczeta.cli", "compute", "--p", "3", *args],
+            capture_output=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert json.loads(proc.stderr)["error"]["code"] == code
+
     def test_large_character_modulus_prints_the_v_one_value(self, capsys):
         # zeta_char sums over p residues whatever v is, so a modulus of 3^13
         # or 3^1000000 costs what 3^1 does and gives the same bytes
@@ -205,6 +225,23 @@ class TestVerifyCommand:
             "raabe-char",
             "change-of-variable",
         ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_csv_and_text_bytes_pinned(self, tmp_path, fmt):
+        # exact, p-adic, oracle and informational reports in the two layouts
+        # that JSON does not pin
+        path = tmp_path / f"verify.{fmt}"
+        argv = [
+            "verify", "--p", "5", "--prec", "12", "--oracle-depth", "3", "--seed", "7",
+            "--report-both-forms", "--identity", "euler-exact,special-pos,raabe-czp,char-suite",
+            "--format", fmt, "-o", str(path),
+        ]
+        assert main(argv) == 0
+        pinned = {
+            "csv": "925fc23a9e31eb79be7794a7f984dc8643e0184539a7c5d2efecd0967d6bb4fb",
+            "text": "9d7c2f240cedeb2157d02d66b20924f3b9dcbbed8f521778d3c581398d0e5fbe",
+        }
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[fmt]
 
     def test_huge_oracle_depth_refused_fast(self, capsys):
         # 3^10000000 terms: the exponent is checked before p^N is built

@@ -18,6 +18,7 @@ from padiczeta.errors import (
 )
 from padiczeta.padic import (
     EVALUATION_CAP,
+    MAX_MODULUS_BITS,
     PadicContext,
     PadicNumber,
     agreement_depth,
@@ -30,6 +31,24 @@ from padiczeta.padic import (
 )
 
 from conftest import random_unit_fraction
+
+
+class TestContextBound:
+    def test_modulus_size_bound(self):
+        # the largest internal precision whose p**internal_prec fits the bound
+        for p in (3, 7, 10007):
+            top = int(MAX_MODULUS_BITS / math.log2(p))
+            assert PadicContext(p, top - 8).internal_prec == top
+            with pytest.raises(ValueError):
+                PadicContext(p, top - 7)
+            with pytest.raises(ValueError):
+                PadicContext(p, 1, top)
+        PadicContext(3, 2000)
+
+    def test_huge_precision_refused_before_the_modulus_is_built(self):
+        # 3**(10**18) would not fit in memory
+        with pytest.raises(ValueError):
+            PadicContext(3, 10**18)
 
 
 class TestEmbedding:

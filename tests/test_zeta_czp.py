@@ -1,7 +1,10 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from padiczeta import padic
+from padiczeta.characters import DirichletCharacter
 from padiczeta.errors import (
     ArgumentInZp,
     BudgetExhausted,
@@ -25,6 +28,7 @@ from padiczeta.zeta_czp import (
     zeta_special_neg,
     zeta_special_pos,
 )
+from padiczeta.zeta_char import zeta_char
 
 
 class TestValueAtOne:
@@ -113,6 +117,33 @@ class TestDomainErrors:
     def test_budget_exhausted(self, ctx5):
         with pytest.raises(BudgetExhausted):
             zeta_czp(ctx5, 2, Fraction(1, 5), SeriesBudget(max_terms=3))
+
+    def test_budget_checked_before_teichmuller(self, monkeypatch):
+        # a precision no other test uses, so no Teichmuller digit is cached
+        ctx = PadicContext(5, 41)
+
+        def refuse(*args):
+            raise AssertionError("Teichmuller digit computed before the budget check")
+
+        monkeypatch.setattr(padic, "_teichmuller_digit", refuse)
+        budget = SeriesBudget(max_terms=3)
+        calls = [
+            lambda: zeta_czp(ctx, Fraction(1, 2), Fraction(2, 5), budget),
+            lambda: zeta_shifted(ctx, Fraction(1, 2), Fraction(2, 25), Fraction(1, 5), budget),
+            lambda: integral_of_zeta(ctx, Fraction(1, 2), Fraction(2, 5), budget),
+            lambda: zeta_char(ctx, DirichletCharacter(5, 1, 1), 2, 2, budget),
+        ]
+        for call in calls:
+            with pytest.raises(BudgetExhausted):
+                call()
+
+
+def test_module_paths_name_modules():
+    import padiczeta.zeta_char as char_module
+    import padiczeta.zeta_czp as czp_module
+
+    assert isinstance(czp_module, types.ModuleType) and callable(czp_module.zeta_czp)
+    assert isinstance(char_module, types.ModuleType) and callable(char_module.zeta_char)
 
 
 class TestShiftedExpansion:
