@@ -379,7 +379,7 @@ class PadicNumber:
         return f"PadicNumber({render(self)})"
 
 
-def _embed_fraction(p: int, q: Fraction, relprec: int) -> PadicNumber:
+def _embed_fraction(p: int, q: int | Fraction, relprec: int) -> PadicNumber:
     if q == 0:
         return PadicNumber.exact_zero(p)
     vn = vp_int(q.numerator, p)
@@ -387,8 +387,9 @@ def _embed_fraction(p: int, q: Fraction, relprec: int) -> PadicNumber:
     mod = p**relprec
     num_unit = q.numerator // p**vn
     den_unit = q.denominator // p**vd
-    unit = (num_unit * pow(den_unit, -1, mod)) % mod
-    return PadicNumber(p, vn - vd, unit, relprec)
+    if den_unit != 1:
+        num_unit *= pow(den_unit, -1, mod)
+    return PadicNumber(p, vn - vd, num_unit % mod, relprec)
 
 
 def agreement_depth(a: PadicNumber, b: PadicNumber) -> int | float:
@@ -548,14 +549,16 @@ class PadicContext:
 
     def from_fraction(self, q, relprec: int | None = None) -> PadicNumber:
         """Image of a rational in Q_p at relprec digits (default internal)."""
-        q = Fraction(q)
+        # an int has .numerator and .denominator, so it is embedded as it is
+        if not isinstance(q, int):
+            q = Fraction(q)
         r = self.internal_prec if relprec is None else relprec
         if q != 0 and r < 1:
             raise ValueError("relprec must be >= 1")
         return _embed_fraction(self.p, q, r)
 
     def from_int(self, n: int, relprec: int | None = None) -> PadicNumber:
-        return self.from_fraction(Fraction(n), relprec)
+        return self.from_fraction(n, relprec)
 
     def coerce(self, value) -> PadicNumber:
         if isinstance(value, PadicNumber):

@@ -84,6 +84,7 @@ def _representation_sum(
     _check_char(ctx, chi)
     xp = _coerce_zp(ctx, x)
     _series_terms(ctx, vp_int(big_m, ctx.p), budget)
+    s = _coerce_exponent(ctx, s)
     inv_m = 1 / ctx.from_int(big_m)
 
     def term(j: int) -> PadicNumber:

@@ -21,10 +21,23 @@ to as many terms as an argument needs.  An LRU cache keeps the last
 ``_COEFFICIENT_SETS`` such sets (a set is a few dozen numbers at the default
 precision).  Each x then costs one integer Horner pass in 1/x modulo the sum's
 absolute precision, which gives the same value and precision as summing the
-terms as ``PadicNumber`` objects.  It is the only cache on the series path.
+terms as ``PadicNumber`` objects.
+
+The identities ask for the same zeta(s, y) again and again (a representation
+sum, its shifts and its twists at one s), so ``zeta_czp`` keeps its values in
+a second LRU cache of ``_ZETA_VALUES`` entries.  Its key is the whole context
+(``workprec`` sets the cap, ``series_guard`` the term count), the
+(valuation, unit, relprec) triples of 1-s and x, and the budget.  An entry
+holds those two residues and a value capped at the budget's target: a few
+hundred bytes at 16 digits, and at most three numbers of
+``padic.MAX_MODULUS_BITS`` bits (plus any longer x a caller passes), less
+than one coefficient set at the same precision.  Callers share a cached
+value, which is safe because a ``PadicNumber`` is never changed in place.
+These are the two caches on the series path.
+
 The term count is checked against the budget before the series or the
 prefactor <x>^(1-s) does any work, so an unreachable precision is refused at
-once.
+once; a refusal is never cached, so it is raised on every call.
 """
 
 from __future__ import annotations
@@ -142,6 +155,7 @@ def _series_terms(ctx: PadicContext, decay: int, budget: SeriesBudget) -> int:
 _EULER_ZERO = (Fraction(0), 0)
 _EULER_NEXT = (Fraction(0), 1)
 _COEFFICIENT_SETS = 256
+_ZETA_VALUES = 1024
 
 
 class _Coefficients:
@@ -234,12 +248,25 @@ def _laurent_series(
 
 def zeta_czp(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) -> PadicNumber:
     """zeta(s, x) for v_p(x) <= -1 via the Laurent expansion."""
-    arg = ZetaArgumentCZp.build(ctx, x)
+    xp = ZetaArgumentCZp.build(ctx, x).value
     one_minus_s = ctx.one() - _coerce_exponent(ctx, s)
-    series = _laurent_series(
-        ctx, one_minus_s, arg.value, _EULER_ZERO, -arg.value.valuation, budget
+    return _zeta_value(
+        ctx,
+        (one_minus_s.valuation, one_minus_s.unit, one_minus_s.relprec),
+        (xp.valuation, xp.unit, xp.relprec),
+        budget,
     )
-    prefactor = ctx.unit_power(arg.angle, one_minus_s)
+
+
+@lru_cache(maxsize=_ZETA_VALUES)
+def _zeta_value(
+    ctx: PadicContext, one_minus_s: tuple, x: tuple, budget: SeriesBudget
+) -> PadicNumber:
+    """zeta(s, x) from the (valuation, unit, relprec) triples of 1-s and x."""
+    one_minus_s = PadicNumber(ctx.p, *one_minus_s)
+    x = PadicNumber(ctx.p, *x)
+    series = _laurent_series(ctx, one_minus_s, x, _EULER_ZERO, -x.valuation, budget)
+    prefactor = ctx.unit_power(ctx.angle(x), one_minus_s)
     return (prefactor * series).cap_absprec(budget.target(ctx))
 
 

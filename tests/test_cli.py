@@ -16,6 +16,7 @@ from padiczeta.report import (
     reports_to_csv,
 )
 from padiczeta.verify import VerifyConfig
+from padiczeta.zeta_czp import _zeta_value
 
 
 def run_cli(args, capsys):
@@ -242,6 +243,27 @@ class TestVerifyCommand:
             "text": "9d7c2f240cedeb2157d02d66b20924f3b9dcbbed8f521778d3c581398d0e5fbe",
         }
         assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[fmt]
+
+    def test_cold_and_warm_value_cache_bytes(self, tmp_path):
+        # the second run reads every series value from the first run's cache
+        argv = [
+            "verify", "--p", "5", "--prec", "12", "--oracle-depth", "3", "--seed", "7",
+            "--format", "json", "--identity",
+            "char-suite,raabe-char,representation-char,power-series-char,derivative-char",
+        ]
+        _zeta_value.cache_clear()
+        outputs = []
+        for run in ("cold", "warm"):
+            path = tmp_path / f"{run}.jsonl"
+            assert main(argv + ["-o", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert (
+            hashlib.sha256(outputs[0]).hexdigest()
+            == "c6338a8fc16a96a4f848af4a8acb7ff2faae24b5f2e8bcc7990a187cce7916e7"
+        )
+        info = _zeta_value.cache_info()
+        assert info.hits > info.misses
 
     def test_huge_oracle_depth_refused_fast(self, capsys):
         # 3^10000000 terms: the exponent is checked before p^N is built

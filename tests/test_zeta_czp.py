@@ -3,6 +3,9 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from padiczeta import padic
 from padiczeta.characters import DirichletCharacter
 from padiczeta.errors import (
@@ -12,10 +15,11 @@ from padiczeta.errors import (
     ExponentOutsideDomain,
     ShiftConditionViolated,
 )
-from padiczeta.padic import PadicContext, agreement_depth
+from padiczeta.padic import PadicContext, agreement_depth, render
 from padiczeta.zeta_czp import (
     SeriesBudget,
     ZetaArgumentCZp,
+    _zeta_value,
     distribution_czp,
     dzeta_dx,
     integral_of_zeta,
@@ -290,3 +294,107 @@ class TestPrecisionContract:
                 a = zeta_czp(lo, s, x)
                 b = zeta_czp(hi, s, x)
                 assert agreement_depth(a, b) >= a.absprec
+
+
+class TestValueCache:
+    def test_key_is_the_whole_context(self):
+        # the same internal precision, but workprec caps the value differently
+        x = Fraction(2, 3)
+        a = zeta_czp(PadicContext(3, 16, 8), Fraction(1, 2), x)
+        b = zeta_czp(PadicContext(3, 20, 4), Fraction(1, 2), x)
+        assert (a.absprec, b.absprec) == (16, 20)
+
+    def test_budget_targets_are_separate_entries(self, ctx5):
+        _zeta_value.cache_clear()
+        x = Fraction(3, 25)
+        low = zeta_czp(ctx5, 2, x, SeriesBudget(target_prec=10))
+        high = zeta_czp(ctx5, 2, x, SeriesBudget(target_prec=12))
+        assert (low.absprec, high.absprec) == (10, 12)
+        assert _zeta_value.cache_info().misses == 2
+        assert agreement_depth(low, high) >= 10
+
+    def test_fraction_and_equal_padic_share_an_entry(self, ctx5):
+        _zeta_value.cache_clear()
+        x = Fraction(7, 5)
+        a = zeta_czp(ctx5, 3, x)
+        b = zeta_czp(ctx5, 3, ctx5.from_fraction(x))
+        info = _zeta_value.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert render(a) == render(b)
+
+    def test_warm_value_equals_cold(self, ctx7):
+        s, x = Fraction(1, 3), Fraction(10, 49)
+        _zeta_value.cache_clear()
+        cold = zeta_czp(ctx7, s, x)
+        warm = zeta_czp(ctx7, s, x)
+        assert _zeta_value.cache_info().hits == 1
+        assert (render(warm), warm.absprec) == (render(cold), cold.absprec)
+
+    def test_refusal_after_a_larger_budget_succeeded(self, ctx5):
+        x = Fraction(4, 5)
+        zeta_czp(ctx5, 2, x)
+        with pytest.raises(BudgetExhausted):
+            zeta_czp(ctx5, 2, x, SeriesBudget(max_terms=3))
+
+
+def _digit_literal(valuation, digits):
+    return f"{valuation}:{','.join(map(str, digits))}"
+
+
+def _lift(p, valuation, digits, tail):
+    """The rational p**valuation * (known digits + p**len(digits) * tail)."""
+    mantissa = sum(d * p**i for i, d in enumerate(digits)) + tail * p ** len(digits)
+    return Fraction(mantissa) * Fraction(p) ** valuation
+
+
+class TestPrecisionContractUnderLifts:
+    """Every digit a value claims holds for every lift of its inputs' unknown
+    digits.  The value cache keys on (valuation, unit, relprec), so the
+    limited inputs and each exact lift are separate entries."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_zeta_czp(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        ctx = PadicContext(p, 10)
+        digit = st.integers(0, p - 1)
+        vx = data.draw(st.integers(-2, -1))
+        x_digits = [data.draw(st.integers(1, p - 1))] + data.draw(
+            st.lists(digit, min_size=1, max_size=6)
+        )
+        s_digits = data.draw(st.lists(digit, min_size=1, max_size=8))
+        x = ctx.parse_value(_digit_literal(vx, x_digits))
+        s = ctx.parse_value(_digit_literal(0, s_digits))
+        _zeta_value.cache_clear()
+        value = zeta_czp(ctx, s, x)
+        _zeta_value.cache_clear()
+        # the zero tails come first: same units as the limited inputs, more digits
+        tails = [(0, 0)] + [
+            (data.draw(st.integers(0, p**12)), data.draw(st.integers(0, p**12)))
+            for _ in range(3)
+        ]
+        for tx, ts in tails:
+            x_lift = _lift(p, vx, x_digits, tx)
+            s_lift = _lift(p, 0, s_digits, ts)
+            assert agreement_depth(value, zeta_czp(ctx, s_lift, x_lift)) >= value.absprec
+        again = zeta_czp(ctx, s, x)
+        assert (render(again), again.absprec) == (render(value), value.absprec)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_zeta_char(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        ctx = PadicContext(p, 10)
+        chi = DirichletCharacter(p, data.draw(st.integers(1, 2)), data.draw(st.integers(0, p - 2)))
+        digit = st.integers(0, p - 1)
+        x_digits = data.draw(st.lists(digit, min_size=2, max_size=7))
+        s_digits = data.draw(st.lists(digit, min_size=1, max_size=8))
+        x = ctx.parse_value(_digit_literal(0, x_digits))
+        s = ctx.parse_value(_digit_literal(0, s_digits))
+        value = zeta_char(ctx, chi, s, x)
+        tails = st.integers(0, p**12)
+        for _ in range(2):
+            x_lift = _lift(p, 0, x_digits, data.draw(tails))
+            s_lift = _lift(p, 0, s_digits, data.draw(tails))
+            lifted = zeta_char(ctx, chi, s_lift, x_lift)
+            assert agreement_depth(value, lifted) >= value.absprec
