@@ -245,7 +245,6 @@ def functional_reflection_distribution(
     x: int,
     n_parts: int,
     budget: SeriesBudget = _DEFAULT_BUDGET,
-    slack: int = 0,
 ) -> list[VerificationReport]:
     """Reports for the functional equation, reflection, positive-integer
     values, and distribution identity at one (chi, s, x, N) gridpoint.
@@ -263,15 +262,13 @@ def functional_reflection_distribution(
         rhs = ctx.exact_zero()
     else:
         rhs = 2 * cv * ctx.angle_power(ctx.from_int(x), ctx.one() - sp)
-    reports.append(
-        compare_values("functional-char", base, lhs, rhs, slack=slack)
-    )
+    reports.append(compare_values("functional-char", base, lhs, rhs))
 
     lhs = zeta_char(ctx, chi, sp, 1 - x, budget)
     rhs = zeta_char(ctx, chi, sp, x, budget)
     if not chi.is_even:
         rhs = -rhs
-    reports.append(compare_values("reflection-char", dict(base), lhs, rhs, slack=slack))
+    reports.append(compare_values("reflection-char", dict(base), lhs, rhs))
 
     for n in (1, 2, 3):
         lhs = zeta_char(ctx, chi, sp, n, budget)
@@ -284,11 +281,7 @@ def functional_reflection_distribution(
             term = 2 * ctx.angle_power(ctx.from_int(j - n), ctx.one() - sp) * cv
             inner = inner + (-1) ** (j + 1) * term
         rhs = chi_minus_one(ctx, chi) * inner
-        reports.append(
-            compare_values(
-                "positive-n-char", {**base, "n": n}, lhs, rhs, slack=slack
-            )
-        )
+        reports.append(compare_values("positive-n-char", {**base, "n": n}, lhs, rhs))
 
     if n_parts % 2 == 0 or n_parts % ctx.p == 0:
         reports.append(
@@ -304,11 +297,9 @@ def functional_reflection_distribution(
         )
         chi_n = char_eval(ctx, chi, ctx.from_int(n_parts))
         stated = zeta_char(ctx, chi, sp, n_parts * x, budget) / chi_n
-        scale = ctx.unit_power(ctx.angle(ctx.from_int(n_parts)), sp - ctx.one())
+        scale = ctx.angle_power(n_parts, sp - ctx.one())
         reports.append(
-            compare_values(
-                "distribution-char", {**base, "N": n_parts}, lhs, scale * stated, slack=slack
-            )
+            compare_values("distribution-char", {**base, "N": n_parts}, lhs, scale * stated)
         )
         reports.append(
             compare_values(
@@ -353,5 +344,5 @@ def representation_pair(
     big = _representation_sum(ctx, chi, sp, x, big_m, budget)
     canonical = zeta_char(ctx, chi, sp, x, budget)
     if factor > 1:
-        canonical = ctx.unit_power(ctx.angle(ctx.from_int(factor)), sp - ctx.one()) * canonical
+        canonical = ctx.angle_power(factor, sp - ctx.one()) * canonical
     return big, canonical

@@ -15,25 +15,29 @@ route from the exp/log evaluation used here.
 
 The coefficients C(1-s, i) w(i) do not depend on x.  For each weight w (E_i(0)
 for zeta(s, x), E_i(u) for the shifted expansion, E_{i+1}(0) for the
-integral) they are ``PadicNumber`` products, computed once per (p, internal
-precision, 1-s) by the arithmetic's own precision rules and extended on demand
-to as many terms as an argument needs.  An LRU cache keeps the last
-``_COEFFICIENT_SETS`` such sets (a set is a few dozen numbers at the default
-precision).  Each x then costs one integer Horner pass in 1/x modulo the sum's
-absolute precision, which gives the same value and precision as summing the
-terms as ``PadicNumber`` objects.
+integral) they are ``PadicNumber`` products, computed by the arithmetic's own
+precision rules as an immutable tuple per (p, internal precision, 1-s, weight,
+term count).  An LRU cache keeps the last ``_COEFFICIENT_SETS`` such tuples (a
+tuple is a few dozen numbers at the default precision); a set is never
+extended, a larger term count is a new entry.  Each x then costs one integer
+Horner pass in 1/x modulo the sum's absolute precision, which gives the same
+value and precision as summing the terms as ``PadicNumber`` objects.
 
 The identities ask for the same zeta(s, y) again and again (a representation
-sum, its shifts and its twists at one s), so ``zeta_czp`` keeps its values in
-a second LRU cache of ``_ZETA_VALUES`` entries.  Its key is the whole context
-(``workprec`` sets the cap, ``series_guard`` the term count), the
-(valuation, unit, relprec) triples of 1-s and x, and the budget.  An entry
-holds those two residues and a value capped at the budget's target: a few
-hundred bytes at 16 digits, and at most three numbers of
-``padic.MAX_MODULUS_BITS`` bits (plus any longer x a caller passes), less
-than one coefficient set at the same precision.  Callers share a cached
-value, which is safe because a ``PadicNumber`` is never changed in place.
-These are the two caches on the series path.
+sum, its shifts and its twists at one s), so the whole expansion
+<x>^(1-s) sum_i C(1-s, i) w(i) x^(-i) is kept in a second LRU cache of
+``_ZETA_VALUES`` entries.  ``zeta_czp`` (w = E_i(0)), ``zeta_shifted`` (E_i(u);
+at u = 0 the entry of ``zeta_czp``) and the two halves of
+``integral_of_zeta`` (E_i(0) and E_{i+1}(0)) each read it.  Its key is the
+whole context (``workprec`` sets the cap, ``series_guard`` the term count), the
+(valuation, unit, relprec) triples of s and x, the weight and the budget, so a
+hit does no p-adic arithmetic.  An entry holds those two residues and a value
+capped at the budget's target: a few hundred bytes at 16 digits, and at most
+three numbers of ``padic.MAX_MODULUS_BITS`` bits (plus any longer x a caller
+passes), less than one coefficient set at the same precision.  Callers share
+a cached value, which is safe because a ``PadicNumber`` is never changed in
+place.  Neither cache holds anything that changes, so neither needs a lock: two
+threads that miss the same key at once build equal values and one is kept.
 
 The term count is checked against the budget before the series or the
 prefactor <x>^(1-s) does any work, so an unreachable precision is refused at
@@ -42,7 +46,6 @@ once; a refusal is never cached, so it is raised on every call.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -158,42 +161,29 @@ _COEFFICIENT_SETS = 256
 _ZETA_VALUES = 1024
 
 
-class _Coefficients:
-    """C(1-s, i) w(i) for i = 0, 1, ..., extended on demand.
+def _triple(value: PadicNumber) -> tuple:
+    return value.valuation, value.unit, value.relprec
+
+
+@lru_cache(maxsize=_COEFFICIENT_SETS)
+def _coefficients(
+    p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: int
+) -> tuple[PadicNumber, ...]:
+    """C(1-s, i) w(i) for i < terms, from the triple of 1-s.
 
     Every entry and the running binomial are ``PadicNumber`` products, so
     their precision is that of the arithmetic; an entry is the exact zero
     where w(i) = 0.
     """
-
-    def __init__(self, p: int, prec: int, one_minus_s: tuple, weight: tuple):
-        self.p = p
-        self.prec = prec
-        self.weight = weight
-        self.one_minus_s = PadicNumber(p, *one_minus_s)
-        self.binom = PadicNumber(p, 0, 1, prec)
-        self.items: list[PadicNumber] = []
-        self.lock = threading.Lock()
-
-    def upto(self, n: int) -> list[PadicNumber]:
-        """The entry list, holding at least n entries (it only ever grows)."""
-        if len(self.items) < n:
-            with self.lock:
-                while len(self.items) < n:
-                    self._extend()
-        return self.items
-
-    def _extend(self) -> None:
-        i = len(self.items)
-        u, offset = self.weight
+    u, offset = weight
+    one_minus_s = PadicNumber(p, *one_minus_s)
+    binom = PadicNumber(p, 0, 1, prec)
+    items = []
+    for i in range(terms):
         w = euler.euler_zero(i + offset) if u == 0 else euler.euler_poly(i + offset, u)
-        self.items.append(self.binom * _embed_fraction(self.p, w, self.prec))
-        self.binom = self.binom * (self.one_minus_s - i) / (i + 1)
-
-
-@lru_cache(maxsize=_COEFFICIENT_SETS)
-def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple) -> _Coefficients:
-    return _Coefficients(p, prec, one_minus_s, weight)
+        items.append(binom * _embed_fraction(p, w, prec))
+        binom = binom * (one_minus_s - i) / (i + 1)
+    return tuple(items)
 
 
 def _laurent_series(
@@ -214,8 +204,7 @@ def _laurent_series(
     """
     p = ctx.p
     terms = _series_terms(ctx, decay, budget)
-    key = (one_minus_s.valuation, one_minus_s.unit, one_minus_s.relprec)
-    items = _coefficients(p, ctx.internal_prec, key, weight).upto(terms)
+    items = _coefficients(p, ctx.internal_prec, _triple(one_minus_s), weight, terms)
     dx, rx = -x.valuation, x.relprec
     absprec = base = None
     for i in range(terms):
@@ -246,28 +235,31 @@ def _laurent_series(
     return PadicNumber._normalize(p, base, acc, absprec)
 
 
-def zeta_czp(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) -> PadicNumber:
-    """zeta(s, x) for v_p(x) <= -1 via the Laurent expansion."""
-    xp = ZetaArgumentCZp.build(ctx, x).value
-    one_minus_s = ctx.one() - _coerce_exponent(ctx, s)
-    return _zeta_value(
-        ctx,
-        (one_minus_s.valuation, one_minus_s.unit, one_minus_s.relprec),
-        (xp.valuation, xp.unit, xp.relprec),
-        budget,
-    )
-
-
 @lru_cache(maxsize=_ZETA_VALUES)
 def _zeta_value(
-    ctx: PadicContext, one_minus_s: tuple, x: tuple, budget: SeriesBudget
+    ctx: PadicContext, s: tuple, x: tuple, weight: tuple, budget: SeriesBudget
 ) -> PadicNumber:
-    """zeta(s, x) from the (valuation, unit, relprec) triples of 1-s and x."""
-    one_minus_s = PadicNumber(ctx.p, *one_minus_s)
+    """<x>^(1-s) sum_i C(1-s, i) w(i) x^(-i), capped at the budget's target,
+    from the (valuation, unit, relprec) triples of s and x."""
+    one_minus_s = ctx.one() - PadicNumber(ctx.p, *s)
     x = PadicNumber(ctx.p, *x)
-    series = _laurent_series(ctx, one_minus_s, x, _EULER_ZERO, -x.valuation, budget)
-    prefactor = ctx.unit_power(ctx.angle(x), one_minus_s)
+    u = weight[0]
+    decay = -x.valuation + (min(0, vp_fraction(u, ctx.p)) if u else 0)
+    series = _laurent_series(ctx, one_minus_s, x, weight, decay, budget)
+    prefactor = ctx.angle_power(x, one_minus_s)
     return (prefactor * series).cap_absprec(budget.target(ctx))
+
+
+def _expansion(
+    ctx: PadicContext, s, arg: ZetaArgumentCZp, weight: tuple, budget: SeriesBudget
+) -> PadicNumber:
+    sp = _coerce_exponent(ctx, s)
+    return _zeta_value(ctx, _triple(sp), _triple(arg.value), weight, budget)
+
+
+def zeta_czp(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) -> PadicNumber:
+    """zeta(s, x) for v_p(x) <= -1 via the Laurent expansion."""
+    return _expansion(ctx, s, ZetaArgumentCZp.build(ctx, x), _EULER_ZERO, budget)
 
 
 def zeta_czp_oracle(ctx: PadicContext, s, x: Fraction, depth: int) -> PadicNumber:
@@ -325,16 +317,9 @@ def zeta_shifted(
     """
     u = Fraction(u)
     arg = ZetaArgumentCZp.build(ctx, x)
-    if u == 0:
-        return zeta_czp(ctx, s, arg, budget)
-    vu = vp_fraction(u, ctx.p)
-    if arg.value.valuation - vu >= 0:
+    if u != 0 and arg.value.valuation >= vp_fraction(u, ctx.p):
         raise ShiftConditionViolated("need v_p(x) < v_p(u)")
-    one_minus_s = ctx.one() - _coerce_exponent(ctx, s)
-    decay = -arg.value.valuation + min(0, vu)
-    series = _laurent_series(ctx, one_minus_s, arg.value, (u, 0), decay, budget)
-    prefactor = ctx.unit_power(arg.angle, one_minus_s)
-    return (prefactor * series).cap_absprec(budget.target(ctx))
+    return _expansion(ctx, s, arg, (u, 0), budget)
 
 
 def dzeta_dx(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) -> PadicNumber:
@@ -387,8 +372,7 @@ def distribution_czp(
         ctx, n_parts, lambda j: zeta_czp(ctx, sp, x + Fraction(j, n_parts), budget)
     )
     plain = zeta_czp(ctx, sp, n_parts * x, budget)
-    factor = ctx.unit_power(ctx.angle(ctx.from_int(n_parts)), sp - ctx.one())
-    return lhs, factor * plain
+    return lhs, ctx.angle_power(n_parts, sp - ctx.one()) * plain
 
 
 def integral_of_zeta(
@@ -400,14 +384,9 @@ def integral_of_zeta(
         2 zeta(s,x) + 2 <x>^(1-s) sum_i C(1-s,i) E_{i+1}(0) x^(-i).
     """
     arg = ZetaArgumentCZp.build(ctx, x)
-    sp = _coerce_exponent(ctx, s)
-    one_minus_s = ctx.one() - sp
-    tail = _laurent_series(
-        ctx, one_minus_s, arg.value, _EULER_NEXT, -arg.value.valuation, budget
-    )
-    plain = zeta_czp(ctx, sp, arg, budget)
-    prefactor = ctx.unit_power(arg.angle, one_minus_s)
-    return (2 * plain + 2 * prefactor * tail).cap_absprec(budget.target(ctx))
+    plain = _expansion(ctx, s, arg, _EULER_ZERO, budget)
+    tail = _expansion(ctx, s, arg, _EULER_NEXT, budget)
+    return (2 * plain + 2 * tail).cap_absprec(budget.target(ctx))
 
 
 def integral_of_zeta_oracle(

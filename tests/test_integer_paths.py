@@ -104,7 +104,8 @@ def test_laurent_series_bytes(p):
     budget = SeriesBudget(target_prec=8)
     for s in _exponents(ctx, rng):
         one_minus_s = ctx.one() - ctx.coerce(s)
-        # largest |v_p(x)| first, so later arguments extend cached coefficients
+        # largest |v_p(x)| first: later arguments need more terms, and so
+        # coefficient sets of their own
         for k in (3, 2, 1):
             for x in _arguments(ctx, rng, k):
                 u = Fraction(_coprime(rng, p, 50), p ** (k - 1))
@@ -179,7 +180,8 @@ def test_concurrent_extension_of_shared_coefficients():
     def work(index, order):
         try:
             for x in order:
-                # integral_of_zeta is not memoised: each call reads the set
+                # integral_of_zeta reads two memoised expansions; threads that
+                # miss the same one at once build the same coefficient set
                 results[(index, x)] = _outcome(integral_of_zeta, ctx, s, x)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)

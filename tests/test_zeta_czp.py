@@ -336,6 +336,38 @@ class TestValueCache:
         with pytest.raises(BudgetExhausted):
             zeta_czp(ctx5, 2, x, SeriesBudget(max_terms=3))
 
+    def test_warm_hit_does_no_padic_addition(self, ctx5, monkeypatch):
+        # the key is s's own triple, so 1-s is formed only on a miss
+        s, x = Fraction(3, 7), Fraction(6, 25)
+        zeta_czp(ctx5, s, x)
+        calls = []
+
+        def counting(name):
+            original = getattr(padic.PadicNumber, name)
+
+            def wrapper(self, other):
+                calls.append(name)
+                return original(self, other)
+
+            return wrapper
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+            monkeypatch.setattr(padic.PadicNumber, name, counting(name))
+        hits = _zeta_value.cache_info().hits
+        zeta_czp(ctx5, s, x)
+        zeta_czp(ctx5, ctx5.coerce(s), ctx5.coerce(x))
+        assert _zeta_value.cache_info().hits == hits + 2
+        assert calls == []
+
+    def test_shifted_at_zero_shares_the_zeta_czp_entry(self, ctx7):
+        s, x = Fraction(5, 4), Fraction(3, 49)
+        _zeta_value.cache_clear()
+        plain = zeta_czp(ctx7, s, x)
+        shifted = zeta_shifted(ctx7, s, x, 0)
+        info = _zeta_value.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert shifted is plain
+
 
 def _digit_literal(valuation, digits):
     return f"{valuation}:{','.join(map(str, digits))}"
@@ -379,6 +411,51 @@ class TestPrecisionContractUnderLifts:
             assert agreement_depth(value, zeta_czp(ctx, s_lift, x_lift)) >= value.absprec
         again = zeta_czp(ctx, s, x)
         assert (render(again), again.absprec) == (render(value), value.absprec)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_zeta_shifted(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        ctx = PadicContext(p, 10)
+        digit = st.integers(0, p - 1)
+        vx = data.draw(st.integers(-2, -1))
+        x_digits = [data.draw(st.integers(1, p - 1))] + data.draw(
+            st.lists(digit, min_size=1, max_size=6)
+        )
+        s_digits = data.draw(st.lists(digit, min_size=1, max_size=8))
+        # an exact shift u != 0 with v_p(x) < v_p(u) <= 1
+        vu = data.draw(st.integers(vx + 1, 1))
+        u = data.draw(st.integers(1, 50).filter(lambda n: n % p)) * Fraction(p) ** vu
+        x = ctx.parse_value(_digit_literal(vx, x_digits))
+        s = ctx.parse_value(_digit_literal(0, s_digits))
+        _zeta_value.cache_clear()
+        value = zeta_shifted(ctx, s, x, u)
+        for _ in range(3):
+            x_lift = _lift(p, vx, x_digits, data.draw(st.integers(0, p**12)))
+            s_lift = _lift(p, 0, s_digits, data.draw(st.integers(0, p**12)))
+            lifted = zeta_shifted(ctx, s_lift, x_lift, u)
+            assert agreement_depth(value, lifted) >= value.absprec
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_integral_of_zeta(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        ctx = PadicContext(p, 10)
+        digit = st.integers(0, p - 1)
+        vx = data.draw(st.integers(-2, -1))
+        x_digits = [data.draw(st.integers(1, p - 1))] + data.draw(
+            st.lists(digit, min_size=1, max_size=6)
+        )
+        s_digits = data.draw(st.lists(digit, min_size=1, max_size=8))
+        x = ctx.parse_value(_digit_literal(vx, x_digits))
+        s = ctx.parse_value(_digit_literal(0, s_digits))
+        _zeta_value.cache_clear()
+        value = integral_of_zeta(ctx, s, x)
+        for _ in range(3):
+            x_lift = _lift(p, vx, x_digits, data.draw(st.integers(0, p**12)))
+            s_lift = _lift(p, 0, s_digits, data.draw(st.integers(0, p**12)))
+            lifted = integral_of_zeta(ctx, s_lift, x_lift)
+            assert agreement_depth(value, lifted) >= value.absprec
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
