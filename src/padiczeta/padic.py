@@ -418,26 +418,51 @@ def capped_power(p: int, e: int) -> int:
     return p**e
 
 
+def _check_sum_length(n: int) -> None:
+    """Refuse a sum of n > ``EVALUATION_CAP`` terms with ``EvaluationCapExceeded``."""
+    if n > EVALUATION_CAP:
+        # n itself may be too large to print
+        raise EvaluationCapExceeded(f"the sum has more than {EVALUATION_CAP} terms")
+
+
+def _residue_sum(p: int, terms: list[tuple[int, int]], absprec: int | None) -> PadicNumber:
+    """sum unit * p**val over the (val, unit) pairs, modulo p**absprec.
+
+    ``absprec`` is the least absolute precision of the summands, bounded
+    zeros included, and None when every summand is the exact zero.  The sum
+    is reduced once and normalised once; a sum of ``PadicNumber`` objects
+    gives this canonical form whatever the grouping, because every partial
+    sum is known modulo at least p**absprec.
+    """
+    if absprec is None:
+        return PadicNumber.exact_zero(p)
+    if not terms:
+        return PadicNumber.bounded_zero(p, absprec)
+    base = min(v for v, _ in terms)
+    total = sum(u * p ** (v - base) for v, u in terms)
+    return PadicNumber._normalize(p, base, total, absprec)
+
+
 def alternating_sum(ctx: PadicContext, n: int, term) -> PadicNumber:
-    """sum_{a<n} (-1)^a term(a), summed left to right from the exact zero.
+    """sum_{a<n} (-1)^a term(a), the exact zero when every term is one.
 
     n > EVALUATION_CAP is refused with ``EvaluationCapExceeded`` before any
     term is evaluated; exact-zero terms are skipped.  The result is the
     canonical form of the sum modulo p**(least absolute precision of the
-    terms), so it does not depend on how the terms are grouped.
+    terms) (``_residue_sum``), so it does not depend on how the terms are
+    grouped.
     """
-    if n > EVALUATION_CAP:
-        # n itself may be too large to print
-        raise EvaluationCapExceeded(f"the sum has more than {EVALUATION_CAP} terms")
-    acc = None
+    _check_sum_length(n)
+    terms, absprec = [], None
     for a in range(n):
         t = term(a)
         if t.is_exact_zero:
             continue
-        if a & 1:
-            t = -t
-        acc = t if acc is None else acc + t
-    return ctx.exact_zero() if acc is None else acc
+        if t.relprec:
+            terms.append((t.valuation, -t.unit if a & 1 else t.unit))
+        if absprec is None or t.absprec < absprec:
+            absprec = t.absprec
+    return _residue_sum(ctx.p, terms, absprec)
 
 
 # ---- canonical renderings ---------------------------------------------------

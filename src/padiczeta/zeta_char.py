@@ -14,6 +14,15 @@ this.  ell(chi, s) = zeta(chi, s, 0).  The direct truncated sums
 sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a act as the independent oracle
 (``zeta_char_oracle``, and ``ell_limit_oracle`` at x = 0); the kernel sums
 them one residue class of a mod p at a time.
+
+The representation sum is one pass over integer residues, with no
+``PadicNumber`` arithmetic per term.  x is read once as an integer known
+modulo p^A; term j reads the ``zeta_czp`` value cache (``_zeta_value``) under
+the key of zeta(s, (x+j)/M), the key that ``zeta_czp(ctx, s, (x+j)/M)`` itself
+uses, so both routes share entries, and multiplies the value by the residue of
+omega(x+j)^k.  The signed products are reduced and normalised once, which
+gives the value and precision of term-by-term ``PadicNumber`` arithmetic
+(``tests/object_reference.py`` keeps that route for comparison).
 """
 
 from __future__ import annotations
@@ -22,8 +31,23 @@ from fractions import Fraction
 
 from . import euler, kernels
 from .characters import DirichletCharacter, char_eval
-from .errors import ArgumentOutsideZp, ArgumentViolation, BudgetExhausted, ParseError
-from .padic import PadicContext, PadicNumber, alternating_sum, capped_power, vp_int
+from .errors import (
+    ArgumentOutsideZp,
+    ArgumentViolation,
+    BudgetExhausted,
+    ParseError,
+    PrecisionError,
+)
+from .padic import (
+    PadicContext,
+    PadicNumber,
+    _check_sum_length,
+    _residue_sum,
+    _teichmuller_digit,
+    alternating_sum,
+    capped_power,
+    vp_int,
+)
 from .report import (
     VerificationReport,
     compare_values,
@@ -31,10 +55,12 @@ from .report import (
 )
 from .zeta_czp import (
     _DEFAULT_BUDGET,
+    _EULER_ZERO,
     SeriesBudget,
     _coerce_exponent,
     _series_terms,
-    zeta_czp,
+    _triple,
+    _zeta_value,
 )
 
 __all__ = [
@@ -80,19 +106,52 @@ def _representation_sum(
 
     Every term with chi(x+j) != 0 is a series in (x+j)/M of valuation
     -v_p(M), so its term budget is checked before any character value.
+
+    x is an integer r0 known modulo p**A (A = prec for the exact zero).  With
+    M = N p^e and c = min(A, prec), the unit term r = r0 + j reads
+    ``_zeta_value`` at the triple (-e, r N^(-1) mod p^c, c), which is (x+j)/M
+    as ``PadicNumber`` arithmetic forms it, and chi(x+j) is omega(r mod p)^k
+    modulo p**prec.  Each product keeps the precision of the ``PadicNumber``
+    product: relative precision min(prec, zeta.relprec), or only the absolute
+    precision of a bounded-zero zeta.  ``padic._residue_sum`` reduces and
+    normalises the sum once.
     """
     _check_char(ctx, chi)
     xp = _coerce_zp(ctx, x)
-    _series_terms(ctx, vp_int(big_m, ctx.p), budget)
-    s = _coerce_exponent(ctx, s)
-    inv_m = 1 / ctx.from_int(big_m)
-
-    def term(j: int) -> PadicNumber:
-        xj = xp + ctx.from_int(j) if j else xp
-        cv = char_eval(ctx, chi, xj)
-        return cv if cv.is_exact_zero else cv * zeta_czp(ctx, s, xj * inv_m, budget)
-
-    return alternating_sum(ctx, big_m, term).cap_absprec(budget.target(ctx))
+    p, prec = ctx.p, ctx.internal_prec
+    e = vp_int(big_m, p)
+    _series_terms(ctx, e, budget)
+    s_key = _triple(_coerce_exponent(ctx, s))
+    _check_sum_length(big_m)
+    if xp.is_exact_zero:
+        r0, a0 = 0, prec
+    elif xp.is_bounded_zero:
+        r0, a0 = 0, xp.valuation
+    else:
+        r0, a0 = xp.unit * p**xp.valuation, xp.absprec
+    if a0 < 1:
+        raise PrecisionError("cannot evaluate character: unit status unknown")
+    c = min(a0, prec)
+    mod, char_mod, k = p**c, p**prec, chi.k
+    n_inv = pow(big_m // p**e, -1, mod)
+    terms, absprec = [], None
+    for j in range(big_m):
+        r = r0 + j
+        digit = r % p
+        if digit == 0:
+            continue
+        z = _zeta_value(ctx, s_key, (-e, r * n_inv % mod, c), _EULER_ZERO, budget)
+        if z.relprec is None:
+            continue
+        if z.relprec:
+            u = pow(_teichmuller_digit(p, prec, digit), k, char_mod) * z.unit
+            terms.append((z.valuation, -u if j & 1 else u))
+            a = z.valuation + min(prec, z.relprec)
+        else:
+            a = z.valuation
+        if absprec is None or a < absprec:
+            absprec = a
+    return _residue_sum(p, terms, absprec).cap_absprec(budget.target(ctx))
 
 
 def ell(

@@ -1,4 +1,5 @@
-"""The object-arithmetic evaluation of the Laurent series and of log/exp.
+"""The object-arithmetic evaluation of the Laurent series, of log/exp and of
+the character representation sum.
 
 Every step here is a ``PadicNumber`` operation, so the precision rules are
 those of the arithmetic itself.  The library evaluates the same quantities on
@@ -10,15 +11,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from padiczeta import euler
+from padiczeta import euler, zeta_czp as czp
+from padiczeta.characters import char_eval
 from padiczeta.errors import (
     BudgetExhausted,
+    EvaluationCapExceeded,
     ExponentOutsideDomain,
     OutsideExpDomain,
     OutsideLogDomain,
 )
-from padiczeta.padic import PadicContext, PadicNumber, vp_fraction
-from padiczeta.zeta_czp import SeriesBudget, ZetaArgumentCZp, _coerce_exponent
+from padiczeta.padic import EVALUATION_CAP, PadicContext, PadicNumber, vp_fraction, vp_int
+from padiczeta.zeta_char import _check_char, _coerce_zp
+from padiczeta.zeta_czp import SeriesBudget, ZetaArgumentCZp, _coerce_exponent, _series_terms
 
 
 def _ilog(p: int, n: int) -> int:
@@ -143,3 +147,35 @@ def integral_of_zeta(ctx, s, x, budget=SeriesBudget()) -> PadicNumber:
     value = 2 * zeta_czp(ctx, s, x, budget) + 2 * prefactor * tail
     return value.cap_absprec(budget.target(ctx))
 
+
+def alternating_sum(ctx: PadicContext, n: int, term) -> PadicNumber:
+    """sum_{a<n} (-1)^a term(a) by PadicNumber addition, left to right."""
+    if n > EVALUATION_CAP:
+        raise EvaluationCapExceeded(f"the sum has more than {EVALUATION_CAP} terms")
+    acc = None
+    for a in range(n):
+        t = term(a)
+        if t.is_exact_zero:
+            continue
+        if a & 1:
+            t = -t
+        acc = t if acc is None else acc + t
+    return ctx.exact_zero() if acc is None else acc
+
+
+def representation_sum(ctx, chi, s, x, big_m, budget) -> PadicNumber:
+    """sum_{j<M} chi(x+j) zeta(s, (x+j)/M) (-1)^j with x + j, chi(x+j),
+    (x+j)/M, the public ``zeta_czp`` and every product and sum as
+    ``PadicNumber`` values."""
+    _check_char(ctx, chi)
+    xp = _coerce_zp(ctx, x)
+    _series_terms(ctx, vp_int(big_m, ctx.p), budget)
+    s = _coerce_exponent(ctx, s)
+    inv_m = 1 / ctx.from_int(big_m)
+
+    def term(j: int) -> PadicNumber:
+        xj = xp + ctx.from_int(j) if j else xp
+        cv = char_eval(ctx, chi, xj)
+        return cv if cv.is_exact_zero else cv * czp.zeta_czp(ctx, s, xj * inv_m, budget)
+
+    return alternating_sum(ctx, big_m, term).cap_absprec(budget.target(ctx))

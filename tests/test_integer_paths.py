@@ -1,4 +1,5 @@
-"""The integer-residue series and log/exp give the bytes of object arithmetic.
+"""The integer-residue series, log/exp and representation sums give the bytes
+of object arithmetic.
 
 ``object_reference`` evaluates every step as a ``PadicNumber`` operation;
 the library works on integer residues with cached coefficients.  Values are
@@ -16,6 +17,7 @@ import object_reference as ref
 import pytest
 
 from padiczeta import euler
+from padiczeta.characters import DirichletCharacter
 from padiczeta.errors import BudgetExhausted, PadicError
 from padiczeta.padic import (
     PadicContext,
@@ -25,6 +27,7 @@ from padiczeta.padic import (
     to_json_dict,
     vp_fraction,
 )
+from padiczeta.zeta_char import _representation_sum
 from padiczeta.zeta_czp import (
     SeriesBudget,
     _laurent_series,
@@ -145,6 +148,66 @@ def test_budget_exhausted_at_same_term_count(p):
         with pytest.raises(BudgetExhausted):
             fn(ctx, 5, x, short)
         _same(reference, fn, ctx, 5, x, SeriesBudget(max_terms=terms))
+
+
+def _zp_arguments(ctx, rng):
+    """x in Z_p: exact, rational, digit literals of valuation 0-2 (one with more
+    digits than the internal precision), bounded zeros."""
+    p = ctx.p
+    return [
+        0,
+        rng.randrange(1, 10**6),
+        Fraction(rng.randrange(-1000, 1000), _coprime(rng, p, 1000)),
+        *(
+            ctx.parse_value(f"{v}:" + _digits(rng, p, rng.randrange(2, 6), lead_nonzero=True))
+            for v in (0, 1, 2)
+        ),
+        ctx.parse_value("0:" + _digits(rng, p, ctx.internal_prec + 3, lead_nonzero=True)),
+        *(ctx.bounded_zero(a) for a in (-1, 0, 1, 3)),
+    ]
+
+
+def _char_exponents(ctx, rng):
+    p = ctx.p
+    return [
+        0,
+        1,
+        1 - rng.randrange(1, 6),  # s = 1 - m
+        rng.randrange(2, p**12),
+        Fraction(_coprime(rng, 2), _coprime(rng, p, 1000)),
+        ctx.parse_value("0:" + _digits(rng, p, 3)),
+        ctx.bounded_zero(2),
+    ]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_representation_sum_bytes(p):
+    rng = random.Random(4500 + p)
+    ctx = PadicContext(p, 8, 4)
+    n = 5 if p == 3 else 3  # an odd factor N coprime to p
+    moduli = (p, p * p, n * p)
+    chars = [DirichletCharacter(p, v, k) for v in (1, 2) for k in range(p - 1)]
+    # the default budget (twice as often), one refused for its term count and
+    # a target below workprec
+    default, short, low = SeriesBudget(), SeriesBudget(max_terms=3), SeriesBudget(target_prec=5)
+    budgets = (default, default, short, low)
+    exponents = _char_exponents(ctx, rng)
+    cases = [(x, s) for x in _zp_arguments(ctx, rng) for s in exponents]
+    for i, (x, s) in enumerate(cases):
+        chi = chars[i % len(chars)]
+        for big_m in moduli:
+            budget = rng.choice(budgets)
+            expected = _outcome(ref.representation_sum, ctx, chi, s, x, big_m, budget)
+            got = _outcome(_representation_sum, ctx, chi, s, x, big_m, budget)
+            assert got == expected, (chi, s, x, big_m, budget)
+
+
+def test_representation_sum_refuses_a_long_sum_first(ctx3):
+    # M = 3^13 > EVALUATION_CAP is refused before the precision of x is read
+    chi = DirichletCharacter(3, 1, 1)
+    for x in (ctx3.bounded_zero(0), 1):
+        for fn in (ref.representation_sum, _representation_sum):
+            assert _outcome(fn, ctx3, chi, 2, x, 3**13, SeriesBudget()) == "EvaluationCapExceeded"
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -1,4 +1,5 @@
 import random
+import sys
 import types
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from padiczeta.zeta_czp import (
     zeta_special_neg,
     zeta_special_pos,
 )
-from padiczeta.zeta_char import zeta_char
+from padiczeta.zeta_char import ell, power_series_zeta, zeta_char
 
 
 class TestValueAtOne:
@@ -359,6 +360,44 @@ class TestValueCache:
         assert _zeta_value.cache_info().hits == hits + 2
         assert calls == []
 
+    def test_zeta_char_reads_the_zeta_czp_entries(self, ctx5):
+        # each unit term of the representation sum at M = 5 is the cache entry
+        # of zeta(s, (x+j)/5)
+        chi = DirichletCharacter(5, 1, 3)
+        s, x = Fraction(2, 3), 7
+        _zeta_value.cache_clear()
+        zeta_char(ctx5, chi, s, x)
+        units = [j for j in range(5) if (x + j) % 5]
+        before = _zeta_value.cache_info()
+        assert before.misses == len(units)
+        for j in units:
+            zeta_czp(ctx5, s, Fraction(x + j, 5))
+        after = _zeta_value.cache_info()
+        assert (after.hits - before.hits, after.misses) == (len(units), before.misses)
+
+    def test_warm_zeta_char_does_no_padic_arithmetic_per_term(self, ctx5, monkeypatch):
+        chi = DirichletCharacter(5, 2, 1)
+        s, x = Fraction(3, 7), Fraction(4, 9)
+        cold = zeta_char(ctx5, chi, s, x)
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            original = getattr(padic.PadicNumber, name)
+            monkeypatch.setattr(padic.PadicNumber, name, counting(name, original))
+        for module in (sys.modules[zeta_czp.__module__], sys.modules[zeta_char.__module__]):
+            # raising=False: the representation sum need not import zeta_czp at all
+            monkeypatch.setattr(module, "zeta_czp", counting("zeta_czp", zeta_czp), raising=False)
+        warm = zeta_char(ctx5, chi, s, x)
+        assert calls == []
+        assert (render(warm), warm.absprec) == (render(cold), cold.absprec)
+
     def test_shifted_at_zero_shares_the_zeta_czp_entry(self, ctx7):
         s, x = Fraction(5, 4), Fraction(3, 49)
         _zeta_value.cache_clear()
@@ -474,4 +513,41 @@ class TestPrecisionContractUnderLifts:
             x_lift = _lift(p, 0, x_digits, data.draw(tails))
             s_lift = _lift(p, 0, s_digits, data.draw(tails))
             lifted = zeta_char(ctx, chi, s_lift, x_lift)
+            assert agreement_depth(value, lifted) >= value.absprec
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_ell(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        ctx = PadicContext(p, 10)
+        chi = DirichletCharacter(p, data.draw(st.integers(1, 2)), data.draw(st.integers(0, p - 2)))
+        s_digits = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8))
+        value = ell(ctx, chi, ctx.parse_value(_digit_literal(0, s_digits)))
+        for _ in range(3):
+            s_lift = _lift(p, 0, s_digits, data.draw(st.integers(0, p**12)))
+            assert agreement_depth(value, ell(ctx, chi, s_lift)) >= value.absprec
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_power_series_zeta(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        ctx = PadicContext(p, 10)
+        v = data.draw(st.integers(1, 2))
+        chi = DirichletCharacter(p, v, data.draw(st.integers(0, p - 2)))
+        digit = st.integers(0, p - 1)
+        # x in p^v Z_p with a nonzero leading digit, so every lift keeps v_p(x)
+        vx = data.draw(st.integers(v, v + 1))
+        x_digits = [data.draw(st.integers(1, p - 1))] + data.draw(
+            st.lists(digit, min_size=0, max_size=5)
+        )
+        s_digits = data.draw(st.lists(digit, min_size=1, max_size=8))
+        terms = data.draw(st.integers(1, 8))
+        x = ctx.parse_value(_digit_literal(vx, x_digits))
+        s = ctx.parse_value(_digit_literal(0, s_digits))
+        value = power_series_zeta(ctx, chi, s, x, terms)
+        tails = st.integers(0, p**12)
+        for _ in range(2):
+            x_lift = _lift(p, vx, x_digits, data.draw(tails))
+            s_lift = _lift(p, 0, s_digits, data.draw(tails))
+            lifted = power_series_zeta(ctx, chi, s_lift, x_lift, terms)
             assert agreement_depth(value, lifted) >= value.absprec
