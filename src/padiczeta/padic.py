@@ -17,13 +17,17 @@ bounded zero instead of pretending to vanish exactly.
 
 All values are immutable; every operation is a pure function of its inputs,
 so the module is safe for unsynchronised concurrent use.  Teichmuller values
-are memoised behind bounded ``functools.lru_cache`` caches: single residues
-(used by ``PadicContext.teichmuller``) and whole residue tables (used by the
-oracle kernels).
+are lifted by Newton's iteration (``_teichmuller_root``) and memoised behind
+bounded ``functools.lru_cache`` caches: single residues (used by
+``PadicContext.teichmuller``) and whole residue tables (used by the oracle
+kernels).
 
 ``PadicContext.log`` and ``exp`` sum their series as one integer residue over
-cached coefficients (see the helpers at the end of the module), with the
-precision that term-by-term ``PadicNumber`` arithmetic gives.
+cached coefficients, with the precision that term-by-term ``PadicNumber``
+arithmetic gives.  ``unit_power`` and ``angle_power`` share one integer route
+built from the same two halves: log, the product with s and exp on
+(valuation, unit, relprec) integers (see the helpers at the end of the
+module).
 """
 
 from __future__ import annotations
@@ -115,19 +119,27 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"not a rational literal: {text!r}") from exc
 
 
+def _inverse_of_p_minus_1(p: int, mod: int) -> int:
+    """1/(p-1) modulo mod = p**k, which is -(1 + p + ... + p**(k-1))."""
+    return mod - (mod - 1) // (p - 1)
+
+
 def _teichmuller_root(p: int, prec: int, u: int) -> int:
     """omega(u) mod p**prec for a residue u coprime to p.
 
-    Computed by the Frobenius iteration y -> y**p, which gains one digit per
-    step; the iteration is capped and checked for a fixed point.
+    Computed by Newton's iteration for y**(p-1) = 1 from y = u mod p:
+    y -> y (p - y**(p-1)) / (p-1) modulo p**k doubles the number of correct
+    digits k at each step (k = 1, 2, 4, ..., prec), so a lift costs
+    log2(prec) modular powers.  The result is checked to be a fixed point of
+    the Frobenius map y -> y**p, which omega is.
     """
     mod = p**prec
-    y = u % mod
-    for _ in range(prec + 2):
-        y_next = pow(y, p, mod)
-        if y_next == y:
-            break
-        y = y_next
+    inv = _inverse_of_p_minus_1(p, mod)
+    y, k = u % p, 1
+    while k < prec:
+        k = min(2 * k, prec)
+        m = p**k
+        y = y * (p - pow(y, p - 1, m)) * inv % m
     if pow(y, p, mod) != y:
         raise PrecisionError("Teichmuller iteration failed to stabilise")
     return y
@@ -645,47 +657,53 @@ class PadicContext:
     def log(self, u) -> PadicNumber:
         """log on 1 + pZ_p via the alternating series sum (-1)^(n+1) (u-1)^n / n."""
         u = self.coerce(u)
-        p = self.p
-        if u.is_zero() or u.valuation != 0 or u.unit % p != 1:
-            raise OutsideLogDomain("log needs an argument congruent to 1 mod p")
-        target = u.relprec
-        z = PadicNumber._normalize(p, 0, u.unit - 1, target)
-        if z.is_zero():
-            return z
-        series = _horner(_log_coefficients(p, z.valuation, target), z.unit, p**target)
-        return PadicNumber._normalize(p, 0, series, target)
+        _check_log_domain(u)
+        return PadicNumber(self.p, *_log_residue(self.p, u.unit, u.relprec))
 
     def exp(self, z) -> PadicNumber:
         """exp on pZ_p via the power series with factorial-valuation bookkeeping."""
         z = self.coerce(z)
         if z.is_exact_zero:
             return self.one()
-        if z.is_bounded_zero:
-            if z.valuation < 1:
-                raise OutsideExpDomain("exp needs valuation >= 1")
-            return PadicNumber(self.p, 0, 1, z.valuation)
-        if z.valuation < 1:
-            raise OutsideExpDomain("exp needs valuation >= 1")
-        p = self.p
-        target = z.absprec
-        series = _horner(_exp_coefficients(p, z.valuation, target), z.unit, p**target)
-        return PadicNumber._normalize(p, 0, 1 + series, target)
+        return _exp_residue(self.p, z.valuation, z.unit, z.relprec)
 
     # ---- <x>^s and generalised binomials ----
+
+    def _exponent(self, s) -> PadicNumber:
+        s = self.coerce(s)
+        if not s.is_zero() and s.valuation < 0:
+            raise ExponentOutsideDomain("exponent must lie in Z_p")
+        return s
 
     def unit_power(self, u, s) -> PadicNumber:
         """u**s = exp(s log u) for u congruent to 1 mod p and s in Z_p."""
         u = self.coerce(u)
-        s = self.coerce(s)
-        if not s.is_zero() and s.valuation < 0:
-            raise ExponentOutsideDomain("exponent must lie in Z_p")
+        s = self._exponent(s)
         if s.is_exact_zero:
             return self.one()
-        return self.exp(s * self.log(u))
+        _check_log_domain(u)
+        return _power_residue(self.p, u.unit, u.relprec, s.valuation, s.unit, s.relprec)
 
     def angle_power(self, x, s) -> PadicNumber:
-        """<x>**s for nonzero x and s in Z_p."""
-        return self.unit_power(self.angle(x), s)
+        """<x>**s for nonzero x and s in Z_p.
+
+        For the unit part u of x, <x>**(p-1) = u**(p-1) because
+        omega(u)**(p-1) = 1, so <x>**s = (u**(p-1))**(s/(p-1)): the same value
+        and precision as unit_power(angle(x), s), with no Teichmuller value.
+        """
+        x = self.coerce(x)
+        if x.is_zero():
+            raise ZeroArgument("<x> is undefined at values indistinguishable from 0")
+        s = self._exponent(s)
+        if s.is_exact_zero:
+            return self.one()
+        p = self.p
+        rel = min(x.relprec, self.internal_prec)
+        su, sr = s.unit, s.relprec
+        if sr:
+            mod = p**sr
+            su = su * _inverse_of_p_minus_1(p, mod) % mod
+        return _power_residue(p, pow(x.unit, p - 1, p**rel), rel, s.valuation, su, sr)
 
     def binomial(self, s, i: int) -> PadicNumber:
         """Generalised binomial coefficient s(s-1)...(s-i+1)/i!."""
@@ -701,6 +719,11 @@ class PadicContext:
 
 
 # ---- log/exp series on integer residues ----------------------------------------
+#
+# ``_log_residue`` and ``_exp_residue`` are the integer halves of
+# ``PadicContext.log`` and ``exp``; ``_power_residue`` joins them with the
+# product rule of ``PadicNumber`` into u**s = exp(s log u), the one route of
+# ``unit_power`` and ``angle_power``.
 #
 # For z = p**k * zu known modulo p**target (k >= 1), term n of either series
 # is c_n * zu**n with c_n = p**e_n / m_n for a p-adic unit m_n and e_n >= k,
@@ -748,6 +771,55 @@ def _exp_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
         if (n + 1) * (k * (p - 1) - 1) + 1 >= target * (p - 1):
             return tuple(out)
         n += 1
+
+
+def _check_log_domain(u: PadicNumber) -> None:
+    if u.is_zero() or u.valuation != 0 or u.unit % u.p != 1:
+        raise OutsideLogDomain("log needs an argument congruent to 1 mod p")
+
+
+def _log_residue(p: int, unit: int, target: int) -> tuple[int, int, int]:
+    """log of a residue unit = 1 mod p known modulo p**target, as the
+    (valuation, unit, relprec) triple of its value; (target, 0, 0) is the
+    bounded zero O(p**target)."""
+    mod = p**target
+    m = (unit - 1) % mod
+    if not m:
+        return target, 0, 0
+    k = vp_int(m, p)
+    series = _horner(_log_coefficients(p, k, target), m // p**k, mod)
+    # v_p(log(1 + z)) = v_p(z) for v_p(z) >= 1 and odd p: the n = 1 term
+    # p**k * zu has the least valuation
+    return k, series // p**k, target - k
+
+
+def _exp_residue(p: int, val: int, unit: int, rel: int) -> PadicNumber:
+    """exp(p**val * unit) for an argument known modulo p**(val + rel); rel = 0
+    is the bounded zero O(p**val)."""
+    if val < 1:
+        raise OutsideExpDomain("exp needs valuation >= 1")
+    target = val + rel
+    if not rel:
+        return PadicNumber(p, 0, 1, target)
+    # every term has valuation >= 1, so 1 + series is a unit below p**target
+    series = _horner(_exp_coefficients(p, val, target), unit, p**target)
+    return PadicNumber(p, 0, 1 + series, target)
+
+
+def _power_residue(p: int, unit: int, rel: int, sv: int, su: int, sr: int) -> PadicNumber:
+    """unit**s = exp(s log unit) for a residue unit = 1 mod p known modulo
+    p**rel and s = p**sv * su known to relprec sr (0 for the bounded zero
+    O(p**sv)), s not the exact zero.
+
+    s log unit keeps the precision of the ``PadicNumber`` product: relative
+    precision min(sr, relprec of the log), or a bounded zero at the sum of
+    the valuations when either factor is one.
+    """
+    lv, lu, lr = _log_residue(p, unit, rel)
+    if sr and lr:
+        r = min(sr, lr)
+        return _exp_residue(p, sv + lv, su * lu % p**r, r)
+    return _exp_residue(p, sv + lv, 0, 0)
 
 
 def _horner(coeffs: tuple[int, ...], zu: int, mod: int) -> int:

@@ -16,12 +16,17 @@ route from the exp/log evaluation used here.
 The coefficients C(1-s, i) w(i) do not depend on x.  For each weight w (E_i(0)
 for zeta(s, x), E_i(u) for the shifted expansion, E_{i+1}(0) for the
 integral) they are ``PadicNumber`` products, computed by the arithmetic's own
-precision rules as an immutable tuple per (p, internal precision, 1-s, weight,
-term count).  An LRU cache keeps the last ``_COEFFICIENT_SETS`` such tuples (a
-tuple is a few dozen numbers at the default precision); a set is never
-extended, a larger term count is a new entry.  Each x then costs one integer
-Horner pass in 1/x modulo the sum's absolute precision, which gives the same
-value and precision as summing the terms as ``PadicNumber`` objects.
+precision rules once per (p, internal precision, 1-s, weight, term count).
+The set keeps only what the per-x pass reads: the (valuation, relprec) of
+each entry, the least valuation base, and the integers
+unit * p**(valuation - base) in Horner order, split by the parity of i.  An
+LRU cache keeps the last ``_COEFFICIENT_SETS`` sets (a set is a few dozen
+integers at the default precision); a set is never extended, a larger term
+count is a new entry.  Each x then costs a precision scan over the entries and
+an integer Horner pass in 1/x modulo the sum's absolute precision, which give
+the same value and precision as summing the terms as ``PadicNumber`` objects.
+The prefactor <x>^(1-s) is ``PadicContext.angle_power``, log and exp on
+integer residues.
 
 The identities ask for the same zeta(s, y) again and again (a representation
 sum, its shifts and its twists at one s), so the whole expansion
@@ -155,8 +160,8 @@ def _series_terms(ctx: PadicContext, decay: int, budget: SeriesBudget) -> int:
 
 
 # A weight (u, offset) stands for w(i) = E_{i+offset}(u).
-_EULER_ZERO = (Fraction(0), 0)
-_EULER_NEXT = (Fraction(0), 1)
+_EULER_ZERO = (0, 0)
+_EULER_NEXT = (0, 1)
 _COEFFICIENT_SETS = 256
 _ZETA_VALUES = 1024
 
@@ -166,14 +171,21 @@ def _triple(value: PadicNumber) -> tuple:
 
 
 @lru_cache(maxsize=_COEFFICIENT_SETS)
-def _coefficients(
-    p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: int
-) -> tuple[PadicNumber, ...]:
-    """C(1-s, i) w(i) for i < terms, from the triple of 1-s.
+def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: int) -> tuple:
+    """C(1-s, i) w(i) for i < terms, from the triple of 1-s, as the Horner
+    pass of ``_laurent_series`` reads them.
 
     Every entry and the running binomial are ``PadicNumber`` products, so
     their precision is that of the arithmetic; an entry is the exact zero
-    where w(i) = 0.
+    where w(i) = 0.  The set is (entries, base, even, odd):
+
+    * (i, valuation, relprec) of every entry that is not the exact zero
+      (relprec 0 for a bounded zero);
+    * the least valuation base of the regular entries (None if none is);
+    * the integers unit * p**(valuation - base) of the regular entries (0 for
+      a zero) at even i and at odd i, each in Horner order (highest i first)
+      and without its leading zeros, so that the zeros of E_i(0) at even
+      i >= 2 cost nothing.
     """
     u, offset = weight
     one_minus_s = PadicNumber(p, *one_minus_s)
@@ -183,7 +195,19 @@ def _coefficients(
         w = euler.euler_zero(i + offset) if u == 0 else euler.euler_poly(i + offset, u)
         items.append(binom * _embed_fraction(p, w, prec))
         binom = binom * (one_minus_s - i) / (i + 1)
-    return tuple(items)
+    entries = tuple(
+        (i, c.valuation, c.relprec) for i, c in enumerate(items) if not c.is_exact_zero
+    )
+    base = min((c.valuation for c in items if c.relprec), default=None)
+    scaled = [c.unit * p ** (c.valuation - base) if c.relprec else 0 for c in items]
+    return entries, base, _horner_order(scaled[0::2]), _horner_order(scaled[1::2])
+
+
+def _horner_order(coefficients: list[int]) -> tuple[int, ...]:
+    """Coefficients of degree 0 up, highest degree first, leading zeros dropped."""
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    return tuple(reversed(coefficients))
 
 
 def _laurent_series(
@@ -198,41 +222,33 @@ def _laurent_series(
 
     Term i is coefficient i times x^(-i), which has valuation i*dx and, for
     i >= 1, the relative precision of x.  The sum is known modulo the
-    smallest absolute precision of its terms; it is formed by Horner's rule
-    in p**dx / unit(x), scaled by p**-base for the smallest coefficient
-    valuation base, modulo p**(absprec - base).
+    smallest absolute precision of its terms.  Scaled by p**-base it is the
+    polynomial in y = p**dx / unit(x) with the pre-scaled coefficients,
+    evaluated modulo p**(absprec - base) as even(y**2) + y odd(y**2), each
+    half by Horner's rule.
     """
     p = ctx.p
     terms = _series_terms(ctx, decay, budget)
-    items = _coefficients(p, ctx.internal_prec, _triple(one_minus_s), weight, terms)
+    entries, base, even, odd = _coefficients(
+        p, ctx.internal_prec, _triple(one_minus_s), weight, terms
+    )
     dx, rx = -x.valuation, x.relprec
-    absprec = base = None
-    for i in range(terms):
-        v, r = items[i].valuation, items[i].relprec
-        if r is None:
-            continue
-        if r == 0:
-            a = v + i * dx
-        else:
-            a = v + (r if i == 0 else min(r, rx)) + i * dx
-            if base is None or v < base:
-                base = v
-        if absprec is None or a < absprec:
-            absprec = a
+    absprec = min(
+        (v + i * dx + (r if i == 0 or r < rx else rx) for i, v, r in entries), default=None
+    )
     if absprec is None:
         return ctx.exact_zero()
     if base is None or absprec <= base:
         return ctx.bounded_zero(absprec)
     mod = p ** (absprec - base)
     y = pow(x.unit, -1, mod) * p**dx % mod
-    acc = 0
-    for i in range(terms - 1, -1, -1):
-        acc *= y
-        c = items[i]
-        if c.relprec:
-            acc += c.unit * p ** (c.valuation - base)
-        acc %= mod
-    return PadicNumber._normalize(p, base, acc, absprec)
+    y2 = y * y % mod
+    acc_even = acc_odd = 0
+    for c in even:
+        acc_even = (acc_even * y2 + c) % mod
+    for c in odd:
+        acc_odd = (acc_odd * y2 + c) % mod
+    return PadicNumber._normalize(p, base, acc_even + acc_odd * y, absprec)
 
 
 @lru_cache(maxsize=_ZETA_VALUES)
@@ -241,10 +257,18 @@ def _zeta_value(
 ) -> PadicNumber:
     """<x>^(1-s) sum_i C(1-s, i) w(i) x^(-i), capped at the budget's target,
     from the (valuation, unit, relprec) triples of s and x."""
-    one_minus_s = ctx.one() - PadicNumber(ctx.p, *s)
-    x = PadicNumber(ctx.p, *x)
+    p = ctx.p
+    sv, su, sr = s
+    if sr is None:
+        one_minus_s = ctx.one()
+    else:
+        # 1 - s as PadicNumber subtraction forms it: known modulo the least
+        # absolute precision of 1 and s (a regular s has sv >= 0)
+        mantissa = 1 - su * p**sv if sr else 1
+        one_minus_s = PadicNumber._normalize(p, 0, mantissa, min(ctx.internal_prec, sv + sr))
+    x = PadicNumber(p, *x)
     u = weight[0]
-    decay = -x.valuation + (min(0, vp_fraction(u, ctx.p)) if u else 0)
+    decay = -x.valuation + (min(0, vp_fraction(u, p)) if u else 0)
     series = _laurent_series(ctx, one_minus_s, x, weight, decay, budget)
     prefactor = ctx.angle_power(x, one_minus_s)
     return (prefactor * series).cap_absprec(budget.target(ctx))

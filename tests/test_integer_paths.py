@@ -15,6 +15,9 @@ from fractions import Fraction
 
 import object_reference as ref
 import pytest
+import teichmuller_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiczeta import euler
 from padiczeta.characters import DirichletCharacter
@@ -22,6 +25,7 @@ from padiczeta.errors import BudgetExhausted, PadicError
 from padiczeta.padic import (
     PadicContext,
     PadicNumber,
+    _teichmuller_root,
     render,
     teichmuller_table,
     to_json_dict,
@@ -136,6 +140,27 @@ def test_default_precision_bytes(ctx3, ctx7):
             _same(ref.zeta_shifted, zeta_shifted, ctx, s, x, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_one_minus_s_bytes(p):
+    # 1 - s at the edges of its precision: bounded zeros on both sides of 0
+    # and of the internal precision, an s known beyond it, an s divisible by
+    # p**prec and one that cancels 1 to every known digit
+    rng = random.Random(4700 + p)
+    ctx = PadicContext(p, 6, 2)
+    prec = ctx.internal_prec
+    exponents = [
+        *(ctx.bounded_zero(a) for a in (-1, 0, 1, prec, prec + 2)),
+        PadicNumber._normalize(p, 0, _coprime(rng, p, p**12), prec + 3),
+        PadicNumber._normalize(p, prec, 1, prec + 3),
+        PadicNumber._normalize(p, 0, 1 + p**5 * _coprime(rng, p), 5),
+        ctx.exact_zero(),
+    ]
+    x = Fraction(_coprime(rng, p), p**2)
+    for s in exponents:
+        _same(ref.zeta_czp, zeta_czp, ctx, s, x)
+        _same(ref.integral_of_zeta, integral_of_zeta, ctx, s, x)
+
+
 @pytest.mark.parametrize("p", (3, 7))
 def test_budget_exhausted_at_same_term_count(p):
     ctx = PadicContext(p, 16)
@@ -229,6 +254,65 @@ def test_log_exp_unit_power_bytes(p):
                 _same(ref.exp, PadicContext.exp, ctx, arg)
             for exponent in [s] + zeros:
                 _same(ref.unit_power, PadicContext.unit_power, ctx, unit, exponent)
+
+
+def _unit_power_of_angle(ctx, x, s):
+    return ref.unit_power(ctx, ctx.angle(x), s)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_angle_power_bytes(p):
+    rng = random.Random(4600 + p)
+    for workprec, guard in ((16, 8), (5, 0), (1, 0)):
+        ctx = PadicContext(p, workprec, guard)
+        prec = ctx.internal_prec
+        # digit literals at both sides of the internal precision, and beyond it
+        relprecs = {1, 2, prec, prec + 3} | set(rng.sample(range(1, prec + 4), min(3, prec + 3)))
+        arguments = [
+            ctx.parse_value(f"{v}:" + _digits(rng, p, r, lead_nonzero=True))
+            for v in range(-3, 3)
+            for r in sorted(relprecs)
+        ]
+        arguments += [
+            1,  # <1> = 1: the log is a bounded zero
+            p,
+            -_coprime(rng, p) * p**2,
+            Fraction(_coprime(rng, p), p**2),
+            Fraction(_coprime(rng, p), _coprime(rng, p, 1000)),
+            *(ctx.bounded_zero(a) for a in (-1, 0, 3)),
+            0,
+            ctx.exact_zero(),
+        ]
+        exponents = [
+            PadicNumber._normalize(p, 0, _coprime(rng, p, p**prec), prec),
+            PadicNumber._normalize(p, 0, _coprime(rng, p, p**5), 2),  # fewer digits than x
+            PadicNumber._normalize(p, 0, _coprime(rng, p, p**9), prec + 3),
+            PadicNumber._normalize(p, 1, _coprime(rng, p, p**9), prec + 1),  # in pZ_p
+            PadicNumber._normalize(p, 3, _coprime(rng, p, p**9), 5),
+            Fraction(_coprime(rng, 2, 1000), _coprime(rng, p, 1000)),
+            Fraction(1, p),  # outside Z_p
+            PadicNumber._normalize(p, -1, _coprime(rng, p, p**4), 3),
+            *(ctx.bounded_zero(a) for a in (-1, 0, 1, prec + 2)),
+            ctx.exact_zero(),
+        ]
+        for x in arguments:
+            for s in exponents:
+                _same(_unit_power_of_angle, PadicContext.angle_power, ctx, x, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7, 11, 13, 1009, 10007)),
+    st.integers(1, 300),
+    st.data(),
+)
+def test_teichmuller_newton_matches_frobenius(p, prec, data):
+    u = data.draw(st.integers(1, p - 1))
+    expected = teichmuller_reference.teichmuller_root(p, prec, u)
+    assert _teichmuller_root(p, prec, u) == expected
+    assert PadicContext(p, prec, 0).teichmuller(u).unit == expected
+    if p <= 13:  # a table at p = 10007 and 300 digits would hold 5 MB
+        assert teichmuller_table(p, prec)[u] == expected
 
 
 def test_concurrent_extension_of_shared_coefficients():
