@@ -498,13 +498,31 @@ def render(x: PadicNumber) -> str:
     return f"{x.p}^{x.valuation} * ({' + '.join(parts)})"
 
 
+# short digit strings, every one at the default precision, take the divmod loop unsplit
+_DIGIT_BLOCK = 64
+
+
 def _digits_of(x: PadicNumber) -> list[int]:
-    digits = []
-    u = x.unit
-    for _ in range(x.relprec):
-        u, d = divmod(u, x.p)
-        digits.append(d)
-    return digits
+    return _base_p_digits(x.unit, x.p, x.relprec)
+
+
+def _base_p_digits(n: int, p: int, count: int) -> list[int]:
+    """The lowest ``count`` base-p digits of n >= 0, least significant first.
+
+    Above ``_DIGIT_BLOCK`` digits n is split as high * p**h + low, h half the
+    count, and each half converted on its own: about two divisions of the
+    whole number in all, where one divmod by p per digit is quadratic in the
+    count.
+    """
+    if count <= _DIGIT_BLOCK:
+        digits = []
+        for _ in range(count):
+            n, d = divmod(n, p)
+            digits.append(d)
+        return digits
+    h = count // 2
+    high, low = divmod(n, p**h)
+    return _base_p_digits(low, p, h) + _base_p_digits(high, p, count - h)
 
 
 def to_json_dict(x: PadicNumber) -> dict:

@@ -224,21 +224,30 @@ def _check_euler_exact(cfg: VerifyConfig) -> Reports:
     return euler.verify_euler_identities(20)
 
 
+# (m, rho, x) of the alternating-sum check: 90 points
+_ALTERNATING_POINTS = tuple(
+    product((0, 1, 2, 3, 5, 8), (1, 2, 9, 27, 729), (Fraction(0), Fraction(1), Fraction(1, 2)))
+)
+
+
+def _literal_alternating_sum(m: int, rho: int, x: Fraction) -> Fraction:
+    """sum_{a<rho} (-1)^a (x+a)^m term by term, over the common denominator
+    d^m of x = n/d."""
+    n, d = x.numerator, x.denominator
+    return Fraction(sum((-1) ** a * (n + a * d) ** m for a in range(rho)), d**m)
+
+
 @_identity("alternating-sum", _single)
 def _check_alternating_sum(cfg: VerifyConfig) -> Reports:
-    failures = []
-    count = 0
-    for m in (0, 1, 2, 3, 5, 8):
-        for rho in (1, 2, 9, 27, 729):
-            for x in (Fraction(0), Fraction(1), Fraction(1, 2)):
-                count += 1
-                literal = sum((-1) ** a * (x + a) ** m for a in range(rho))
-                if alternating_power_sum(m, rho, x) != literal:
-                    failures.append(f"m={m} rho={rho} x={x}")
+    failures = [
+        f"m={m} rho={rho} x={x}"
+        for m, rho, x in _ALTERNATING_POINTS
+        if alternating_power_sum(m, rho, x) != _literal_alternating_sum(m, rho, x)
+    ]
     return [
         compare_exact(
             "alternating-sum",
-            {"points": count},
+            {"points": len(_ALTERNATING_POINTS)},
             Fraction(0),
             Fraction(0) if not failures else Fraction(1),
             note="; ".join(failures[:4]),
@@ -269,11 +278,11 @@ def _check_integral_convergence(cfg: VerifyConfig, p: int, x: Fraction) -> Repor
     ctx = cfg.ctx(p)
     prec = cfg.workprec + 6 + max(depths)
     sums = kernels.monomial_alternating_sums(p, prec, x, m_max, depths)
+    targets = [ctx.from_fraction(euler.euler_poly(m, x), relprec=prec) for m in range(m_max + 1)]
     out = []
     for n_depth in depths:
         worst = None
-        for m in range(m_max + 1):
-            target = ctx.from_fraction(euler.euler_poly(m, x), relprec=prec)
+        for m, target in enumerate(targets):
             d = agreement_depth(sums[(m, n_depth)], target)
             if worst is None or d < worst[0]:
                 worst = (d, m)
@@ -282,7 +291,7 @@ def _check_integral_convergence(cfg: VerifyConfig, p: int, x: Fraction) -> Repor
                 "integral-convergence",
                 {"p": p, "x": x, "N": n_depth, "m_max": m_max},
                 sums[(worst[1], n_depth)],
-                ctx.from_fraction(euler.euler_poly(worst[1], x), relprec=prec),
+                targets[worst[1]],
                 required_depth=n_depth,
                 reference_depth=n_depth,
                 note=f"worst m={worst[1]}",

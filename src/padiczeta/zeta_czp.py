@@ -15,14 +15,18 @@ route from the exp/log evaluation used here.
 
 The coefficients C(1-s, i) w(i) do not depend on x.  For each weight w (E_i(0)
 for zeta(s, x), E_i(u) for the shifted expansion, E_{i+1}(0) for the
-integral) they are ``PadicNumber`` products, computed by the arithmetic's own
-precision rules once per (p, internal precision, 1-s, weight, term count).
-The set keeps only what the per-x pass reads: the (valuation, relprec) of
-each entry, the least valuation base, and the integers
-unit * p**(valuation - base) in Horner order, split by the parity of i.  An
-LRU cache keeps the last ``_COEFFICIENT_SETS`` sets (a set is a few dozen
-integers at the default precision); a set is never extended, a larger term
-count is a new entry.  Each x then costs a precision scan over the entries and
+integral) they are built on integers once per (p, internal precision, 1-s,
+weight, term count): C(1-s, i) from the residues of 1-s-j modulo the
+absolute precision of 1-s and the unit parts of j+1, with the valuation and
+precision a chain of ``PadicNumber`` products gives, and w(i) from its exact
+numerator and denominator (the integer 2^i E_i(0) over 2^i for E_i(0)).
+``tests/object_reference.py`` keeps the ``PadicNumber`` builder, pinned
+entry by entry.  The set keeps only what the per-x pass reads: the
+(valuation, relprec) of each entry, the least valuation base, and the
+integers unit * p**(valuation - base) in Horner order, split by the parity
+of i.  An LRU cache keeps the last ``_COEFFICIENT_SETS`` sets (a set is a few
+dozen integers at the default precision); a set is never extended, a larger
+term count is a new entry.  Each x then costs a precision scan over the entries and
 an integer Horner pass in 1/x modulo the sum's absolute precision, which give
 the same value and precision as summing the terms as ``PadicNumber`` objects.
 The prefactor <x>^(1-s) is ``PadicContext.angle_power``, log and exp on
@@ -67,7 +71,6 @@ from .errors import (
 from .padic import (
     PadicContext,
     PadicNumber,
-    _embed_fraction,
     alternating_sum,
     capped_power,
     vp_fraction,
@@ -175,9 +178,23 @@ def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: i
     """C(1-s, i) w(i) for i < terms, from the triple of 1-s, as the Horner
     pass of ``_laurent_series`` reads them.
 
-    Every entry and the running binomial are ``PadicNumber`` products, so
-    their precision is that of the arithmetic; an entry is the exact zero
-    where w(i) = 0.  The set is (entries, base, even, odd):
+    1 - s lies in Z_p: a regular triple of valuation >= 0, or the bounded
+    zero O(p^A).  Its residue sigma is known modulo p^A, A its absolute
+    precision, and C(sigma, i) = prod_{j<i} (sigma - j) / i! is built on
+    integers with the precision rules of ``PadicNumber`` products:
+
+    * step j has t_j = v_p((sigma - j) mod p^A), or t_j = A where that
+      residue is 0, and from there on the binomial is the bounded zero
+      O(p^(sum t_j - v_p(i!)));
+    * otherwise the binomial has valuation sum t_j - v_p(i!), relative
+      precision min(prec, A - t_j over the steps so far) and, as its unit,
+      the product of the unit parts of the sigma - j times the inverses of
+      the unit parts of 1, ..., i, kept modulo p^prec and reduced modulo
+      p^relprec at each entry (relprec only falls).
+
+    w(i) = E_{i+offset}(u) is read as an exact numerator and denominator
+    (the integer 2^n E_n(0) over 2^n at u = 0) at relative precision prec;
+    an entry is the exact zero where w(i) = 0.  The set is (entries, base, even, odd):
 
     * (i, valuation, relprec) of every entry that is not the exact zero
       (relprec 0 for a bounded zero);
@@ -186,21 +203,67 @@ def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: i
       a zero) at even i and at odd i, each in Horner order (highest i first)
       and without its leading zeros, so that the zeros of E_i(0) at even
       i >= 2 cost nothing.
+
+    ``tests/object_reference.py`` builds the same set by ``PadicNumber``
+    arithmetic.
     """
     u, offset = weight
-    one_minus_s = PadicNumber(p, *one_minus_s)
-    binom = PadicNumber(p, 0, 1, prec)
+    sv, su, sr = one_minus_s
+    a = sv + sr
+    mod_a = p**a if a > 0 else 1
+    sigma = su * p**sv % mod_a
+    mod = p**prec
+    half = (mod + 1) // 2
+    scale = pow(half, offset, mod)  # 2**-(i + offset) modulo p**prec
+    # the binomial: valuation, relprec, bounded zero or not, unit modulo p**prec
+    val, rel, zero, unit = 0, prec, False, 1
+    m = mod  # p**rel
     items = []
     for i in range(terms):
-        w = euler.euler_zero(i + offset) if u == 0 else euler.euler_poly(i + offset, u)
-        items.append(binom * _embed_fraction(p, w, prec))
-        binom = binom * (one_minus_s - i) / (i + 1)
-    entries = tuple(
-        (i, c.valuation, c.relprec) for i, c in enumerate(items) if not c.is_exact_zero
-    )
-    base = min((c.valuation for c in items if c.relprec), default=None)
-    scaled = [c.unit * p ** (c.valuation - base) if c.relprec else 0 for c in items]
+        # w(i) as p**tw * w, the unit w modulo p**prec
+        if u == 0:
+            w = euler._scaled_zero(i + offset)
+            if w:
+                tw, w = _split(p, w)
+                w = w % mod * scale
+        else:
+            w = euler.euler_poly(i + offset, u)
+            if w:
+                tn, wn = _split(p, w.numerator)
+                td, wd = _split(p, w.denominator)
+                tw, w = tn - td, wn * pow(wd, -1, mod)
+        if not w:
+            items.append(None)
+        elif zero:
+            items.append((val + tw, 0, 0))
+        else:
+            items.append((val + tw, unit * w % m, rel))
+        scale = scale * half % mod
+        # step to C(sigma, i + 1): times sigma - i, over i + 1
+        r = (sigma - i) % mod_a
+        if r:
+            t, r = _split(p, r)
+            if not zero and a - t < rel:
+                rel, m = a - t, p ** (a - t)
+        else:
+            t, zero = a, True
+        tq, q = _split(p, i + 1)
+        val += t - tq
+        if not zero:
+            unit = unit * r * pow(q, -1, mod) % mod
+    entries = tuple((i, c[0], c[2]) for i, c in enumerate(items) if c is not None)
+    base = min((v for _, v, r in entries if r), default=None)
+    scaled = [c[1] * p ** (c[0] - base) if c and c[2] else 0 for c in items]
     return entries, base, _horner_order(scaled[0::2]), _horner_order(scaled[1::2])
+
+
+def _split(p: int, n: int) -> tuple[int, int]:
+    """(v_p(n), n / p**v_p(n)) for a nonzero integer n."""
+    t = 0
+    while n % p == 0:
+        n //= p
+        t += 1
+    return t, n
 
 
 def _horner_order(coefficients: list[int]) -> tuple[int, ...]:

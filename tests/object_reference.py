@@ -1,5 +1,5 @@
-"""The object-arithmetic evaluation of the Laurent series, of log/exp and of
-the character representation sum.
+"""The object-arithmetic evaluation of the Laurent series and its coefficient
+sets, of log/exp and of the character representation sum.
 
 Every step here is a ``PadicNumber`` operation, so the precision rules are
 those of the arithmetic itself.  The library evaluates the same quantities on
@@ -20,9 +20,22 @@ from padiczeta.errors import (
     OutsideExpDomain,
     OutsideLogDomain,
 )
-from padiczeta.padic import EVALUATION_CAP, PadicContext, PadicNumber, vp_fraction, vp_int
+from padiczeta.padic import (
+    EVALUATION_CAP,
+    PadicContext,
+    PadicNumber,
+    _embed_fraction,
+    vp_fraction,
+    vp_int,
+)
 from padiczeta.zeta_char import _check_char, _coerce_zp
-from padiczeta.zeta_czp import SeriesBudget, ZetaArgumentCZp, _coerce_exponent, _series_terms
+from padiczeta.zeta_czp import (
+    SeriesBudget,
+    ZetaArgumentCZp,
+    _coerce_exponent,
+    _horner_order,
+    _series_terms,
+)
 
 
 def _ilog(p: int, n: int) -> int:
@@ -112,6 +125,27 @@ def weighted_series(ctx, one_minus_s, x, weight, decay, budget) -> PadicNumber:
     if acc is None:
         acc = ctx.exact_zero()
     return acc
+
+
+def coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: int) -> tuple:
+    """The coefficient set of ``zeta_czp._coefficients``, every entry and the
+    running binomial a ``PadicNumber`` product: entry i is C(1-s, i) times
+    w(i) = E_{i+offset}(u) embedded at relative precision prec, and the
+    binomial steps by (1-s - i) / (i + 1)."""
+    u, offset = weight
+    one_minus_s = PadicNumber(p, *one_minus_s)
+    binom = PadicNumber(p, 0, 1, prec)
+    items = []
+    for i in range(terms):
+        w = euler.euler_zero(i + offset) if u == 0 else euler.euler_poly(i + offset, u)
+        items.append(binom * _embed_fraction(p, w, prec))
+        binom = binom * (one_minus_s - i) / (i + 1)
+    entries = tuple(
+        (i, c.valuation, c.relprec) for i, c in enumerate(items) if not c.is_exact_zero
+    )
+    base = min((c.valuation for c in items if c.relprec), default=None)
+    scaled = [c.unit * p ** (c.valuation - base) if c.relprec else 0 for c in items]
+    return entries, base, _horner_order(scaled[0::2]), _horner_order(scaled[1::2])
 
 
 def _prefactor_and_series(ctx, s, x, weight, decay_shift, budget):

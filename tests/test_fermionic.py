@@ -18,6 +18,7 @@ from padiczeta.fermionic import (
     verify_shift_identities,
 )
 from padiczeta.padic import PadicContext, agreement_depth
+from padiczeta.verify import _ALTERNATING_POINTS, _literal_alternating_sum
 
 
 class TestMonomialShift:
@@ -86,6 +87,14 @@ class TestAlternatingPowerSum:
         x = Fraction(1, 2)
         literal = sum((-1) ** a * (x + a) ** 5 for a in range(3**6))
         assert alternating_power_sum(5, 3**6, x) == literal
+
+    def test_integer_literal_of_the_verify_check(self):
+        # the alternating-sum identity sums its literal side over the common
+        # denominator; it is the Fraction sum at every one of its points
+        assert len(_ALTERNATING_POINTS) == 90
+        for m, rho, x in _ALTERNATING_POINTS:
+            literal = sum((-1) ** a * (x + a) ** m for a in range(rho))
+            assert _literal_alternating_sum(m, rho, x) == literal, (m, rho, x)
 
 
 class TestShiftIdentities:

@@ -34,6 +34,7 @@ from padiczeta.padic import (
 from padiczeta.zeta_char import _representation_sum
 from padiczeta.zeta_czp import (
     SeriesBudget,
+    _coefficients,
     _laurent_series,
     integral_of_zeta,
     zeta_czp,
@@ -128,6 +129,42 @@ def test_laurent_series_bytes(p):
                     )
                     got = _outcome(_laurent_series, ctx, one_minus_s, xp, weight, decay, budget)
                     assert got == expected, (s, x, weight)
+
+
+@st.composite
+def _coefficient_cases(draw):
+    """(p, prec, triple of 1 - s, weight, terms) for the coefficient builder."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 1009)))
+    prec = draw(st.integers(1, 40))
+
+    def unit(rel):
+        return draw(st.integers(0, p**rel - 1).filter(lambda n: n % p))
+
+    kind = draw(st.sampled_from(("regular", "low", "zero", "integer")))
+    if kind == "regular":
+        v = draw(st.integers(0, 3))
+        r = draw(st.integers(1, prec))
+        one_minus_s = (v, unit(r), r)
+    elif kind == "low":  # fewer digits than most steps need
+        r = draw(st.integers(1, 2))
+        one_minus_s = (draw(st.integers(0, 1)), unit(r), r)
+    elif kind == "zero":  # O(p^A): bounded from the first step on
+        one_minus_s = (draw(st.sampled_from((0, 1, prec))), 0, 0)
+    else:  # 1 - s = m: the set vanishes from i = m on
+        m = PadicNumber._normalize(p, 0, draw(st.integers(1, 80)), prec)
+        one_minus_s = (m.valuation, m.unit, m.relprec)
+    denominator = draw(st.sampled_from((1, 2, 3, p, p * p)))
+    shift = Fraction(draw(st.integers(-60, 60).filter(bool)), denominator)
+    weight = draw(st.sampled_from(((0, 0), (0, 1), (shift, 0))))
+    return p, prec, one_minus_s, weight, draw(st.integers(1, 80))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coefficient_cases())
+def test_coefficients_match_object_arithmetic(case):
+    # entry by entry: the (i, valuation, relprec) list, the base and both
+    # Horner halves of the integer builder are those of PadicNumber products
+    assert _coefficients.__wrapped__(*case) == ref.coefficients(*case)
 
 
 def test_default_precision_bytes(ctx3, ctx7):

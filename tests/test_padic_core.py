@@ -317,6 +317,102 @@ class TestBinomial:
             assert b.is_zero() or b.valuation >= 0
 
 
+def _digit_operand(draw, p):
+    """(value, valuation, digits) of a digit literal; leading zero digits
+    raise the valuation, and all-zero digits give a bounded zero."""
+    v = draw(st.integers(-2, 2))
+    digits = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
+    value = PadicContext(p, 8).parse_value(f"{v}:{','.join(map(str, digits))}")
+    return value, v, digits
+
+
+def _lift(draw, p, v, digits):
+    """An exact rational with the given known digits: p**v times the digits
+    plus p**len(digits) times a rational tail in Z_p."""
+    tail = Fraction(
+        draw(st.integers(-(p**8), p**8)), draw(st.integers(1, 50).filter(lambda d: d % p))
+    )
+    known = sum(d * p**i for i, d in enumerate(digits))
+    return (known + tail * p ** len(digits)) * Fraction(p) ** v
+
+
+def _claims_only_true_digits(p, value, exact):
+    """value is the exact zero only where exact is 0, and otherwise agrees
+    with exact to its absolute precision."""
+    if value.is_exact_zero:
+        return exact == 0
+    return agreement_depth(value, PadicContext(p, 100, 0).from_fraction(exact)) >= value.absprec
+
+
+def _partner(p):
+    return st.one_of(
+        st.integers(-500, 500),
+        st.builds(
+            Fraction,
+            st.integers(-500, 500),
+            st.sampled_from((1, 2, 3, 7, p, p * p, 2 * p**3)),
+        ),
+    )
+
+
+class TestArithmeticUnderLifts:
+    """+, -, * and / of ``PadicNumber`` operands with each other and with int
+    and Fraction partners, and ``binomial``: every claimed digit holds for
+    every exact rational lift of the operands' unknown digits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_two_limited_operands(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        a, va, da = _digit_operand(data.draw, p)
+        b, vb, db = _digit_operand(data.draw, p)
+        results = {"+": a + b, "-": a - b, "*": a * b}
+        if not b.is_zero():
+            results["/"] = a / b
+        for _ in range(3):
+            la, lb = _lift(data.draw, p, va, da), _lift(data.draw, p, vb, db)
+            exact = {"+": la + lb, "-": la - lb, "*": la * lb}
+            if "/" in results:
+                exact["/"] = la / lb
+            for op, value in results.items():
+                assert _claims_only_true_digits(p, value, exact[op]), (op, a, b, la, lb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_exact_partner(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        a, va, da = _digit_operand(data.draw, p)
+        q = data.draw(_partner(p))
+        results = {"a+q": a + q, "q+a": q + a, "a-q": a - q, "q-a": q - a}
+        results |= {"a*q": a * q, "q*a": q * a}
+        if q != 0:
+            results["a/q"] = a / q
+        if not a.is_zero():
+            results["q/a"] = q / a
+        for _ in range(3):
+            la = _lift(data.draw, p, va, da)
+            exact = {"a+q": la + q, "q+a": q + la, "a-q": la - q, "q-a": q - la}
+            exact |= {"a*q": la * q, "q*a": q * la}
+            if "a/q" in results:
+                exact["a/q"] = la / q
+            if "q/a" in results:
+                exact["q/a"] = q / la
+            for op, value in results.items():
+                assert _claims_only_true_digits(p, value, exact[op]), (op, a, q, la)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_binomial(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        s, vs, ds = _digit_operand(data.draw, p)
+        i = data.draw(st.integers(0, 3 * p))
+        value = PadicContext(p, 8).binomial(s, i)
+        for _ in range(3):
+            ls = _lift(data.draw, p, vs, ds)
+            exact = math.prod(ls - j for j in range(i)) / math.factorial(i)
+            assert _claims_only_true_digits(p, value, Fraction(exact)), (s, i, ls)
+
+
 class TestPrecisionModel:
     def test_addition_uses_min_absolute_precision(self, ctx5):
         a = ctx5.from_fraction(Fraction(1, 5), relprec=4)  # absprec 3
@@ -446,6 +542,29 @@ class TestRendering:
         assert render(ctx5.bounded_zero(4)) == "O(5^4)"
         x = PadicContext(5, 3, 0).from_fraction(Fraction(14, 5))
         assert render(x) == "5^-1 * (4 + 2*5 + 0*5^2)"
+
+    @pytest.mark.parametrize("p", (3, 5, 1009))
+    def test_digits_match_the_divmod_loop(self, p):
+        # the divide-and-conquer conversion gives the digits of one divmod
+        # by p per digit, at lengths on both sides of every split
+        rng = random.Random(5100 + p)
+        lengths = [1, 2, 63, 64, 65, 127, 128, 129, 1000, 3000]
+        lengths += [rng.randrange(1, 3001) for _ in range(10)]
+        for count in lengths:
+            unit = rng.randrange(1, p**count)
+            while unit % p == 0:
+                unit = rng.randrange(1, p**count)
+            x = PadicNumber(p, rng.randrange(-3, 4), unit, count)
+            digits, u = [], unit
+            for _ in range(count):
+                u, d = divmod(u, p)
+                digits.append(d)
+            assert to_json_dict(x)["digits"] == digits, count
+            expected = " + ".join(
+                str(d) if i == 0 else f"{d}*{p}" if i == 1 else f"{d}*{p}^{i}"
+                for i, d in enumerate(digits)
+            )
+            assert render(x) == f"{p}^{x.valuation} * ({expected})", count
 
     def test_context_validation(self):
         with pytest.raises(ValueError):
