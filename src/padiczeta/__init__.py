@@ -28,7 +28,6 @@ from .padic import (
     render,
     to_json_dict,
 )
-from .report import VerificationReport
 from .zeta_char import (
     dzeta_char_dx,
     ell,
@@ -60,7 +59,6 @@ __all__ = [
     "PadicError",
     "PadicNumber",
     "SeriesBudget",
-    "VerificationReport",
     "ZetaArgumentCZp",
     "agreement_depth",
     "alternating_power_sum",

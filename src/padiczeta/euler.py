@@ -13,10 +13,14 @@ give the rest:
 * E_m(a/b) = sum_i C(m,i) 2^(m-i) E_(m-i)(0) (2a)^i b^(m-i), divided once by
   2^m b^m.
 
-The ``euler-exact`` identity network (``verify_euler_identities``) still
-cross-checks these values against the defining relations, which the triangle
-never uses.  Its ``euler-shift`` check at x = 0, E_n(1) + E_n(0) = 0, is the
-recurrence 2 E_n(0) = -sum_{k<n} C(n,k) E_k(0); ``euler-conversion``,
+The integer (2b)^m E_m(a/b) itself is ``_scaled_poly``; the Laurent
+coefficient sets of ``zeta_czp`` read it, as ``euler_poly`` does before its
+one division.
+
+The ``euler-exact`` identity of ``verify`` cross-checks these values against
+the defining relations, which the triangle never uses.  Its ``euler-shift``
+check at x = 0, E_n(1) + E_n(0) = 0, is the recurrence
+2 E_n(0) = -sum_{k<n} C(n,k) E_k(0); ``euler-conversion``,
 E_m(0) = 2^-m sum_k C(m,k) (-1)^(m-k) E_k, relates the tangent half of the
 triangle to the secant half.
 
@@ -37,14 +41,12 @@ from itertools import accumulate
 from math import comb
 
 from .errors import DegreeOverflow
-from .report import VerificationReport, params_tuple
 
 __all__ = [
     "euler_number",
     "euler_poly",
     "euler_zero",
     "table_json",
-    "verify_euler_identities",
 ]
 
 MAX_DEGREE = 6000
@@ -86,17 +88,25 @@ def euler_number(n: int) -> Fraction:
     return Fraction(0 if n % 2 else (-1) ** (n // 2) * a)
 
 
-def euler_poly(m: int, x) -> Fraction:
-    """E_m(x) = sum_i C(m,i) E_{m-i}(0) x^i, exactly."""
+def _scaled_poly(m: int, a: int, b: int) -> int:
+    """(2b)^m E_m(a/b), an integer: sum_i C(m,i) 2^(m-i) E_(m-i)(0) (2a)^i b^(m-i)."""
+    if not a:
+        return _scaled_zero(m) * b**m
     _zigzag(m)  # a degree out of range raises here, not as an empty sum
-    x = Fraction(x)
-    a2, b = 2 * x.numerator, x.denominator
+    a2 = 2 * a
     total = 0
     for j in range(m + 1):  # j = m - i
         z = _scaled_zero(j)
         if z:
             total += comb(m, j) * z * a2 ** (m - j) * b**j
-    return Fraction(total, (2 * b) ** m)
+    return total
+
+
+def euler_poly(m: int, x) -> Fraction:
+    """E_m(x) = sum_i C(m,i) E_{m-i}(0) x^i, exactly."""
+    x = Fraction(x)
+    b = x.denominator
+    return Fraction(_scaled_poly(m, x.numerator, b), (2 * b) ** m)
 
 
 def table_json(max_degree: int) -> str:
@@ -110,103 +120,3 @@ def table_json(max_degree: int) -> str:
         "E": [[str(q.numerator), str(q.denominator)] for q in map(euler_number, degrees)],
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-# ---- identity network ---------------------------------------------------------
-
-_SHIFT_POINTS = [
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(3),
-    Fraction(2, 3),
-    Fraction(-5, 4),
-    Fraction(7, 2),
-    Fraction(-3),
-]
-
-_QUADRATIC_POINTS = [
-    Fraction(0),
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(3, 4),
-]
-
-
-def verify_euler_identities(max_degree: int) -> list[VerificationReport]:
-    """Exact checks of the identity network up to the given degree.
-
-    Covers: the E <-> E(0) conversion, the shift identity
-    E_m(x+1) + E_m(x) = 2 x^m, the reflection E_m(1-x) = (-1)^m E_m(x),
-    the distribution identity E_n(0) = N^n sum_j (-1)^j E_n(j/N) for odd N,
-    and the quadratic convolution
-    sum_i C(m,i) E_i(x) E_{m-i}(x) = 2((1-2x) E_m(2x) + E_{m+1}(2x)).
-    All comparisons are exact with zero tolerance.
-    """
-    reports = []
-
-    def aggregate(name: str, params: dict, failures: list[str]) -> None:
-        reports.append(
-            VerificationReport(
-                identity=name,
-                params=params_tuple(params),
-                lhs="(exact rational identity)",
-                rhs="(exact rational identity)",
-                status="pass" if not failures else "fail",
-                note="; ".join(failures[:4]),
-            )
-        )
-
-    fails = []
-    for m in range(max_degree + 1):
-        lhs = euler_zero(m)
-        rhs = Fraction(
-            sum(comb(m, k) * (-1) ** (m - k) * euler_number(k) for k in range(m + 1)),
-            2**m,
-        )
-        if lhs != rhs:
-            fails.append(f"conversion m={m}")
-    aggregate("euler-conversion", {"max_degree": max_degree}, fails)
-
-    fails = []
-    for m in range(max_degree + 1):
-        for x in _SHIFT_POINTS:
-            if euler_poly(m, x + 1) + euler_poly(m, x) != 2 * x**m:
-                fails.append(f"shift m={m} x={x}")
-    aggregate("euler-shift", {"max_degree": max_degree, "points": len(_SHIFT_POINTS)}, fails)
-
-    fails = []
-    for m in range(max_degree + 1):
-        for x in _SHIFT_POINTS:
-            if euler_poly(m, 1 - x) != (-1) ** m * euler_poly(m, x):
-                fails.append(f"reflection m={m} x={x}")
-    aggregate("euler-reflection", {"max_degree": max_degree}, fails)
-
-    fails = []
-    for n_mod in (1, 3, 5):
-        for m in range(max_degree + 1):
-            rhs = Fraction(n_mod) ** m * sum(
-                (-1) ** j * euler_poly(m, Fraction(j, n_mod)) for j in range(n_mod)
-            )
-            if euler_zero(m) != rhs:
-                fails.append(f"distribution N={n_mod} m={m}")
-    aggregate("euler-distribution", {"max_degree": max_degree, "N": "1,3,5"}, fails)
-
-    fails = []
-    for m in range(max_degree + 1):
-        for x in _QUADRATIC_POINTS:
-            lhs = sum(
-                comb(m, i) * euler_poly(i, x) * euler_poly(m - i, x)
-                for i in range(m + 1)
-            )
-            rhs = 2 * ((1 - 2 * x) * euler_poly(m, 2 * x) + euler_poly(m + 1, 2 * x))
-            if lhs != rhs:
-                fails.append(f"quadratic m={m} x={x}")
-    aggregate(
-        "euler-quadratic", {"max_degree": max_degree, "points": len(_QUADRATIC_POINTS)}, fails
-    )
-
-    return reports

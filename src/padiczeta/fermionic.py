@@ -17,7 +17,6 @@ from . import euler
 from .characters import DirichletCharacter, char_eval
 from .errors import ArgumentViolation
 from .padic import PadicContext, PadicNumber, alternating_sum, capped_power
-from .report import VerificationReport, compare_exact
 
 __all__ = [
     "Integrand",
@@ -26,7 +25,6 @@ __all__ = [
     "integral_of_polynomial",
     "integrate_monomial_shift",
     "integrate_truncated",
-    "verify_shift_identities",
 ]
 
 
@@ -103,57 +101,6 @@ def alternating_power_sum(m: int, rho: int, x) -> Fraction:
         raise ArgumentViolation("need m >= 0 and rho >= 1")
     x = Fraction(x)
     return (euler.euler_poly(m, x) - (-1) ** rho * euler.euler_poly(m, x + rho)) / 2
-
-
-def verify_shift_identities(f: Integrand, x) -> list[VerificationReport]:
-    """Exact checks of the forward/backward difference identities.
-
-    For I(y) = int f(y+a) dmu(a):
-      I(x) = f(x) - I(Delta f at x)/2        (Delta f)(a) = f(a+1) - f(a)
-      I(x) = f(x-1) + I(nabla f at x)/2      (nabla f)(a) = f(a) - f(a-1)
-    equivalently I(x+1) + I(x) = 2 f(x).
-    """
-    x = Fraction(x)
-    table_ix = integral_of_polynomial(f, x)
-
-    def shifted(g: Integrand, offset: Fraction) -> Integrand:
-        # coefficients of a -> g(a + offset)
-        out = [Fraction(0)] * (g.degree + 1)
-        for k, c in enumerate(g.coeffs):
-            for i in range(k + 1):
-                out[i] += c * comb(k, i) * offset ** (k - i)
-        return Integrand.polynomial(out)
-
-    def poly_difference(a: Integrand, b: Integrand) -> Integrand:
-        n = max(a.degree, b.degree) + 1
-        ca = list(a.coeffs) + [Fraction(0)] * (n - len(a.coeffs))
-        cb = list(b.coeffs) + [Fraction(0)] * (n - len(b.coeffs))
-        return Integrand.polynomial([u - v for u, v in zip(ca, cb)])
-
-    delta = poly_difference(shifted(f, Fraction(1)), f)
-    nabla = poly_difference(f, shifted(f, Fraction(-1)))
-    params = {"f": list(map(str, f.coeffs)), "x": x}
-    reports = [
-        compare_exact(
-            "integral-shift-delta",
-            params,
-            table_ix,
-            f.eval_fraction(x) - integral_of_polynomial(delta, x) / 2,
-        ),
-        compare_exact(
-            "integral-shift-nabla",
-            params,
-            table_ix,
-            f.eval_fraction(x - 1) + integral_of_polynomial(nabla, x) / 2,
-        ),
-        compare_exact(
-            "integral-shift-pair",
-            params,
-            integral_of_polynomial(f, x + 1) + table_ix,
-            2 * f.eval_fraction(x),
-        ),
-    ]
-    return reports
 
 
 def change_of_variable(

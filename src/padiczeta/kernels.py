@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import ArgumentViolation
 from .padic import EVALUATION_CAP, PadicNumber, capped_power, teichmuller_table
-from .padic import vp_factorial, vp_fraction, vp_int
+from .padic import _vp_split, vp_factorial, vp_fraction, vp_int
 
 __all__ = [
     "EVALUATION_CAP",
@@ -127,7 +127,7 @@ def hurwitz_sums(
     g_prec = prec + _GUARD
     mod = p**g_prec
     num, den = x.numerator, x.denominator
-    b_unit = den // p ** vp_int(den, p)
+    _, b_unit = _vp_split(den, p)
     # <x+a> = (num + a*den) / (b_unit * omega(num/b_unit))
     omega = teichmuller_table(p, g_prec)[num * pow(b_unit, -1, p) % p]
     exponent = _exponent_one_minus(p, g_prec - 1, s)

@@ -86,13 +86,18 @@ def is_odd_prime(n: int) -> bool:
 
 def vp_int(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
+    return _vp_split(n, p)[0]
+
+
+def _vp_split(n: int, p: int) -> tuple[int, int]:
+    """(v_p(n), n / p**v_p(n)) for a nonzero integer n."""
     if n == 0:
         raise ZeroArgument("valuation of 0 is infinite")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    return v, n
 
 
 def vp_fraction(q: Fraction, p: int) -> int | None:
@@ -187,10 +192,10 @@ class PadicNumber:
         m = mantissa % p**width
         if m == 0:
             return cls.bounded_zero(p, absprec)
-        t = vp_int(m, p)
+        t, m = _vp_split(m, p)
         val = base_val + t
         rel = absprec - val
-        unit = (m // p**t) % p**rel
+        unit = m % p**rel
         return cls(p, val, unit, rel)
 
     # ---- predicates ----------------------------------------------------
@@ -394,11 +399,9 @@ class PadicNumber:
 def _embed_fraction(p: int, q: int | Fraction, relprec: int) -> PadicNumber:
     if q == 0:
         return PadicNumber.exact_zero(p)
-    vn = vp_int(q.numerator, p)
-    vd = vp_int(q.denominator, p)
+    vn, num_unit = _vp_split(q.numerator, p)
+    vd, den_unit = _vp_split(q.denominator, p)
     mod = p**relprec
-    num_unit = q.numerator // p**vn
-    den_unit = q.denominator // p**vd
     if den_unit != 1:
         num_unit *= pow(den_unit, -1, mod)
     return PadicNumber(p, vn - vd, num_unit % mod, relprec)
@@ -761,11 +764,11 @@ def _log_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
     out = []
     n = 1
     while True:
-        t = vp_int(n, p)
+        t, n_unit = _vp_split(n, p)
         e = n * k - t
         c = 0
         if e < target:
-            c = pow(n // p**t, -1, p ** (target - e)) * p**e
+            c = pow(n_unit, -1, p ** (target - e)) * p**e
         out.append(c if n % 2 == 1 else (-c) % mod)
         if (n + 1) * k - _ilog(p, n + 1) >= target:
             return tuple(out)
@@ -780,9 +783,9 @@ def _exp_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
     val, inv_unit = 0, 1  # v_p of p**(n*k)/n!, inverse of the unit part of n!
     n = 1
     while True:
-        t = vp_int(n, p)
+        t, n_unit = _vp_split(n, p)
         val += k - t
-        inv_unit = inv_unit * pow(n // p**t, -1, mod) % mod
+        inv_unit = inv_unit * pow(n_unit, -1, mod) % mod
         out.append(inv_unit * p**val % mod if val < target else 0)
         # stop once n*k - (n-1)/(p-1) >= target: a lower bound for the
         # valuation n*k - v_p(n!) of every later term
@@ -804,8 +807,8 @@ def _log_residue(p: int, unit: int, target: int) -> tuple[int, int, int]:
     m = (unit - 1) % mod
     if not m:
         return target, 0, 0
-    k = vp_int(m, p)
-    series = _horner(_log_coefficients(p, k, target), m // p**k, mod)
+    k, zu = _vp_split(m, p)
+    series = _horner(_log_coefficients(p, k, target), zu, mod)
     # v_p(log(1 + z)) = v_p(z) for v_p(z) >= 1 and odd p: the n = 1 term
     # p**k * zu has the least valuation
     return k, series // p**k, target - k

@@ -41,12 +41,12 @@ class VerificationReport:
     agreement_depth: int | None = None
     required_depth: int | None = None
     reference_depth: int | None = None  # the N (or step exponent) an oracle ran at
-    status: str  # pass | fail | hypothesis-violation | budget
+    status: str  # pass | fail | budget
     note: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.status in ("pass", "hypothesis-violation")
+        return self.status == "pass"
 
 
 def render_param(value) -> str:
@@ -117,12 +117,6 @@ def compare_exact(
         rhs=str(rhs),
         status="pass" if lhs == rhs else "fail",
         note=note,
-    )
-
-
-def hypothesis_violation(identity: str, params: dict, note: str) -> VerificationReport:
-    return VerificationReport(
-        identity=identity, params=params_tuple(params), status="hypothesis-violation", note=note
     )
 
 

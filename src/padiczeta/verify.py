@@ -3,7 +3,8 @@
 Each named identity is one registry record: a grid of parameter tuples and a
 check that turns one tuple into reports.  ``run_verify`` runs the checks
 serially, identity by identity and gridpoint by gridpoint, so the report
-order is the grid order.
+order is the grid order.  The checks are the only code that turns a
+comparison into a report; the evaluators they call return values.
 
 Oracle-backed identities pass when the agreement depth reaches N - c, where
 the per-family slack constants c come from a checked-in calibration fixture
@@ -20,6 +21,7 @@ from fractions import Fraction
 from functools import partial
 from importlib import resources
 from itertools import product
+from math import comb
 from typing import Callable, Mapping
 
 from . import euler, kernels
@@ -29,7 +31,7 @@ from .fermionic import (
     Integrand,
     alternating_power_sum,
     change_of_variable,
-    verify_shift_identities,
+    integral_of_polynomial,
 )
 from .padic import PadicContext, agreement_depth, alternating_sum, capped_power
 from .report import (
@@ -37,12 +39,12 @@ from .report import (
     budget_failure,
     compare_exact,
     compare_values,
+    params_tuple,
 )
 from .zeta_char import (
     dzeta_char_dx,
     ell,
     ell_limit_oracle,
-    functional_reflection_distribution,
     power_series_zeta,
     raabe_char,
     representation_pair,
@@ -219,9 +221,98 @@ def _compare_calibrated(
 # ---- identities, in report order ------------------------------------------------
 
 
+# x of the Euler shift and reflection laws
+_SHIFT_POINTS = (
+    Fraction(0),
+    Fraction(1),
+    Fraction(-1),
+    Fraction(1, 2),
+    Fraction(-1, 2),
+    Fraction(3),
+    Fraction(2, 3),
+    Fraction(-5, 4),
+    Fraction(7, 2),
+    Fraction(-3),
+)
+
+# x of the quadratic convolution
+_QUADRATIC_POINTS = (
+    Fraction(0),
+    Fraction(1),
+    Fraction(1, 2),
+    Fraction(-1, 2),
+    Fraction(3, 4),
+)
+
+
+def _exact_family(identity: str, params: dict, failures: list[str]) -> VerificationReport:
+    """One report for a family of exact rational comparisons, with the first
+    four failures as its note."""
+    return VerificationReport(
+        identity=identity,
+        params=params_tuple(params),
+        lhs="(exact rational identity)",
+        rhs="(exact rational identity)",
+        status="pass" if not failures else "fail",
+        note="; ".join(failures[:4]),
+    )
+
+
 @_identity("euler-exact", _single)
 def _check_euler_exact(cfg: VerifyConfig) -> Reports:
-    return euler.verify_euler_identities(20)
+    """The Euler values up to degree 20 against their defining relations,
+    with zero tolerance: the E <-> E(0) conversion, the shift
+    E_m(x+1) + E_m(x) = 2 x^m, the reflection E_m(1-x) = (-1)^m E_m(x), the
+    distribution E_m(0) = N^m sum_j (-1)^j E_m(j/N) for odd N, and the
+    quadratic convolution
+    sum_i C(m,i) E_i(x) E_{m-i}(x) = 2((1-2x) E_m(2x) + E_{m+1}(2x))."""
+    top = 20
+    degrees = range(top + 1)
+    e_zero, e_poly = euler.euler_zero, euler.euler_poly
+    conversion = [
+        f"conversion m={m}"
+        for m in degrees
+        if e_zero(m)
+        != Fraction(
+            sum(comb(m, k) * (-1) ** (m - k) * euler.euler_number(k) for k in range(m + 1)),
+            2**m,
+        )
+    ]
+    shift = [
+        f"shift m={m} x={x}"
+        for m in degrees
+        for x in _SHIFT_POINTS
+        if e_poly(m, x + 1) + e_poly(m, x) != 2 * x**m
+    ]
+    reflection = [
+        f"reflection m={m} x={x}"
+        for m in degrees
+        for x in _SHIFT_POINTS
+        if e_poly(m, 1 - x) != (-1) ** m * e_poly(m, x)
+    ]
+    distribution = [
+        f"distribution N={n} m={m}"
+        for n in (1, 3, 5)
+        for m in degrees
+        if e_zero(m)
+        != Fraction(n) ** m * sum((-1) ** j * e_poly(m, Fraction(j, n)) for j in range(n))
+    ]
+    quadratic = [
+        f"quadratic m={m} x={x}"
+        for m in degrees
+        for x in _QUADRATIC_POINTS
+        if sum(comb(m, i) * e_poly(i, x) * e_poly(m - i, x) for i in range(m + 1))
+        != 2 * ((1 - 2 * x) * e_poly(m, 2 * x) + e_poly(m + 1, 2 * x))
+    ]
+    return [
+        _exact_family("euler-conversion", {"max_degree": top}, conversion),
+        _exact_family("euler-shift", {"max_degree": top, "points": len(_SHIFT_POINTS)}, shift),
+        _exact_family("euler-reflection", {"max_degree": top}, reflection),
+        _exact_family("euler-distribution", {"max_degree": top, "N": "1,3,5"}, distribution),
+        _exact_family(
+            "euler-quadratic", {"max_degree": top, "points": len(_QUADRATIC_POINTS)}, quadratic
+        ),
+    ]
 
 
 # (m, rho, x) of the alternating-sum check: 90 points
@@ -255,6 +346,15 @@ def _check_alternating_sum(cfg: VerifyConfig) -> Reports:
     ]
 
 
+def _shift_difference(f: Integrand, offset: int) -> Integrand:
+    """The polynomial a -> f(a + offset) - f(a)."""
+    out = [-c for c in f.coeffs]
+    for k, c in enumerate(f.coeffs):
+        for i in range(k + 1):
+            out[i] += c * comb(k, i) * offset ** (k - i)
+    return Integrand.polynomial(out)
+
+
 @_identity(
     "shift-integral",
     lambda cfg: list(
@@ -264,8 +364,36 @@ def _check_alternating_sum(cfg: VerifyConfig) -> Reports:
         )
     ),
 )
-def _check_shift_integral(cfg: VerifyConfig, coeffs, x) -> Reports:
-    return verify_shift_identities(Integrand.polynomial(coeffs), x)
+def _check_shift_integral(cfg: VerifyConfig, coeffs, x: Fraction) -> Reports:
+    """The difference identities of I(y) = int f(y+a) dmu(a), exactly:
+    I(x) = f(x) - I(Delta f at x)/2 with (Delta f)(a) = f(a+1) - f(a),
+    I(x) = f(x-1) + I(nabla f at x)/2 with (nabla f)(a) = f(a) - f(a-1),
+    and I(x+1) + I(x) = 2 f(x)."""
+    f = Integrand.polynomial(coeffs)
+    at_x = integral_of_polynomial(f, x)
+    params = {"f": list(map(str, f.coeffs)), "x": x}
+    delta = _shift_difference(f, 1)
+    minus_nabla = _shift_difference(f, -1)  # f(a-1) - f(a)
+    return [
+        compare_exact(
+            "integral-shift-delta",
+            params,
+            at_x,
+            f.eval_fraction(x) - integral_of_polynomial(delta, x) / 2,
+        ),
+        compare_exact(
+            "integral-shift-nabla",
+            params,
+            at_x,
+            f.eval_fraction(x - 1) - integral_of_polynomial(minus_nabla, x) / 2,
+        ),
+        compare_exact(
+            "integral-shift-pair",
+            params,
+            integral_of_polynomial(f, x + 1) + at_x,
+            2 * f.eval_fraction(x),
+        ),
+    ]
 
 
 @_identity(
@@ -599,13 +727,63 @@ def _check_raabe_czp(cfg: VerifyConfig, p: int, s, x: Fraction, with_oracle: boo
     _per_p(lambda cfg, p: ((1, 2), _char_ks(p), (0, 1, -1, 2), (0, 1, 2, p))),
 )
 def _check_char_suite(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> Reports:
+    """The functional equation, the reflection, the values at x = 1, 2, 3 and
+    the distribution identity of zeta(chi, s, x) at one gridpoint.  N is 5 at
+    p = 3 and 3 otherwise, odd and coprime to p as the distribution needs."""
     ctx = cfg.ctx(p)
     chi = DirichletCharacter(p, v, k)
+    budget = cfg.budget()
+    sp = ctx.coerce(s)
+    one_minus_s = ctx.one() - sp
+    base = {"p": p, "char": chi.label, "s": s, "x": x}
+    out = []
+
+    lhs = zeta_char(ctx, chi, sp, x + 1, budget) + zeta_char(ctx, chi, sp, x, budget)
+    cv = char_eval(ctx, chi, ctx.from_int(x))
+    if cv.is_exact_zero:
+        rhs = ctx.exact_zero()
+    else:
+        rhs = 2 * cv * ctx.angle_power(ctx.from_int(x), one_minus_s)
+    out.append(compare_values("functional-char", base, lhs, rhs))
+
+    lhs = zeta_char(ctx, chi, sp, 1 - x, budget)
+    rhs = zeta_char(ctx, chi, sp, x, budget)
+    out.append(compare_values("reflection-char", base, lhs, rhs if chi.is_even else -rhs))
+
+    ell_val = ell(ctx, chi, sp, budget)
+    for n in (1, 2, 3):
+        lhs = zeta_char(ctx, chi, sp, n, budget)
+        inner = (-1) ** (n + 1) * ell_val
+        for j in range(1, n):
+            cv = char_eval(ctx, chi, ctx.from_int(j - n))
+            if cv.is_exact_zero:
+                continue
+            term = 2 * ctx.angle_power(ctx.from_int(j - n), one_minus_s) * cv
+            inner = inner + (-1) ** (j + 1) * term
+        rhs = ctx.from_int(1 if chi.is_even else -1) * inner  # chi(-1) inner
+        out.append(compare_values("positive-n-char", {**base, "n": n}, lhs, rhs))
+
     n_parts = 5 if p == 3 else 3
-    reports = functional_reflection_distribution(ctx, chi, s, x, n_parts, cfg.budget())
-    if not cfg.report_both_forms:
-        reports = [r for r in reports if r.identity != "distribution-char-unscaled"]
-    return reports
+    params = {**base, "N": n_parts}
+    lhs = alternating_sum(
+        ctx, n_parts, lambda i: zeta_char(ctx, chi, sp, x + Fraction(i, n_parts), budget)
+    )
+    chi_n = char_eval(ctx, chi, ctx.from_int(n_parts))
+    stated = zeta_char(ctx, chi, sp, n_parts * x, budget) / chi_n
+    scale = ctx.angle_power(n_parts, sp - ctx.one())
+    out.append(compare_values("distribution-char", params, lhs, scale * stated))
+    if cfg.report_both_forms:
+        out.append(
+            compare_values(
+                "distribution-char-unscaled",
+                params,
+                lhs,
+                stated,
+                informational=True,
+                note="residual of the form without the <N>^(s-1) factor, recorded only",
+            )
+        )
+    return out
 
 
 @_identity(

@@ -44,20 +44,14 @@ from .padic import (
     _check_sum_length,
     _residue_sum,
     _teichmuller_digit,
+    _vp_split,
     alternating_sum,
     capped_power,
-    vp_int,
-)
-from .report import (
-    VerificationReport,
-    compare_values,
-    hypothesis_violation,
 )
 from .zeta_czp import (
     _DEFAULT_BUDGET,
     _EULER_ZERO,
     SeriesBudget,
-    _coerce_exponent,
     _series_terms,
     _triple,
     _zeta_value,
@@ -67,7 +61,6 @@ __all__ = [
     "dzeta_char_dx",
     "ell",
     "ell_limit_oracle",
-    "functional_reflection_distribution",
     "power_series_zeta",
     "raabe_char",
     "zeta_char",
@@ -119,9 +112,9 @@ def _representation_sum(
     _check_char(ctx, chi)
     xp = _coerce_zp(ctx, x)
     p, prec = ctx.p, ctx.internal_prec
-    e = vp_int(big_m, p)
+    e, n_factor = _vp_split(big_m, p)
     _series_terms(ctx, e, budget)
-    s_key = _triple(_coerce_exponent(ctx, s))
+    s_key = _triple(ctx._exponent(s))
     _check_sum_length(big_m)
     if xp.is_exact_zero:
         r0, a0 = 0, prec
@@ -133,7 +126,7 @@ def _representation_sum(
         raise PrecisionError("cannot evaluate character: unit status unknown")
     c = min(a0, prec)
     mod, char_mod, k = p**c, p**prec, chi.k
-    n_inv = pow(big_m // p**e, -1, mod)
+    n_inv = pow(n_factor, -1, mod)
     terms, absprec = [], None
     for j in range(big_m):
         r = r0 + j
@@ -225,7 +218,7 @@ def dzeta_char_dx(
     budget: SeriesBudget = _DEFAULT_BUDGET,
 ) -> PadicNumber:
     """d/dx zeta(chi, s, x) = (1-s) zeta(chi omega^(-1), s+1, x)."""
-    sp = _coerce_exponent(ctx, s)
+    sp = ctx._exponent(s)
     factor = ctx.one() - sp
     if factor.is_exact_zero:
         return factor
@@ -246,7 +239,7 @@ def raabe_char(
     closed form: 2 (1-x) zeta(chi, s, x) + 2 zeta(chi omega, s-1, x)
     """
     _check_char(ctx, chi)
-    sp = _coerce_exponent(ctx, s)
+    sp = ctx._exponent(s)
     acc = alternating_sum(
         ctx, capped_power(ctx.p, depth), lambda i: zeta_char(ctx, chi, sp, x + i, budget)
     )
@@ -278,7 +271,7 @@ def power_series_zeta(
     xp = ctx.coerce(x)
     if not xp.is_zero() and xp.valuation < chi.v:
         raise ArgumentViolation("x must lie in p^v Z_p")
-    sp = _coerce_exponent(ctx, s)
+    sp = ctx._exponent(s)
     one_minus_s = ctx.one() - sp
     if xp.is_zero():
         return ell(ctx, chi, sp, budget)
@@ -295,88 +288,6 @@ def power_series_zeta(
         binom = binom * (one_minus_s - k) / (k + 1)
         xpow = xpow * xp
     return acc.cap_absprec(min(budget.target(ctx), tail_bound))
-
-
-def functional_reflection_distribution(
-    ctx: PadicContext,
-    chi: DirichletCharacter,
-    s,
-    x: int,
-    n_parts: int,
-    budget: SeriesBudget = _DEFAULT_BUDGET,
-) -> list[VerificationReport]:
-    """Reports for the functional equation, reflection, positive-integer
-    values, and distribution identity at one (chi, s, x, N) gridpoint.
-
-    Hypothesis violations are reported, not raised.
-    """
-    _check_char(ctx, chi)
-    sp = _coerce_exponent(ctx, s)
-    base = {"p": ctx.p, "char": chi.label, "s": s, "x": x}
-    reports = []
-
-    lhs = zeta_char(ctx, chi, sp, x + 1, budget) + zeta_char(ctx, chi, sp, x, budget)
-    cv = char_eval(ctx, chi, ctx.from_int(x))
-    if cv.is_exact_zero:
-        rhs = ctx.exact_zero()
-    else:
-        rhs = 2 * cv * ctx.angle_power(ctx.from_int(x), ctx.one() - sp)
-    reports.append(compare_values("functional-char", base, lhs, rhs))
-
-    lhs = zeta_char(ctx, chi, sp, 1 - x, budget)
-    rhs = zeta_char(ctx, chi, sp, x, budget)
-    if not chi.is_even:
-        rhs = -rhs
-    reports.append(compare_values("reflection-char", dict(base), lhs, rhs))
-
-    for n in (1, 2, 3):
-        lhs = zeta_char(ctx, chi, sp, n, budget)
-        ell_val = ell(ctx, chi, sp, budget)
-        inner = (-1) ** (n + 1) * ell_val
-        for j in range(1, n):
-            cv = char_eval(ctx, chi, ctx.from_int(j - n))
-            if cv.is_exact_zero:
-                continue
-            term = 2 * ctx.angle_power(ctx.from_int(j - n), ctx.one() - sp) * cv
-            inner = inner + (-1) ** (j + 1) * term
-        rhs = chi_minus_one(ctx, chi) * inner
-        reports.append(compare_values("positive-n-char", {**base, "n": n}, lhs, rhs))
-
-    if n_parts % 2 == 0 or n_parts % ctx.p == 0:
-        reports.append(
-            hypothesis_violation(
-                "distribution-char",
-                {**base, "N": n_parts},
-                "N must be odd and coprime to p",
-            )
-        )
-    else:
-        lhs = alternating_sum(
-            ctx, n_parts, lambda i: zeta_char(ctx, chi, sp, x + Fraction(i, n_parts), budget)
-        )
-        chi_n = char_eval(ctx, chi, ctx.from_int(n_parts))
-        stated = zeta_char(ctx, chi, sp, n_parts * x, budget) / chi_n
-        scale = ctx.angle_power(n_parts, sp - ctx.one())
-        reports.append(
-            compare_values("distribution-char", {**base, "N": n_parts}, lhs, scale * stated)
-        )
-        reports.append(
-            compare_values(
-                "distribution-char-unscaled",
-                {**base, "N": n_parts},
-                lhs,
-                stated,
-                informational=True,
-                note="residual of the form without the <N>^(s-1) factor, recorded only",
-            )
-        )
-
-    return reports
-
-
-def chi_minus_one(ctx: PadicContext, chi: DirichletCharacter) -> PadicNumber:
-    """chi(-1) = (-1)^k as a p-adic value."""
-    return ctx.from_int(1 if chi.is_even else -1)
 
 
 def representation_pair(
@@ -398,7 +309,7 @@ def representation_pair(
         raise ArgumentViolation("modulus factor must be odd, positive, coprime to p")
     if power < 0:
         raise ArgumentViolation("modulus power must be >= 0")
-    sp = _coerce_exponent(ctx, s)
+    sp = ctx._exponent(s)
     big_m = factor * capped_power(ctx.p, chi.v + power)
     big = _representation_sum(ctx, chi, sp, x, big_m, budget)
     canonical = zeta_char(ctx, chi, sp, x, budget)

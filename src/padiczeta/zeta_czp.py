@@ -18,8 +18,9 @@ for zeta(s, x), E_i(u) for the shifted expansion, E_{i+1}(0) for the
 integral) they are built on integers once per (p, internal precision, 1-s,
 weight, term count): C(1-s, i) from the residues of 1-s-j modulo the
 absolute precision of 1-s and the unit parts of j+1, with the valuation and
-precision a chain of ``PadicNumber`` products gives, and w(i) from its exact
-numerator and denominator (the integer 2^i E_i(0) over 2^i for E_i(0)).
+precision a chain of ``PadicNumber`` products gives, and w(i) = E_n(a/b) from
+the integer (2b)^n E_n(a/b) and a running power of the inverse of 2 times the
+unit part of b.
 ``tests/object_reference.py`` keeps the ``PadicNumber`` builder, pinned
 entry by entry.  The set keeps only what the per-x pass reads: the
 (valuation, relprec) of each entry, the least valuation base, and the
@@ -65,12 +66,12 @@ from .errors import (
     ArgumentViolation,
     BudgetExhausted,
     EvenN,
-    ExponentOutsideDomain,
     ShiftConditionViolated,
 )
 from .padic import (
     PadicContext,
     PadicNumber,
+    _vp_split,
     alternating_sum,
     capped_power,
     vp_fraction,
@@ -138,13 +139,6 @@ class ZetaArgumentCZp:
         return self.ctx.omega_v(self.value)
 
 
-def _coerce_exponent(ctx: PadicContext, s) -> PadicNumber:
-    sp = ctx.coerce(s)
-    if not sp.is_zero() and sp.valuation < 0:
-        raise ExponentOutsideDomain("s must lie in Z_p")
-    return sp
-
-
 def _series_terms(ctx: PadicContext, decay: int, budget: SeriesBudget) -> int:
     """Terms a series with decay v_p(term i) >= i*decay - v_p(i!) needs.
 
@@ -192,9 +186,11 @@ def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: i
       the unit parts of 1, ..., i, kept modulo p^prec and reduced modulo
       p^relprec at each entry (relprec only falls).
 
-    w(i) = E_{i+offset}(u) is read as an exact numerator and denominator
-    (the integer 2^n E_n(0) over 2^n at u = 0) at relative precision prec;
-    an entry is the exact zero where w(i) = 0.  The set is (entries, base, even, odd):
+    w(i) = E_n(u), n = i + offset, is read at relative precision prec from
+    the integer (2b)^n E_n(a/b) for u = a/b (``euler._scaled_poly``; 2^n E_n(0)
+    at u = 0): its unit part times (2 b_unit)^-n, b_unit the unit part of b,
+    at its valuation minus n v_p(b).  An entry is the exact zero where
+    w(i) = 0.  The set is (entries, base, even, odd):
 
     * (i, valuation, relprec) of every entry that is not the exact zero
       (relprec 0 for a bounded zero);
@@ -213,41 +209,40 @@ def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: i
     mod_a = p**a if a > 0 else 1
     sigma = su * p**sv % mod_a
     mod = p**prec
-    half = (mod + 1) // 2
-    scale = pow(half, offset, mod)  # 2**-(i + offset) modulo p**prec
+    # E_n(un/ud) with ud = p**tb * b_unit is the integer (2 ud)^n E_n(un/ud)
+    # times p**(-n tb) (2 b_unit)**-n
+    un, ud = Fraction(u).as_integer_ratio()
+    tb, b_unit = _vp_split(ud, p)
+    step = pow(2 * b_unit, -1, mod)
+    scale = pow(step, offset, mod)  # (2 b_unit)**-(i + offset) modulo p**prec
     # the binomial: valuation, relprec, bounded zero or not, unit modulo p**prec
     val, rel, zero, unit = 0, prec, False, 1
     m = mod  # p**rel
     items = []
     for i in range(terms):
         # w(i) as p**tw * w, the unit w modulo p**prec
-        if u == 0:
-            w = euler._scaled_zero(i + offset)
-            if w:
-                tw, w = _split(p, w)
-                w = w % mod * scale
-        else:
-            w = euler.euler_poly(i + offset, u)
-            if w:
-                tn, wn = _split(p, w.numerator)
-                td, wd = _split(p, w.denominator)
-                tw, w = tn - td, wn * pow(wd, -1, mod)
+        n = i + offset
+        w = euler._scaled_poly(n, un, ud)
+        if w:
+            tw, w = _vp_split(w, p)
+            tw -= n * tb
+            w = w % mod * scale
         if not w:
             items.append(None)
         elif zero:
             items.append((val + tw, 0, 0))
         else:
             items.append((val + tw, unit * w % m, rel))
-        scale = scale * half % mod
+        scale = scale * step % mod
         # step to C(sigma, i + 1): times sigma - i, over i + 1
         r = (sigma - i) % mod_a
         if r:
-            t, r = _split(p, r)
+            t, r = _vp_split(r, p)
             if not zero and a - t < rel:
                 rel, m = a - t, p ** (a - t)
         else:
             t, zero = a, True
-        tq, q = _split(p, i + 1)
+        tq, q = _vp_split(i + 1, p)
         val += t - tq
         if not zero:
             unit = unit * r * pow(q, -1, mod) % mod
@@ -255,15 +250,6 @@ def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: i
     base = min((v for _, v, r in entries if r), default=None)
     scaled = [c[1] * p ** (c[0] - base) if c and c[2] else 0 for c in items]
     return entries, base, _horner_order(scaled[0::2]), _horner_order(scaled[1::2])
-
-
-def _split(p: int, n: int) -> tuple[int, int]:
-    """(v_p(n), n / p**v_p(n)) for a nonzero integer n."""
-    t = 0
-    while n % p == 0:
-        n //= p
-        t += 1
-    return t, n
 
 
 def _horner_order(coefficients: list[int]) -> tuple[int, ...]:
@@ -340,7 +326,7 @@ def _zeta_value(
 def _expansion(
     ctx: PadicContext, s, arg: ZetaArgumentCZp, weight: tuple, budget: SeriesBudget
 ) -> PadicNumber:
-    sp = _coerce_exponent(ctx, s)
+    sp = ctx._exponent(s)
     return _zeta_value(ctx, _triple(sp), _triple(arg.value), weight, budget)
 
 
@@ -412,7 +398,7 @@ def zeta_shifted(
 def dzeta_dx(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) -> PadicNumber:
     """d/dx zeta(s, x) = (1-s)/omega_v(x) * zeta(s+1, x)."""
     arg = ZetaArgumentCZp.build(ctx, x)
-    sp = _coerce_exponent(ctx, s)
+    sp = ctx._exponent(s)
     factor = (ctx.one() - sp) / arg.omega_v
     if factor.is_exact_zero:
         return factor
@@ -454,7 +440,7 @@ def distribution_czp(
     x = Fraction(x)
     if vp_fraction(n_parts * x, ctx.p) is None or vp_fraction(n_parts * x, ctx.p) >= 0:
         raise ArgumentViolation("N x must have negative valuation")
-    sp = _coerce_exponent(ctx, s)
+    sp = ctx._exponent(s)
     lhs = alternating_sum(
         ctx, n_parts, lambda j: zeta_czp(ctx, sp, x + Fraction(j, n_parts), budget)
     )
@@ -499,7 +485,7 @@ def raabe_closed_forms(
                     for reference, never asserted.
     """
     arg = ZetaArgumentCZp.build(ctx, x)
-    sp = _coerce_exponent(ctx, s)
+    sp = ctx._exponent(s)
     z_s = zeta_czp(ctx, sp, arg, budget)
     z_prev = zeta_czp(ctx, sp - ctx.one(), arg, budget)
     x_val = arg.value

@@ -32,7 +32,6 @@ from padiczeta.zeta_char import _check_char, _coerce_zp
 from padiczeta.zeta_czp import (
     SeriesBudget,
     ZetaArgumentCZp,
-    _coerce_exponent,
     _horner_order,
     _series_terms,
 )
@@ -150,7 +149,7 @@ def coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: in
 
 def _prefactor_and_series(ctx, s, x, weight, decay_shift, budget):
     arg = ZetaArgumentCZp.build(ctx, x)
-    sp = _coerce_exponent(ctx, s)
+    sp = ctx._exponent(s)
     one_minus_s = ctx.one() - sp
     prefactor = unit_power(ctx, arg.angle, one_minus_s)
     series = weighted_series(
@@ -204,7 +203,7 @@ def representation_sum(ctx, chi, s, x, big_m, budget) -> PadicNumber:
     _check_char(ctx, chi)
     xp = _coerce_zp(ctx, x)
     _series_terms(ctx, vp_int(big_m, ctx.p), budget)
-    s = _coerce_exponent(ctx, s)
+    s = ctx._exponent(s)
     inv_m = 1 / ctx.from_int(big_m)
 
     def term(j: int) -> PadicNumber:

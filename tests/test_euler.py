@@ -7,6 +7,7 @@ import sympy
 
 from padiczeta import euler
 from padiczeta.errors import DegreeOverflow
+from padiczeta.verify import VerifyConfig, run_verify
 
 
 # hand-run recurrence 2 E_n(0) = -sum_{k<n} C(n,k) E_k(0) for n <= 4
@@ -65,7 +66,7 @@ def test_zero_value_denominators_are_two_powers():
 
 
 def test_identity_network_exact():
-    reports = euler.verify_euler_identities(14)
+    reports = run_verify(VerifyConfig(), ["euler-exact"])
     assert {r.identity for r in reports} == {
         "euler-conversion",
         "euler-shift",

@@ -15,10 +15,14 @@ from padiczeta.fermionic import (
     integral_of_polynomial,
     integrate_monomial_shift,
     integrate_truncated,
-    verify_shift_identities,
 )
 from padiczeta.padic import PadicContext, agreement_depth
-from padiczeta.verify import _ALTERNATING_POINTS, _literal_alternating_sum
+from padiczeta.verify import (
+    _ALTERNATING_POINTS,
+    VerifyConfig,
+    _check_shift_integral,
+    _literal_alternating_sum,
+)
 
 
 class TestMonomialShift:
@@ -97,20 +101,25 @@ class TestAlternatingPowerSum:
             assert _literal_alternating_sum(m, rho, x) == literal, (m, rho, x)
 
 
+def shift_reports(coeffs, x):
+    """The reports of verify's shift-integral check for f with these coefficients."""
+    return _check_shift_integral(VerifyConfig(), coeffs, x)
+
+
 class TestShiftIdentities:
     def test_constant(self):
-        reports = verify_shift_identities(Integrand.polynomial([1]), Fraction(0))
+        reports = shift_reports([1], Fraction(0))
         assert all(r.status == "pass" for r in reports)
 
     def test_square_at_zero(self):
         # E_2(1) + E_2(0) = 0 = 2 * 0^2
-        reports = verify_shift_identities(Integrand.polynomial([0, 0, 1]), Fraction(0))
+        reports = shift_reports([0, 0, 1], Fraction(0))
         assert all(r.status == "pass" for r in reports)
         assert euler.euler_poly(2, Fraction(1)) + euler.euler_poly(2, Fraction(0)) == 0
 
     def test_linear_at_three(self):
         # E_1(4) + E_1(3) = 6 = 2 * 3
-        reports = verify_shift_identities(Integrand.polynomial([0, 1]), Fraction(3))
+        reports = shift_reports([0, 1], Fraction(3))
         assert all(r.status == "pass" for r in reports)
         assert euler.euler_poly(1, Fraction(4)) + euler.euler_poly(1, Fraction(3)) == 6
 
@@ -119,7 +128,7 @@ class TestShiftIdentities:
         for _ in range(10):
             coeffs = [Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 4))) for _ in range(4)]
             x = Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3)))
-            reports = verify_shift_identities(Integrand.polynomial(coeffs), x)
+            reports = shift_reports(coeffs, x)
             assert all(r.status == "pass" for r in reports)
 
 

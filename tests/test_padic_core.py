@@ -21,6 +21,7 @@ from padiczeta.padic import (
     MAX_MODULUS_BITS,
     PadicContext,
     PadicNumber,
+    _vp_split,
     agreement_depth,
     alternating_sum,
     capped_power,
@@ -28,6 +29,7 @@ from padiczeta.padic import (
     render,
     to_json_dict,
     vp_factorial,
+    vp_int,
 )
 
 from conftest import random_unit_fraction
@@ -460,6 +462,21 @@ class TestPrecisionModel:
         a = ctx5.from_int(7)
         assert agreement_depth(a, a) == a.absprec
         assert agreement_depth(a, ctx5.from_int(7 + 5**3, relprec=16)) == 3
+
+
+class TestValuations:
+    def test_split_strips_every_factor_of_p(self):
+        for p in (3, 5, 1009):
+            for unit in (1, -2, 77, p + 1):
+                for v in (0, 1, 6):
+                    assert _vp_split(unit * p**v, p) == (v, unit)
+                    assert vp_int(unit * p**v, p) == v
+
+    def test_split_refuses_zero(self):
+        with pytest.raises(ZeroArgument):
+            _vp_split(0, 3)
+        with pytest.raises(ZeroArgument):
+            vp_int(0, 3)
 
 
 def _key(x: PadicNumber) -> tuple:

@@ -16,7 +16,6 @@ from padiczeta.zeta_char import (
     dzeta_char_dx,
     ell,
     ell_limit_oracle,
-    functional_reflection_distribution,
     power_series_zeta,
     raabe_char,
     representation_pair,
@@ -24,6 +23,7 @@ from padiczeta.zeta_char import (
     zeta_char_oracle,
     zeta_char_special,
 )
+from padiczeta.verify import VerifyConfig, _check_char_suite
 from padiczeta.zeta_czp import _DEFAULT_BUDGET
 
 class TestCharacter:
@@ -183,10 +183,9 @@ class TestIdentitySuite:
             (3, 1, 1, -1, 2),
             (7, 1, 2, 2, 7),
         ):
-            ctx = PadicContext(p, 14)
-            chi = DirichletCharacter(p, v, k)
-            n_parts = 5 if p == 3 else 3
-            reports = functional_reflection_distribution(ctx, chi, s, x, n_parts)
+            # both forms: the unscaled distribution report is checked too
+            cfg = VerifyConfig(primes=(p,), workprec=14, report_both_forms=True)
+            reports = _check_char_suite(cfg, p, v, k, s, x)
             for rep in reports:
                 assert rep.status in ("pass",), (rep.identity, rep.note)
 
@@ -195,12 +194,6 @@ class TestIdentitySuite:
         lhs = zeta_char(ctx5, chi, 2, 1)
         rhs = -ell(ctx5, chi, 2)
         assert agreement_depth(lhs, rhs) >= 16
-
-    def test_even_n_is_hypothesis_violation(self, ctx5):
-        chi = DirichletCharacter(5, 1, 1)
-        reports = functional_reflection_distribution(ctx5, chi, 2, 1, 4)
-        dist = [r for r in reports if r.identity == "distribution-char"]
-        assert dist and dist[0].status == "hypothesis-violation"
 
 
 class TestDerivative:
