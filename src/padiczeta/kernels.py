@@ -10,12 +10,25 @@ theorem; Robert, *A Course in p-adic Analysis*, GTM 198, ch. 4):
 where S_j(n) is the y^j coefficient of (1 - (-1)^n (1+y)^n)/(2+y): an integer
 found by halvings, and 2 is a unit for odd p.  As f(b) = sum_{j<=b} Delta^j
 f(0) C(b,j), this holds for any f when n <= D, and for every n once Delta^j
-f(0) = 0 mod p^G for all j >= D.  In ``_angle_power_sums`` f(b) = (y0 +
-b*step)^e with y0 prime to p and v = v_p(step) >= 1.  With t = step/y0,
-f(b) = y0^e sum_k C(e,k) t^k b^k, C(e,k) in Z_p for any e in Z_p (negative or
-reduced too); Delta^j(b^k)(0) = j! S(k,j) (Stirling) is 0 for k < j, so
-v_p(Delta^j f(0)) >= j*v + v_p(j!), and D = the least d with d*v + v_p(d!) >= G
-suffices.  The monomials (x+a)^m are polynomials of degree m in a: D = m + 1.
+f(0) = 0 mod p^G for all j >= D.  As Delta^j f(0) = sum_{b<=j} (-1)^(j-b)
+C(j,b) f(b), the sum is linear in the values:
+
+    sum_{b<n} (-1)^b f(b) = sum_{b<D} W[b] f(b),  W[b] = sum_{j=b}^{D-1} (-1)^(j-b) C(j,b) S_j(n),
+
+for any values, with the same residue mod p^G.  The weights depend on (p, G,
+D, n) only (``_newton_weights`` builds them in O(D) steps), so
+``_alternating_newton_sum`` reads them from a memo and each depth costs one
+dot product of D integers.  The memo evicts the least recently used vectors
+to keep its retained size under ``_WEIGHT_BITS`` (4 MiB): one vector holds D
+integers of G digits, and D grows with G (about 800 at p = 3, G = 1204).
+
+In ``_angle_power_sums`` f(b) = (y0 + b*step)^e with y0 prime to p and v =
+v_p(step) >= 1.  With t = step/y0, f(b) = y0^e sum_k C(e,k) t^k b^k, C(e,k)
+in Z_p for any e in Z_p (negative or reduced too); Delta^j(b^k)(0) = j!
+S(k,j) (Stirling) is 0 for k < j, so v_p(Delta^j f(0)) >= j*v + v_p(j!), and
+D = the least d with d*v + v_p(d!) >= G suffices (``_progression_degree``,
+computed once per (p, v, G)).  The monomials (x+a)^m are polynomials of
+degree m in a: D = m + 1.
 
 The oracles stay independent of the series path: nothing reads an Euler
 number or log/exp, and unit powers are modular ``pow`` of the actual terms.
@@ -29,7 +42,13 @@ non-integer exponent is reduced; Python's pow inverts a negative one.
 
 from __future__ import annotations
 
+import math
+import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .errors import ArgumentViolation
 from .padic import EVALUATION_CAP, PadicNumber, capped_power, teichmuller_table
@@ -79,24 +98,98 @@ def _exponent_one_minus(p: int, modexp: int, s) -> int:
     raise ArgumentViolation(f"unsupported exponent {s!r}")
 
 
+def _newton_weights(p: int, g_prec: int, degree: int, n: int) -> tuple[int, ...]:
+    """W[b] = sum_{j=b}^{D-1} (-1)^(j-b) C(j,b) S_j(n) mod p**g_prec for b < D = degree.
+
+    W(z) = sum_b W[b] z^b is T(z-1) for T(y) = sum_{j<D} S_j(n) y^j, the part
+    below y^D of F(y) = sum_{a<n} (-1)^a (1+y)^a.  For n <= D, T = F and
+    W[b] = (-1)^b for b < n.  Otherwise (2+y) T(y) = R(y) + S_{D-1}(n) y^D,
+    R the part below y^D of 1 - (-1)^n (1+y)^n, so (1+z) W(z) = R(z-1) +
+    S_{D-1}(n) (z-1)^D, whose z^b coefficient is, as sum_{i<=k} (-1)^i C(m,i)
+    = (-1)^k C(m-1,k),
+
+        Q[b] = [b = 0] + (-1)^(D-b) ((-1)^n C(n,b) C(n-b-1, D-1-b) + C(D,b) S_{D-1}(n)),
+
+    and W[b] = Q[b] - W[b-1].
+    """
+    if n <= degree:
+        return tuple((-1) ** b if b < n else 0 for b in range(degree))
+    mod = p**g_prec
+    half = (mod + 1) // 2  # 1/2 modulo the odd p**g_prec
+    sign = (-1) ** n
+    top, binom = 0, 1  # S_j(n) by 2 S_j + S_{j-1} = [j = 0] - (-1)^n C(n,j); binom = C(n,j)
+    for j in range(degree):
+        top = ((j == 0) - sign * binom - top) * half % mod
+        binom = binom * (n - j) // (j + 1)
+    weights, w = [], 0
+    tail, edge = math.comb(n - 1, degree - 1), 1  # C(n,b) C(n-b-1, D-1-b), C(D,b)
+    for b in range(degree):
+        q = (b == 0) + (-1) ** (degree - b) * (sign * tail + edge * top)
+        w = (q - w) % mod
+        weights.append(w)
+        tail = tail * (n - b) * (degree - 1 - b) // ((b + 1) * (n - b - 1))
+        edge = edge * (degree - b) // (b + 1)
+    return tuple(weights)
+
+
+class _WeightMemo:
+    """Weight vectors keyed (p, g_prec, degree, n).  The least recently used
+    are evicted until the retained size (``sys.getsizeof`` of each tuple and
+    of its integers, in bits) is at most ``max_bits``, so a vector larger
+    than the bound is not kept."""
+
+    def __init__(self, max_bits: int):
+        self.max_bits = max_bits
+        self.bits = 0
+        self._entries: OrderedDict[tuple, tuple[tuple[int, ...], int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> tuple[int, ...] | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: tuple, weights: tuple[int, ...]) -> None:
+        size = 8 * (sys.getsizeof(weights) + sum(map(sys.getsizeof, weights)))
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = (weights, size)
+            self.bits += size
+            while self.bits > self.max_bits:
+                _, (_, old) = self._entries.popitem(last=False)
+                self.bits -= old
+
+
+_WEIGHT_BITS = 1 << 25  # 4 MiB: about 18 vectors of p = 3 at 1200 digits, thousands at 16
+_weights = _WeightMemo(_WEIGHT_BITS)
+
+
 def _alternating_newton_sum(p: int, g_prec: int, values, counts) -> dict[int, int]:
     """sum_{b<n} (-1)^b values[b] mod p**g_prec for each n in counts (module docstring)."""
     mod = p**g_prec
-    half = (mod + 1) // 2  # 1/2 modulo the odd p**g_prec
-    diffs, row = [], list(values)  # Delta^j f(0) for j < D
-    while row:
-        diffs.append(row[0])
-        row = [(b - a) % mod for a, b in zip(row, row[1:])]
+    degree = len(values)
     out: dict[int, int] = {}
     for n in counts:
-        sign = (-1) ** n
-        total, s_j, binom = 0, 0, 1  # binom = C(n, j)
-        for j, diff in enumerate(diffs):
-            s_j = ((j == 0) - sign * binom - s_j) * half % mod
-            total += diff * s_j
-            binom = binom * (n - j) // (j + 1)
-        out[n] = total % mod
+        key = (p, g_prec, degree, n)
+        weights = _weights.get(key)
+        if weights is None:
+            weights = _newton_weights(*key)
+            _weights.put(key, weights)
+        out[n] = sum(map(mul, values, weights)) % mod
     return out
+
+
+@lru_cache(maxsize=256)
+def _progression_degree(p: int, v: int, g_prec: int) -> int:
+    """The least D with D*v + v_p(D!) >= g_prec (module docstring)."""
+    degree = 0
+    while degree * v + vp_factorial(degree, p) < g_prec:
+        degree += 1
+    return degree
 
 
 def _angle_power_sums(p: int, g_prec: int, y0: int, step: int, e: int, counts) -> dict[int, int]:
@@ -104,11 +197,8 @@ def _angle_power_sums(p: int, g_prec: int, y0: int, step: int, e: int, counts) -
 
     y0 is prime to p and p divides step, so every term is a unit.
     """
-    v = vp_int(step, p)
-    degree = 0
-    while degree * v + vp_factorial(degree, p) < g_prec:
-        degree += 1
     mod = p**g_prec
+    degree = _progression_degree(p, vp_int(step, p), g_prec)
     values = [pow(y0 + b * step, e, mod) for b in range(degree)]
     return _alternating_newton_sum(p, g_prec, values, counts)
 

@@ -144,7 +144,7 @@ def report_to_json_line(rep: VerificationReport) -> str:
 def report_to_text(rep: VerificationReport) -> str:
     depth = "exact" if rep.agreement_depth is None else str(rep.agreement_depth)
     req = "-" if rep.required_depth is None else str(rep.required_depth)
-    line = f"[{rep.status:>20}] {rep.identity} {_params_text(rep)} depth={depth} required={req}"
+    line = f"[{rep.status:>6}] {rep.identity} {_params_text(rep)} depth={depth} required={req}"
     if rep.note:
         line += f"  # {rep.note}"
     return line

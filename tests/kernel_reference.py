@@ -1,11 +1,15 @@
-"""The literal per-term loops of the oracle kernels, one loop per kernel.
+"""The literal per-term loops of the oracle kernels, one loop per kernel, and
+the forward-difference sum that the kernels' cached weights replaced.
 
 Each term a < p^N is computed on its own: the Hurwitz sums scale x + a by the
 inverse Teichmuller digit of x, the character sums look up chi and omega^-1
 by the residue of x + a, the inverse-power sums raise x + a to -m, and the
 monomial sums raise x + a to every m <= m_max.  The library sums none of
-these terms: it evaluates each sum from a few forward differences.
-``test_kernels.py`` checks that both give the same ``PadicNumber``s.
+these terms: it evaluates each sum as one dot product of a few values with
+cached weights.  ``test_kernels.py`` checks that both give the same
+``PadicNumber``s, and that the weights give the residues of
+``alternating_newton_sum``, which forms the forward differences of the
+values on every call.
 """
 
 from __future__ import annotations
@@ -16,6 +20,27 @@ from functools import lru_cache
 from padiczeta.errors import ArgumentViolation
 from padiczeta.kernels import _exponent_one_minus, _snapshots, wrap_mod
 from padiczeta.padic import PadicNumber, capped_power, teichmuller_table, vp_fraction, vp_int
+
+
+def alternating_newton_sum(p: int, g_prec: int, values, counts) -> dict[int, int]:
+    """sum_{b<n} (-1)^b values[b] mod p**g_prec for each n in counts, as
+    sum_{j<D} Delta^j f(0) S_j(n) from a table of forward differences."""
+    mod = p**g_prec
+    half = (mod + 1) // 2  # 1/2 modulo the odd p**g_prec
+    diffs, row = [], list(values)  # Delta^j f(0) for j < D
+    while row:
+        diffs.append(row[0])
+        row = [(b - a) % mod for a, b in zip(row, row[1:])]
+    out: dict[int, int] = {}
+    for n in counts:
+        sign = (-1) ** n
+        total, s_j, binom = 0, 0, 1  # binom = C(n, j)
+        for j, diff in enumerate(diffs):
+            s_j = ((j == 0) - sign * binom - s_j) * half % mod
+            total += diff * s_j
+            binom = binom * (n - j) // (j + 1)
+        out[n] = total % mod
+    return out
 
 
 @lru_cache(maxsize=64)

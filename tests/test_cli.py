@@ -240,7 +240,7 @@ class TestVerifyCommand:
         assert main(argv) == 0
         pinned = {
             "csv": "925fc23a9e31eb79be7794a7f984dc8643e0184539a7c5d2efecd0967d6bb4fb",
-            "text": "9d7c2f240cedeb2157d02d66b20924f3b9dcbbed8f521778d3c581398d0e5fbe",
+            "text": "5bcb9d9d85273fb0607849cce740d687f710622e366f483b13a32dd85b11000f",
         }
         assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned[fmt]
 

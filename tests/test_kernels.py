@@ -1,10 +1,11 @@
 """The oracle kernels give the numbers of the literal per-term loops.
 
 ``kernel_reference`` computes every term a < p^N on its own; the library
-evaluates each sum from the forward differences of its first few terms
-(``kernels._alternating_newton_sum``).  Numbers are compared through
+evaluates each sum as a dot product of its first few terms with cached
+weights (``kernels._alternating_newton_sum``).  Numbers are compared through
 ``render`` and ``absprec``; the Newton sums themselves are compared with
-literal sums at the edges of their degree bound.
+literal sums at the edges of their degree bound, and with the forward
+differences of ``kernel_reference.alternating_newton_sum`` for any values.
 """
 
 from fractions import Fraction
@@ -219,6 +220,29 @@ def test_newton_sum_of_a_polynomial_and_of_short_counts(p, g_prec, coeffs, extra
     )
 
 
+@st.composite
+def _weight_inputs(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11, 1009)))
+    g_prec = draw(st.integers(1, 40))
+    degree = draw(st.integers(1, 30))
+    big = p ** (g_prec + 2)
+    values = draw(st.lists(st.integers(-big, big), min_size=degree, max_size=degree))
+    powers = draw(st.sets(st.integers(0, 12), min_size=1, max_size=3))
+    counts = {1, degree - 1, degree, degree + 1, *(p**n for n in powers)} - {0}
+    return p, g_prec, values, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weight_inputs())
+def test_weights_give_the_residues_of_the_difference_table(inputs):
+    # the weights depend on (p, G, D, n) only, so any values, not only those
+    # of a polynomial of degree < D, give the residues of the difference table
+    p, g_prec, values, counts = inputs
+    assert kernels._alternating_newton_sum(
+        p, g_prec, values, counts
+    ) == ref.alternating_newton_sum(p, g_prec, values, counts)
+
+
 def test_negative_and_zero_depth_raise_argument_violation():
     ctx = PadicContext(3, 8)
     chi = DirichletCharacter(3, 1, 1)
@@ -235,9 +259,14 @@ def test_negative_and_zero_depth_raise_argument_violation():
             call()
 
 
-def test_depth_over_the_cap_raises():
+class _WeightsBuilt(Exception):
+    pass
+
+
+def test_depth_over_the_cap_raises(monkeypatch):
     # no kernel visits the p^N terms: the check on p**max(depths) alone keeps
-    # the oracle depth under EVALUATION_CAP (3^12 <= 10^6 < 3^13)
+    # the oracle depth under EVALUATION_CAP (3^12 <= 10^6 < 3^13), and it
+    # comes before any weight vector is built
     calls = [
         (lambda d: kernels.hurwitz_sums(3, 8, Fraction(1, 3), 2, (d,)), 12),
         (lambda d: kernels.char_hurwitz_sums(3, 8, 1, Fraction(1), 2, (d,)), 12),
@@ -245,5 +274,37 @@ def test_depth_over_the_cap_raises():
     ]
     for call, key in calls:
         assert key in call(12)
-        with pytest.raises(EvaluationCapExceeded):
-            call(13)
+
+    def refuse(*key):
+        raise _WeightsBuilt(key)
+
+    monkeypatch.setattr(kernels, "_weights", kernels._WeightMemo(kernels._WEIGHT_BITS))
+    monkeypatch.setattr(kernels, "_newton_weights", refuse)
+    for call, _ in calls:
+        with pytest.raises(_WeightsBuilt):
+            call(12)  # with an empty memo, a depth under the cap builds weights
+        for depth in (13, 10**7):
+            with pytest.raises(EvaluationCapExceeded):
+                call(depth)
+
+
+def test_weight_memo_stays_under_its_bound(monkeypatch):
+    # at 1200 digits D is about 800 at v_p(den) = 1 and 480 at 2, and 3^7 > D,
+    # so each vector holds D residues of about 1900 bits
+    depths = (7, 9, 12)
+    memo = kernels._WeightMemo(kernels._WEIGHT_BITS)
+    monkeypatch.setattr(kernels, "_weights", memo)
+    expected = {}
+    for x in (Fraction(1, 3), Fraction(2, 9)):
+        expected[x] = kernels.hurwitz_sums(3, 1200, x, 3, depths)
+        assert 0 < memo.bits <= kernels._WEIGHT_BITS
+    assert len(memo._entries) == 2 * len(depths)
+    assert memo.bits == sum(size for _, size in memo._entries.values())
+    # a bound of about one and a half vectors evicts the least recently used
+    small = kernels._WeightMemo(3 * 10**6)
+    monkeypatch.setattr(kernels, "_weights", small)
+    for x, sums in expected.items():
+        _same_sums(sums, kernels.hurwitz_sums(3, 1200, x, 3, depths))
+        assert 0 < small.bits <= small.max_bits
+        assert len(small._entries) < len(depths)
+        assert small.bits == sum(size for _, size in small._entries.values())

@@ -415,6 +415,69 @@ class TestArithmeticUnderLifts:
             assert _claims_only_true_digits(p, value, Fraction(exact)), (s, i, ls)
 
 
+def _literal(draw, p, valuations, lead):
+    """(value, valuation, digits) of a digit literal whose first digit is
+    drawn from ``lead``; at most seven digits are known."""
+    v = draw(st.sampled_from(valuations))
+    digits = [draw(lead)] + draw(st.lists(st.integers(0, p - 1), max_size=6))
+    value = PadicContext(p, 8).parse_value(f"{v}:{','.join(map(str, digits))}")
+    return value, v, digits
+
+
+class TestTranscendentalsUnderLifts:
+    """log, exp, unit_power and angle_power of digit literals: every claimed
+    digit holds at every exact rational lift of the unknown digits, where
+    the function is evaluated at 40 digits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_log(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        u, vu, du = _literal(data.draw, p, (0,), st.just(1))
+        value = PadicContext(p, 8).log(u)
+        reference = PadicContext(p, 40)
+        for _ in range(3):
+            lu = _lift(data.draw, p, vu, du)
+            assert agreement_depth(value, reference.log(lu)) >= value.absprec, (u, lu)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_exp(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        z, vz, dz = _literal(data.draw, p, (1, 2), st.integers(0, p - 1))
+        value = PadicContext(p, 8).exp(z)
+        reference = PadicContext(p, 40)
+        for _ in range(3):
+            lz = _lift(data.draw, p, vz, dz)
+            assert agreement_depth(value, reference.exp(lz)) >= value.absprec, (z, lz)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_unit_power(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        u, vu, du = _literal(data.draw, p, (0,), st.just(1))
+        s, vs, ds = _literal(data.draw, p, (0, 1, 2), st.integers(0, p - 1))
+        value = PadicContext(p, 8).unit_power(u, s)
+        reference = PadicContext(p, 40)
+        for _ in range(3):
+            lu, ls = _lift(data.draw, p, vu, du), _lift(data.draw, p, vs, ds)
+            lifted = reference.unit_power(lu, ls)
+            assert agreement_depth(value, lifted) >= value.absprec, (u, s, lu, ls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_angle_power(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        x, vx, dx = _literal(data.draw, p, (-2, -1, 0, 1, 2), st.integers(1, p - 1))
+        s, vs, ds = _literal(data.draw, p, (0, 1, 2), st.integers(0, p - 1))
+        value = PadicContext(p, 8).angle_power(x, s)
+        reference = PadicContext(p, 40)
+        for _ in range(3):
+            lx, ls = _lift(data.draw, p, vx, dx), _lift(data.draw, p, vs, ds)
+            lifted = reference.angle_power(lx, ls)
+            assert agreement_depth(value, lifted) >= value.absprec, (x, s, lx, ls)
+
+
 class TestPrecisionModel:
     def test_addition_uses_min_absolute_precision(self, ctx5):
         a = ctx5.from_fraction(Fraction(1, 5), relprec=4)  # absprec 3

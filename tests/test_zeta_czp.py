@@ -496,6 +496,27 @@ class TestPrecisionContractUnderLifts:
             lifted = integral_of_zeta(ctx, s_lift, x_lift)
             assert agreement_depth(value, lifted) >= value.absprec
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_dzeta_dx(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        ctx = PadicContext(p, 10)
+        digit = st.integers(0, p - 1)
+        vx = data.draw(st.integers(-2, -1))
+        x_digits = [data.draw(st.integers(1, p - 1))] + data.draw(
+            st.lists(digit, min_size=1, max_size=6)
+        )
+        s_digits = data.draw(st.lists(digit, min_size=1, max_size=8))
+        x = ctx.parse_value(_digit_literal(vx, x_digits))
+        s = ctx.parse_value(_digit_literal(0, s_digits))
+        _zeta_value.cache_clear()
+        value = dzeta_dx(ctx, s, x)
+        for _ in range(3):
+            x_lift = _lift(p, vx, x_digits, data.draw(st.integers(0, p**12)))
+            s_lift = _lift(p, 0, s_digits, data.draw(st.integers(0, p**12)))
+            lifted = dzeta_dx(ctx, s_lift, x_lift)
+            assert agreement_depth(value, lifted) >= value.absprec
+
     @settings(max_examples=20, deadline=None)
     @given(st.data())
     def test_zeta_char(self, data):
