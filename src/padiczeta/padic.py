@@ -17,10 +17,10 @@ bounded zero instead of pretending to vanish exactly.
 
 All values are immutable; every operation is a pure function of its inputs,
 so the module is safe for unsynchronised concurrent use.  Teichmuller values
-are lifted by Newton's iteration (``_teichmuller_root``) and memoised behind
-bounded ``functools.lru_cache`` caches: single residues (used by
-``PadicContext.teichmuller``) and whole residue tables (used by the oracle
-kernels).
+are lifted by Newton's iteration (``_teichmuller_root``).
+``PadicContext.teichmuller`` makes one uncached lift per call; the residue
+sums of the oracle kernels and of ``zeta_char`` read ``teichmuller_table``,
+all of omega mod p**prec from one lift, kept in one bounded cache.
 
 ``PadicContext.log`` and ``exp`` sum their series as one integer residue over
 cached coefficients, with the precision that term-by-term ``PadicNumber``
@@ -150,15 +150,48 @@ def _teichmuller_root(p: int, prec: int, u: int) -> int:
     return y
 
 
-@lru_cache(maxsize=4096)
-def _teichmuller_digit(p: int, prec: int, u: int) -> int:
-    return _teichmuller_root(p, prec, u)
+# A table of more bits than this (1 MiB) is built on each call and not kept,
+# so the cache holds at most 64 MiB.  A call that needs a larger table (p =
+# 10007 at 300 digits holds 5 MB) sums about p series, which cost more.
+_TABLE_CACHE_BITS = 1 << 23
 
 
-@lru_cache(maxsize=64)
 def teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
-    """omega(u) mod p**prec for u = 0..p-1 (entry 0 is unused and set to 0)."""
-    return (0,) + tuple(_teichmuller_root(p, prec, u) for u in range(1, p))
+    """omega(u) mod p**prec for u = 0..p-1 (entry 0 is unused and set to 0).
+
+    omega is multiplicative, so with g the least primitive root of p the
+    entry at the digit g**i mod p is omega(g)**i: one Newton lift and p-2
+    products.  Tables of at most ``_TABLE_CACHE_BITS`` bits are memoised
+    (``cache_info`` and ``cache_clear`` read that cache).
+    """
+    if p * prec * p.bit_length() > _TABLE_CACHE_BITS:
+        return _build_teichmuller_table(p, prec)
+    return _kept_teichmuller_table(p, prec)
+
+
+def _build_teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
+    # g is the first candidate whose powers take p-1 steps to return to 1;
+    # for a composite p the walk might never return, so p is checked first
+    if not is_odd_prime(p):
+        raise ArgumentViolation(f"p must be an odd prime, got {p}")
+    g, powers = 1, []
+    while len(powers) != p - 1:
+        g += 1
+        powers, d = [1], g
+        while d != 1:
+            powers.append(d)
+            d = d * g % p
+    omega_g, mod = _teichmuller_root(p, prec, g), p**prec
+    table, w = [0] * p, 1
+    for d in powers:
+        table[d] = w
+        w = w * omega_g % mod
+    return tuple(table)
+
+
+_kept_teichmuller_table = lru_cache(maxsize=64)(_build_teichmuller_table)
+teichmuller_table.cache_info = _kept_teichmuller_table.cache_info
+teichmuller_table.cache_clear = _kept_teichmuller_table.cache_clear
 
 
 class PadicNumber:
@@ -653,7 +686,7 @@ class PadicContext:
         x = self.coerce(x)
         if x.is_zero() or x.valuation != 0:
             raise NotAUnit("Teichmuller character needs a p-adic unit")
-        w = _teichmuller_digit(self.p, self.internal_prec, x.unit % self.p)
+        w = _teichmuller_root(self.p, self.internal_prec, x.unit)
         return PadicNumber(self.p, 0, w, self.internal_prec)
 
     def angle(self, x) -> PadicNumber:

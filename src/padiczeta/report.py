@@ -63,7 +63,6 @@ def compare_values(
     lhs: PadicNumber,
     rhs: PadicNumber,
     required_depth: int | None = None,
-    slack: int = 0,
     reference_depth: int | None = None,
     note: str = "",
     informational: bool = False,
@@ -72,7 +71,7 @@ def compare_values(
 
     When ``required_depth`` is None the rule is the default one: pass iff
     the agreement depth reaches the minimum of the two sides' guaranteed
-    precisions minus ``slack``.
+    precisions.
     """
     depth = agreement_depth(lhs, rhs)
     lp = lhs.absprec
@@ -82,7 +81,7 @@ def compare_values(
         rp if rp is not None else math.inf,
     )
     if required_depth is None:
-        required = shared - slack if shared != math.inf else None
+        required = shared if shared != math.inf else None
     else:
         required = required_depth
     if informational:

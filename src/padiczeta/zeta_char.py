@@ -19,10 +19,11 @@ The representation sum is one pass over integer residues, with no
 ``PadicNumber`` arithmetic per term.  x is read once as an integer known
 modulo p^A; term j reads the ``zeta_czp`` value cache (``_zeta_value``) under
 the key of zeta(s, (x+j)/M), the key that ``zeta_czp(ctx, s, (x+j)/M)`` itself
-uses, so both routes share entries, and multiplies the value by the residue of
-omega(x+j)^k.  The signed products are reduced and normalised once, which
-gives the value and precision of term-by-term ``PadicNumber`` arithmetic
-(``tests/object_reference.py`` keeps that route for comparison).
+uses, so both routes share entries, and multiplies the value by omega(x+j)^k,
+read from one ``padic.teichmuller_table`` per sum.  The signed products are
+reduced and normalised once, which gives the value and precision of
+term-by-term ``PadicNumber`` arithmetic (``tests/object_reference.py`` keeps
+that route for comparison).
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .padic import (
     PadicNumber,
     _check_sum_length,
     _residue_sum,
-    _teichmuller_digit,
     _vp_split,
     alternating_sum,
     capped_power,
+    teichmuller_table,
 )
 from .zeta_czp import (
     _DEFAULT_BUDGET,
@@ -104,10 +105,10 @@ def _representation_sum(
     M = N p^e and c = min(A, prec), the unit term r = r0 + j reads
     ``_zeta_value`` at the triple (-e, r N^(-1) mod p^c, c), which is (x+j)/M
     as ``PadicNumber`` arithmetic forms it, and chi(x+j) is omega(r mod p)^k
-    modulo p**prec.  Each product keeps the precision of the ``PadicNumber``
-    product: relative precision min(prec, zeta.relprec), or only the absolute
-    precision of a bounded-zero zeta.  ``padic._residue_sum`` reduces and
-    normalises the sum once.
+    modulo p**prec, read from ``teichmuller_table``.  Each product keeps the
+    precision of the ``PadicNumber`` product: relative precision
+    min(prec, zeta.relprec), or only the absolute precision of a bounded-zero
+    zeta.  ``padic._residue_sum`` reduces and normalises the sum once.
     """
     _check_char(ctx, chi)
     xp = _coerce_zp(ctx, x)
@@ -127,6 +128,7 @@ def _representation_sum(
     c = min(a0, prec)
     mod, char_mod, k = p**c, p**prec, chi.k
     n_inv = pow(n_factor, -1, mod)
+    omega = teichmuller_table(p, prec)
     terms, absprec = [], None
     for j in range(big_m):
         r = r0 + j
@@ -137,7 +139,7 @@ def _representation_sum(
         if z.relprec is None:
             continue
         if z.relprec:
-            u = pow(_teichmuller_digit(p, prec, digit), k, char_mod) * z.unit
+            u = pow(omega[digit], k, char_mod) * z.unit
             terms.append((z.valuation, -u if j & 1 else u))
             a = z.valuation + min(prec, z.relprec)
         else:

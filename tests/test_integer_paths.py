@@ -19,7 +19,7 @@ import teichmuller_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiczeta import euler
+from padiczeta import euler, padic
 from padiczeta.characters import DirichletCharacter
 from padiczeta.errors import BudgetExhausted, PadicError
 from padiczeta.padic import (
@@ -386,6 +386,41 @@ def test_concurrent_extension_of_shared_coefficients():
     assert not any(t.is_alive() for t in threads) and not errors
     assert len(results) == len(threads) * len(xs)
     assert all(value == expected[x] for (_, x), value in results.items())
+
+
+@pytest.mark.parametrize(
+    "p, prec",
+    # least primitive roots 3, 5, 6, 7, 19, 21 and 5: none of them is 2
+    [(7, 12), (23, 9), (41, 7), (71, 5), (191, 4), (409, 4), (10007, 4)],
+)
+def test_teichmuller_table_from_one_primitive_root(p, prec):
+    table = teichmuller_table(p, prec)
+    assert table[0] == 0
+    assert list(table[1:]) == [
+        teichmuller_reference.teichmuller_root(p, prec, u) for u in range(1, p)
+    ]
+
+
+def test_teichmuller_table_lifts_once(monkeypatch):
+    lifts = []
+
+    def counted(p, prec, u):
+        lifts.append(u)
+        return _teichmuller_root(p, prec, u)
+
+    monkeypatch.setattr(padic, "_teichmuller_root", counted)
+    teichmuller_table.cache_clear()
+    teichmuller_table(409, 6)
+    assert lifts == [21]
+
+
+def test_teichmuller_table_cache_bounded_by_bits():
+    teichmuller_table.cache_clear()
+    table = teichmuller_table(10007, 300)  # about 40 million bits
+    assert table[5] == _teichmuller_root(10007, 300, 5)
+    assert teichmuller_table.cache_info().currsize == 0
+    teichmuller_table(10007, 28)  # about 4 million bits
+    assert teichmuller_table.cache_info().currsize == 1
 
 
 def test_teichmuller_single_residue_leaves_table_cold():

@@ -124,23 +124,36 @@ class TestDomainErrors:
             zeta_czp(ctx5, 2, Fraction(1, 5), SeriesBudget(max_terms=3))
 
     def test_budget_checked_before_teichmuller(self, monkeypatch):
-        # a precision no other test uses, so no Teichmuller digit is cached
+        # a precision no other test uses, so no zeta value is cached
         ctx = PadicContext(5, 41)
 
-        def refuse(*args):
-            raise AssertionError("Teichmuller digit computed before the budget check")
+        class Lifted(Exception):
+            pass
 
-        monkeypatch.setattr(padic, "_teichmuller_digit", refuse)
-        budget = SeriesBudget(max_terms=3)
+        def refuse(*args):
+            raise Lifted
+
+        # teichmuller_table and PadicContext.teichmuller both lift through it
+        monkeypatch.setattr(padic, "_teichmuller_root", refuse)
+        padic.teichmuller_table.cache_clear()
         calls = [
-            lambda: zeta_czp(ctx, Fraction(1, 2), Fraction(2, 5), budget),
-            lambda: zeta_shifted(ctx, Fraction(1, 2), Fraction(2, 25), Fraction(1, 5), budget),
-            lambda: integral_of_zeta(ctx, Fraction(1, 2), Fraction(2, 5), budget),
-            lambda: zeta_char(ctx, DirichletCharacter(5, 1, 1), 2, 2, budget),
+            lambda budget: zeta_czp(ctx, Fraction(1, 2), Fraction(2, 5), budget),
+            lambda budget: zeta_shifted(
+                ctx, Fraction(1, 2), Fraction(2, 25), Fraction(1, 5), budget
+            ),
+            lambda budget: integral_of_zeta(ctx, Fraction(1, 2), Fraction(2, 5), budget),
+            lambda budget: zeta_char(ctx, DirichletCharacter(5, 1, 1), 2, 2, budget),
         ]
         for call in calls:
             with pytest.raises(BudgetExhausted):
-                call()
+                call(SeriesBudget(max_terms=3))
+        # with the default budget the character sum reaches the lift; the
+        # others need no omega (<x>^s goes through log and exp) and complete
+        *series_calls, char_call = calls
+        with pytest.raises(Lifted):
+            char_call(SeriesBudget())
+        for call in series_calls:
+            assert call(SeriesBudget()).absprec >= ctx.workprec
 
 
 def test_module_paths_name_modules():
