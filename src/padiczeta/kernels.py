@@ -16,11 +16,9 @@ C(j,b) f(b), the sum is linear in the values:
     sum_{b<n} (-1)^b f(b) = sum_{b<D} W[b] f(b),  W[b] = sum_{j=b}^{D-1} (-1)^(j-b) C(j,b) S_j(n),
 
 for any values, with the same residue mod p^G.  The weights depend on (p, G,
-D, n) only (``_newton_weights`` builds them in O(D) steps), so
-``_alternating_newton_sum`` reads them from a memo and each depth costs one
-dot product of D integers.  The memo evicts the least recently used vectors
-to keep its retained size under ``_WEIGHT_BITS`` (4 MiB): one vector holds D
-integers of G digits, and D grows with G (about 800 at p = 3, G = 1204).
+D, n) only (``_newton_weights`` builds them in O(D) steps and keeps 4 MiB of
+vectors of D integers of G digits, D about 800 at p = 3, G = 1204), so each
+depth costs one dot product of D integers.
 
 In ``_angle_power_sums`` f(b) = (y0 + b*step)^e with y0 prime to p and v =
 v_p(step) >= 1.  With t = step/y0, f(b) = y0^e sum_k C(e,k) t^k b^k, C(e,k)
@@ -43,16 +41,13 @@ non-integer exponent is reduced; Python's pow inverts a negative one.
 from __future__ import annotations
 
 import math
-import sys
-import threading
-from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 
 from .errors import ArgumentViolation
 from .padic import EVALUATION_CAP, PadicNumber, capped_power, teichmuller_table
-from .padic import _vp_split, vp_factorial, vp_fraction, vp_int
+from .padic import _BitsMemo, _vp_split, vp_factorial, vp_fraction, vp_int
 
 __all__ = [
     "EVALUATION_CAP",
@@ -98,6 +93,10 @@ def _exponent_one_minus(p: int, modexp: int, s) -> int:
     raise ArgumentViolation(f"unsupported exponent {s!r}")
 
 
+_WEIGHT_BITS = 1 << 25  # 4 MiB: about 18 vectors of p = 3 at 1200 digits, thousands at 16
+
+
+@partial(_BitsMemo, max_bits=_WEIGHT_BITS)
 def _newton_weights(p: int, g_prec: int, degree: int, n: int) -> tuple[int, ...]:
     """W[b] = sum_{j=b}^{D-1} (-1)^(j-b) C(j,b) S_j(n) mod p**g_prec for b < D = degree.
 
@@ -132,58 +131,17 @@ def _newton_weights(p: int, g_prec: int, degree: int, n: int) -> tuple[int, ...]
     return tuple(weights)
 
 
-class _WeightMemo:
-    """Weight vectors keyed (p, g_prec, degree, n).  The least recently used
-    are evicted until the retained size (``sys.getsizeof`` of each tuple and
-    of its integers, in bits) is at most ``max_bits``, so a vector larger
-    than the bound is not kept."""
-
-    def __init__(self, max_bits: int):
-        self.max_bits = max_bits
-        self.bits = 0
-        self._entries: OrderedDict[tuple, tuple[tuple[int, ...], int]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> tuple[int, ...] | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry[0]
-
-    def put(self, key: tuple, weights: tuple[int, ...]) -> None:
-        size = 8 * (sys.getsizeof(weights) + sum(map(sys.getsizeof, weights)))
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = (weights, size)
-            self.bits += size
-            while self.bits > self.max_bits:
-                _, (_, old) = self._entries.popitem(last=False)
-                self.bits -= old
-
-
-_WEIGHT_BITS = 1 << 25  # 4 MiB: about 18 vectors of p = 3 at 1200 digits, thousands at 16
-_weights = _WeightMemo(_WEIGHT_BITS)
-
-
 def _alternating_newton_sum(p: int, g_prec: int, values, counts) -> dict[int, int]:
     """sum_{b<n} (-1)^b values[b] mod p**g_prec for each n in counts (module docstring)."""
     mod = p**g_prec
     degree = len(values)
     out: dict[int, int] = {}
     for n in counts:
-        key = (p, g_prec, degree, n)
-        weights = _weights.get(key)
-        if weights is None:
-            weights = _newton_weights(*key)
-            _weights.put(key, weights)
-        out[n] = sum(map(mul, values, weights)) % mod
+        out[n] = sum(map(mul, values, _newton_weights(p, g_prec, degree, n))) % mod
     return out
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256)  # one small int per entry: a count bound is a bits bound
 def _progression_degree(p: int, v: int, g_prec: int) -> int:
     """The least D with D*v + v_p(D!) >= g_prec (module docstring)."""
     degree = 0

@@ -20,10 +20,11 @@ so the module is safe for unsynchronised concurrent use.  Teichmuller values
 are lifted by Newton's iteration (``_teichmuller_root``).
 ``PadicContext.teichmuller`` makes one uncached lift per call; the residue
 sums of the oracle kernels and of ``zeta_char`` read ``teichmuller_table``,
-all of omega mod p**prec from one lift, kept in one bounded cache.
+all of omega mod p**prec from one lift.  Every cache of big integers in the
+package is a ``_BitsMemo``, bounded by bits as its values grow with precision.
 
 ``PadicContext.log`` and ``exp`` sum their series as one integer residue over
-cached coefficients, with the precision that term-by-term ``PadicNumber``
+memoised coefficients, with the precision that term-by-term ``PadicNumber``
 arithmetic gives.  ``unit_power`` and ``angle_power`` share one integer route
 built from the same two halves: log, the product with s and exp on
 (valuation, unit, relprec) integers (see the helpers at the end of the
@@ -33,9 +34,12 @@ module).
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial, update_wrapper
 
 from .errors import (
     ArgumentViolation,
@@ -150,26 +154,66 @@ def _teichmuller_root(p: int, prec: int, u: int) -> int:
     return y
 
 
-# A table of more bits than this (1 MiB) is built on each call and not kept,
-# so the cache holds at most 64 MiB.  A call that needs a larger table (p =
-# 10007 at 300 digits holds 5 MB) sums about p series, which cost more.
-_TABLE_CACHE_BITS = 1 << 23
+_MemoInfo = namedtuple("MemoInfo", "hits misses currsize")
 
 
+class _BitsMemo:
+    """fn's values by argument tuple, the least recently used evicted until
+    the retained ``sys.getsizeof`` bits (of each value and of everything in
+    its tuples) are at most ``max_bits``; a larger value is returned and not
+    kept.  A lock guards it, as ``verify`` threads share it."""
+
+    def __init__(self, fn, max_bits: int):
+        update_wrapper(self, fn)
+        self.max_bits = max_bits
+        self._lock = threading.Lock()
+        self.cache_clear()
+
+    def __call__(self, *key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.hits += 1
+                self._entries.move_to_end(key)
+                return entry[0]
+            self.misses += 1
+        value = self.__wrapped__(*key)
+        size = _retained_bits(value)
+        with self._lock:
+            if size <= self.max_bits and key not in self._entries:
+                self._entries[key] = (value, size)
+                self.bits += size
+                while self.bits > self.max_bits:
+                    self.bits -= self._entries.popitem(last=False)[1][1]
+        return value
+
+    def cache_info(self) -> _MemoInfo:
+        return _MemoInfo(self.hits, self.misses, len(self._entries))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+            self.bits = self.hits = self.misses = 0
+
+
+def _retained_bits(value) -> int:
+    inner = sum(map(_retained_bits, value)) if isinstance(value, tuple) else 0
+    return 8 * sys.getsizeof(value) + inner
+
+
+# 4 MiB: keeps p = 10007 at 28 digits (7 Mbit), not at 300 (45 Mbit), where a
+# call sums about p series, which cost more than the table
+_TABLE_BITS = 1 << 25
+
+
+@partial(_BitsMemo, max_bits=_TABLE_BITS)
 def teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
     """omega(u) mod p**prec for u = 0..p-1 (entry 0 is unused and set to 0).
 
     omega is multiplicative, so with g the least primitive root of p the
     entry at the digit g**i mod p is omega(g)**i: one Newton lift and p-2
-    products.  Tables of at most ``_TABLE_CACHE_BITS`` bits are memoised
-    (``cache_info`` and ``cache_clear`` read that cache).
+    products.
     """
-    if p * prec * p.bit_length() > _TABLE_CACHE_BITS:
-        return _build_teichmuller_table(p, prec)
-    return _kept_teichmuller_table(p, prec)
-
-
-def _build_teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
     # g is the first candidate whose powers take p-1 steps to return to 1;
     # for a composite p the walk might never return, so p is checked first
     if not is_odd_prime(p):
@@ -187,11 +231,6 @@ def _build_teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
         table[d] = w
         w = w * omega_g % mod
     return tuple(table)
-
-
-_kept_teichmuller_table = lru_cache(maxsize=64)(_build_teichmuller_table)
-teichmuller_table.cache_info = _kept_teichmuller_table.cache_info
-teichmuller_table.cache_clear = _kept_teichmuller_table.cache_clear
 
 
 class PadicNumber:
@@ -786,11 +825,13 @@ class PadicContext:
 # modulo its smallest absolute precision does not depend on the order of
 # addition, so sum_n c_n zu**n reduced once modulo p**target is the value
 # term-by-term PadicNumber arithmetic gives.  The coefficients depend on
-# (p, k, target) only and are cached; the term counts follow the stopping
-# rules of the object-arithmetic loops.
+# (p, k, target) only and are memoised, up to 4 MiB for each series (7 Mbit
+# of log and 15 of exp at p = 3, k = 1, 2000 digits); the term counts follow
+# the stopping rules of the object-arithmetic loops.
+_SERIES_BITS = 1 << 25
 
 
-@lru_cache(maxsize=256)
+@partial(_BitsMemo, max_bits=_SERIES_BITS)
 def _log_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
     """(-1)**(n+1) p**(n*k) / n modulo p**target for n = 1..N."""
     mod = p**target
@@ -808,7 +849,7 @@ def _log_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
         n += 1
 
 
-@lru_cache(maxsize=256)
+@partial(_BitsMemo, max_bits=_SERIES_BITS)
 def _exp_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
     """p**(n*k) / n! modulo p**target for n = 1..N."""
     mod = p**target

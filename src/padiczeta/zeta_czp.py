@@ -25,17 +25,17 @@ unit part of b.
 entry by entry.  The set keeps only what the per-x pass reads: the
 (valuation, relprec) of each entry, the least valuation base, and the
 integers unit * p**(valuation - base) in Horner order, split by the parity
-of i.  An LRU cache keeps the last ``_COEFFICIENT_SETS`` sets (a set is a few
-dozen integers at the default precision); a set is never extended, a larger
-term count is a new entry.  Each x then costs a precision scan over the entries and
-an integer Horner pass in 1/x modulo the sum's absolute precision, which give
-the same value and precision as summing the terms as ``PadicNumber`` objects.
-The prefactor <x>^(1-s) is ``PadicContext.angle_power``, log and exp on
-integer residues.
+of i.  A ``padic._BitsMemo`` keeps ``_COEFFICIENT_BITS`` of sets (a few dozen
+integers at the default precision, 0.4 MB at 1000 digits); a set is never
+extended, a larger term count is a new entry.  Each x then costs a precision
+scan over the entries and an integer Horner pass in 1/x modulo the sum's
+absolute precision, which give the same value and precision as summing the
+terms as ``PadicNumber`` objects.  The prefactor <x>^(1-s) is
+``PadicContext.angle_power``, log and exp on integer residues.
 
 The identities ask for the same zeta(s, y) again and again (a representation
 sum, its shifts and its twists at one s), so the whole expansion
-<x>^(1-s) sum_i C(1-s, i) w(i) x^(-i) is kept in a second LRU cache of
+<x>^(1-s) sum_i C(1-s, i) w(i) x^(-i) is kept in an ``lru_cache`` of
 ``_ZETA_VALUES`` entries.  ``zeta_czp`` (w = E_i(0)), ``zeta_shifted`` (E_i(u);
 at u = 0 the entry of ``zeta_czp``) and the two halves of
 ``integral_of_zeta`` (E_i(0) and E_{i+1}(0)) each read it.  Its key is the
@@ -46,8 +46,7 @@ capped at the budget's target: a few hundred bytes at 16 digits, and at most
 three numbers of ``padic.MAX_MODULUS_BITS`` bits (plus any longer x a caller
 passes), less than one coefficient set at the same precision.  Callers share
 a cached value, which is safe because a ``PadicNumber`` is never changed in
-place.  Neither cache holds anything that changes, so neither needs a lock: two
-threads that miss the same key at once build equal values and one is kept.
+place.
 
 The term count is checked against the budget before the series or the
 prefactor <x>^(1-s) does any work, so an unreachable precision is refused at
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from . import euler, kernels
 from .errors import (
@@ -71,6 +70,7 @@ from .errors import (
 from .padic import (
     PadicContext,
     PadicNumber,
+    _BitsMemo,
     _vp_split,
     alternating_sum,
     capped_power,
@@ -159,7 +159,7 @@ def _series_terms(ctx: PadicContext, decay: int, budget: SeriesBudget) -> int:
 # A weight (u, offset) stands for w(i) = E_{i+offset}(u).
 _EULER_ZERO = (0, 0)
 _EULER_NEXT = (0, 1)
-_COEFFICIENT_SETS = 256
+_COEFFICIENT_BITS = 1 << 26  # 8 MiB: 10 times a 16-digit verify's sets, 20 sets at 1000 digits
 _ZETA_VALUES = 1024
 
 
@@ -167,7 +167,7 @@ def _triple(value: PadicNumber) -> tuple:
     return value.valuation, value.unit, value.relprec
 
 
-@lru_cache(maxsize=_COEFFICIENT_SETS)
+@partial(_BitsMemo, max_bits=_COEFFICIENT_BITS)
 def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: int) -> tuple:
     """C(1-s, i) w(i) for i < terms, from the triple of 1-s, as the Horner
     pass of ``_laurent_series`` reads them.
@@ -300,7 +300,7 @@ def _laurent_series(
     return PadicNumber._normalize(p, base, acc_even + acc_odd * y, absprec)
 
 
-@lru_cache(maxsize=_ZETA_VALUES)
+@lru_cache(maxsize=_ZETA_VALUES)  # at most three numbers an entry, read tens of thousands of times
 def _zeta_value(
     ctx: PadicContext, s: tuple, x: tuple, weight: tuple, budget: SeriesBudget
 ) -> PadicNumber:

@@ -416,11 +416,59 @@ def test_teichmuller_table_lifts_once(monkeypatch):
 
 def test_teichmuller_table_cache_bounded_by_bits():
     teichmuller_table.cache_clear()
-    table = teichmuller_table(10007, 300)  # about 40 million bits
+    table = teichmuller_table(10007, 300)  # about 45 million bits
     assert table[5] == _teichmuller_root(10007, 300, 5)
-    assert teichmuller_table.cache_info().currsize == 0
-    teichmuller_table(10007, 28)  # about 4 million bits
-    assert teichmuller_table.cache_info().currsize == 1
+    assert teichmuller_table.cache_info() == (0, 1, 0)
+    teichmuller_table(10007, 28)  # about 7 million bits
+    assert teichmuller_table.cache_info() == (0, 2, 1)
+    # a table over the bound is built, and counted, on every call
+    teichmuller_table(10007, 300)
+    assert teichmuller_table.cache_info() == (0, 3, 1)
+
+
+def test_memo_value_over_its_bound_is_returned_not_kept(monkeypatch):
+    teichmuller_table.cache_clear()
+    kept = teichmuller_table(3, 50)
+    assert teichmuller_table(3, 50) is kept
+    assert teichmuller_table.cache_info() == (1, 1, 1)
+    assert teichmuller_table.bits == padic._retained_bits(kept)
+    monkeypatch.setattr(teichmuller_table, "max_bits", teichmuller_table.bits)
+    big = teichmuller_table(3, 60)
+    assert big == (0, _teichmuller_root(3, 60, 1), _teichmuller_root(3, 60, 2))
+    assert teichmuller_table(3, 60) == big
+    assert teichmuller_table.cache_info() == (1, 3, 1)
+    assert teichmuller_table(3, 50) is kept
+    teichmuller_table.cache_clear()
+    assert teichmuller_table.cache_info() == (0, 0, 0) and teichmuller_table.bits == 0
+
+
+def test_memo_accounting_under_threads():
+    # a bound of about three values: every thread evicts what others read
+    memo = padic._BitsMemo(lambda n: tuple(range(n, n + 40)), 3 * 40 * 300)
+    keys = [n % 17 for n in range(300)]
+    wrong = []
+
+    def work(order):
+        wrong.extend(n for n in order if memo(n) != tuple(range(n, n + 40)))
+
+    rng = random.Random(4401)
+    threads = [threading.Thread(target=work, args=(rng.sample(keys, len(keys)),)) for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
+    info = memo.cache_info()
+    assert info.hits + info.misses == len(threads) * len(keys)
+    assert info.misses > 17  # values were evicted and built again
+    assert 0 < memo.bits <= memo.max_bits
+    assert memo.bits == sum(padic._retained_bits(v) for v, _ in memo._entries.values())
+    assert info.currsize == len(memo._entries) < 17
 
 
 def test_teichmuller_single_residue_leaves_table_cold():

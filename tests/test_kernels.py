@@ -8,6 +8,7 @@ literal sums at the edges of their degree bound, and with the forward
 differences of ``kernel_reference.alternating_newton_sum`` for any values.
 """
 
+import sys
 from fractions import Fraction
 
 import kernel_reference as ref
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from padiczeta import kernels
 from padiczeta.characters import DirichletCharacter
 from padiczeta.errors import ArgumentViolation, EvaluationCapExceeded
-from padiczeta.padic import PadicContext, render, vp_int
+from padiczeta.padic import PadicContext, _BitsMemo, render, vp_int
 from padiczeta.verify import _REGISTRY, VerifyConfig
 from padiczeta.zeta_char import ell_limit_oracle, raabe_char, zeta_char_oracle
 from padiczeta.zeta_czp import (
@@ -278,8 +279,7 @@ def test_depth_over_the_cap_raises(monkeypatch):
     def refuse(*key):
         raise _WeightsBuilt(key)
 
-    monkeypatch.setattr(kernels, "_weights", kernels._WeightMemo(kernels._WEIGHT_BITS))
-    monkeypatch.setattr(kernels, "_newton_weights", refuse)
+    monkeypatch.setattr(kernels, "_newton_weights", _BitsMemo(refuse, kernels._WEIGHT_BITS))
     for call, _ in calls:
         with pytest.raises(_WeightsBuilt):
             call(12)  # with an empty memo, a depth under the cap builds weights
@@ -288,23 +288,31 @@ def test_depth_over_the_cap_raises(monkeypatch):
                 call(depth)
 
 
+def _vector_bits(weights):
+    return 8 * (sys.getsizeof(weights) + sum(map(sys.getsizeof, weights)))
+
+
 def test_weight_memo_stays_under_its_bound(monkeypatch):
     # at 1200 digits D is about 800 at v_p(den) = 1 and 480 at 2, and 3^7 > D,
     # so each vector holds D residues of about 1900 bits
     depths = (7, 9, 12)
-    memo = kernels._WeightMemo(kernels._WEIGHT_BITS)
-    monkeypatch.setattr(kernels, "_weights", memo)
+    build = kernels._newton_weights.__wrapped__
+    memo = _BitsMemo(build, kernels._WEIGHT_BITS)
+    monkeypatch.setattr(kernels, "_newton_weights", memo)
     expected = {}
     for x in (Fraction(1, 3), Fraction(2, 9)):
         expected[x] = kernels.hurwitz_sums(3, 1200, x, 3, depths)
         assert 0 < memo.bits <= kernels._WEIGHT_BITS
-    assert len(memo._entries) == 2 * len(depths)
-    assert memo.bits == sum(size for _, size in memo._entries.values())
+    assert memo.cache_info().currsize == 2 * len(depths)
+    assert memo.bits == sum(_vector_bits(w) for w, _ in memo._entries.values())
     # a bound of about one and a half vectors evicts the least recently used
-    small = kernels._WeightMemo(3 * 10**6)
-    monkeypatch.setattr(kernels, "_weights", small)
+    small = _BitsMemo(build, 3 * 10**6)
+    monkeypatch.setattr(kernels, "_newton_weights", small)
     for x, sums in expected.items():
         _same_sums(sums, kernels.hurwitz_sums(3, 1200, x, 3, depths))
         assert 0 < small.bits <= small.max_bits
-        assert len(small._entries) < len(depths)
-        assert small.bits == sum(size for _, size in small._entries.values())
+        assert small.cache_info().currsize < len(depths)
+        assert small.bits == sum(_vector_bits(w) for w, _ in small._entries.values())
+        # the depths are summed in order, so the vector read last is kept
+        assert next(reversed(small._entries))[3] == 3**12
+    assert small.cache_info().misses == 2 * len(depths)

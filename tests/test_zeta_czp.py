@@ -20,6 +20,7 @@ from padiczeta.padic import PadicContext, agreement_depth, render
 from padiczeta.zeta_czp import (
     SeriesBudget,
     ZetaArgumentCZp,
+    _coefficients,
     _zeta_value,
     distribution_czp,
     dzeta_dx,
@@ -419,6 +420,32 @@ class TestValueCache:
         info = _zeta_value.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert shifted is plain
+
+    def test_coefficient_sets_evicted_under_a_low_bound(self, monkeypatch):
+        ctx = PadicContext(3, 300)
+        ss = (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), 2, 3, -1)
+        xs = (Fraction(1, 3), Fraction(2, 9))
+
+        def key(value):
+            return render(value), value.absprec
+
+        cold, set_bits = {}, 0
+        for s in ss:
+            for x in xs:
+                _zeta_value.cache_clear()
+                _coefficients.cache_clear()
+                cold[s, x] = key(zeta_czp(ctx, s, x))
+                set_bits = max(set_bits, _coefficients.bits)
+        _coefficients.cache_clear()
+        monkeypatch.setattr(_coefficients, "max_bits", 2 * set_bits + set_bits // 2)
+        # two passes in opposite orders: the second rebuilds evicted sets
+        for order in ([(s, x) for x in xs for s in ss], [(s, x) for s in ss for x in xs][::-1]):
+            _zeta_value.cache_clear()
+            for s, x in order:
+                assert key(zeta_czp(ctx, s, x)) == cold[s, x]
+                assert 0 < _coefficients.bits <= _coefficients.max_bits
+        info = _coefficients.cache_info()
+        assert info.currsize < len(ss) < info.misses
 
 
 def _digit_literal(valuation, digits):
