@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgumentOutsideZp, ParseError, PrecisionError
-from .padic import PadicContext, PadicNumber, is_odd_prime
+from .padic import PadicContext, PadicNumber, is_odd_prime, teichmuller_table
 
 __all__ = ["DirichletCharacter", "char_eval"]
 
@@ -73,17 +73,34 @@ class DirichletCharacter:
 
 def char_eval(ctx: PadicContext, chi: DirichletCharacter, a) -> PadicNumber:
     """chi(a) for a in Z_p: omega(a)^k on units, exact zero on p | a."""
+    digit = _unit_digit(ctx, chi, a)
+    return ctx.teichmuller(digit) ** chi.k if digit else ctx.exact_zero()
+
+
+def _char_values(ctx: PadicContext, chi: DirichletCharacter):
+    """``char_eval(ctx, chi, .)`` for sums over many arguments: omega(a mod p)
+    is read from ``teichmuller_table``, whose entries are the lifts."""
+    p, prec = ctx.p, ctx.internal_prec
+    mod, omega = p**prec, teichmuller_table(p, prec)
+
+    def value(a) -> PadicNumber:
+        d = _unit_digit(ctx, chi, a)
+        return PadicNumber(p, 0, pow(omega[d], chi.k, mod), prec) if d else ctx.exact_zero()
+
+    return value
+
+
+def _unit_digit(ctx: PadicContext, chi: DirichletCharacter, a) -> int:
+    """a mod p for a in Z_p, 0 where chi(a) = 0."""
     if chi.p != ctx.p:
         raise ParseError("character prime differs from context prime")
     a = ctx.coerce(a)
     if a.is_exact_zero:
-        return ctx.exact_zero()
+        return 0
     if a.is_bounded_zero:
         if a.valuation >= 1:
-            return ctx.exact_zero()
+            return 0
         raise PrecisionError("cannot evaluate character: unit status unknown")
     if a.valuation < 0:
         raise ArgumentOutsideZp("character arguments must lie in Z_p")
-    if a.valuation >= 1:
-        return ctx.exact_zero()
-    return ctx.teichmuller(a) ** chi.k
+    return 0 if a.valuation >= 1 else a.unit % ctx.p

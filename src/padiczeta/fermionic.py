@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from . import euler
-from .characters import DirichletCharacter, char_eval
+from .characters import DirichletCharacter, _char_values
 from .errors import ArgumentViolation
 from .padic import PadicContext, PadicNumber, alternating_sum, capped_power
 
@@ -137,11 +137,13 @@ def change_of_variable(
             acc = acc + c * e_k.eval_padic(ctx, y)
         return acc
 
+    chi_at = _char_values(ctx, chi)
+
     def twisted(h):
         # a -> chi(x+a) h((x+a)/p^v), the exact zero where chi vanishes
         def term(a: int) -> PadicNumber:
             xa = x + ctx.from_int(a)
-            cv = char_eval(ctx, chi, xa)
+            cv = chi_at(xa)
             return cv if cv.is_exact_zero else cv * h(xa / pv)
 
         return term

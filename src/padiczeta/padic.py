@@ -26,9 +26,9 @@ package is a ``_BitsMemo``, bounded by bits as its values grow with precision.
 ``PadicContext.log`` and ``exp`` sum their series as one integer residue over
 memoised coefficients, with the precision that term-by-term ``PadicNumber``
 arithmetic gives.  ``unit_power`` and ``angle_power`` share one integer route
-built from the same two halves: log, the product with s and exp on
-(valuation, unit, relprec) integers (see the helpers at the end of the
-module).
+that claims the precision of exp(s log u) and computes u**n for an integer n,
+u**low by modular pow and u**(p**m * high) by log and exp on u**(p**m): the
+same digits, with shorter series (see the helpers at the end of the module).
 """
 
 from __future__ import annotations
@@ -161,7 +161,8 @@ class _BitsMemo:
     """fn's values by argument tuple, the least recently used evicted until
     the retained ``sys.getsizeof`` bits (of each value and of everything in
     its tuples) are at most ``max_bits``; a larger value is returned and not
-    kept.  A lock guards it, as ``verify`` threads share it."""
+    kept.  A lock guards it for threaded library callers, which
+    ``test_memo_accounting_under_threads`` pins (``verify`` runs serially)."""
 
     def __init__(self, fn, max_bits: int):
         update_wrapper(self, fn)
@@ -258,17 +259,7 @@ class PadicNumber:
     @classmethod
     def _normalize(cls, p: int, base_val: int, mantissa: int, absprec: int) -> "PadicNumber":
         """The value p**base_val * mantissa known modulo p**absprec."""
-        width = absprec - base_val
-        if width <= 0:
-            return cls.bounded_zero(p, absprec)
-        m = mantissa % p**width
-        if m == 0:
-            return cls.bounded_zero(p, absprec)
-        t, m = _vp_split(m, p)
-        val = base_val + t
-        rel = absprec - val
-        unit = m % p**rel
-        return cls(p, val, unit, rel)
+        return cls(p, *_normal_form(p, base_val, mantissa, absprec))
 
     # ---- predicates ----------------------------------------------------
 
@@ -466,6 +457,17 @@ class PadicNumber:
 
     def __repr__(self):
         return f"PadicNumber({render(self)})"
+
+
+def _normal_form(p: int, base_val: int, mantissa: int, absprec: int) -> tuple[int, int, int]:
+    """The (valuation, unit, relprec) triple of p**base_val * mantissa known
+    modulo p**absprec; (absprec, 0, 0) is the bounded zero."""
+    width = absprec - base_val
+    m = mantissa % p**width if width > 0 else 0
+    if m == 0:
+        return absprec, 0, 0
+    t, m = _vp_split(m, p)
+    return base_val + t, m, width - t
 
 
 def _embed_fraction(p: int, q: int | Fraction, relprec: int) -> PadicNumber:
@@ -758,7 +760,8 @@ class PadicContext:
         z = self.coerce(z)
         if z.is_exact_zero:
             return self.one()
-        return _exp_residue(self.p, z.valuation, z.unit, z.relprec)
+        unit = _exp_residue(self.p, z.valuation, z.unit, z.relprec)
+        return PadicNumber(self.p, 0, unit, z.absprec)
 
     # ---- <x>^s and generalised binomials ----
 
@@ -775,7 +778,8 @@ class PadicContext:
         if s.is_exact_zero:
             return self.one()
         _check_log_domain(u)
-        return _power_residue(self.p, u.unit, u.relprec, s.valuation, s.unit, s.relprec)
+        value, rel = _power_residue(self.p, u.unit, u.relprec, s.valuation, s.unit, s.relprec)
+        return PadicNumber(self.p, 0, value, rel)
 
     def angle_power(self, x, s) -> PadicNumber:
         """<x>**s for nonzero x and s in Z_p.
@@ -790,13 +794,10 @@ class PadicContext:
         s = self._exponent(s)
         if s.is_exact_zero:
             return self.one()
-        p = self.p
-        rel = min(x.relprec, self.internal_prec)
-        su, sr = s.unit, s.relprec
-        if sr:
-            mod = p**sr
-            su = su * _inverse_of_p_minus_1(p, mod) % mod
-        return _power_residue(p, pow(x.unit, p - 1, p**rel), rel, s.valuation, su, sr)
+        power = _angle_power_residue(
+            self.p, self.internal_prec, x.unit, x.relprec, s.valuation, s.unit, s.relprec
+        )
+        return PadicNumber(self.p, 0, *power)
 
     def binomial(self, s, i: int) -> PadicNumber:
         """Generalised binomial coefficient s(s-1)...(s-i+1)/i!."""
@@ -814,9 +815,14 @@ class PadicContext:
 # ---- log/exp series on integer residues ----------------------------------------
 #
 # ``_log_residue`` and ``_exp_residue`` are the integer halves of
-# ``PadicContext.log`` and ``exp``; ``_power_residue`` joins them with the
-# product rule of ``PadicNumber`` into u**s = exp(s log u), the one route of
-# ``unit_power`` and ``angle_power``.
+# ``PadicContext.log`` and ``exp``.  ``_power_residue`` (``unit_power``,
+# ``angle_power``) claims the precision p**T of exp(s log u) under the product
+# rule; as u**(p**j) = 1 mod p**(k + j), k = v_p(u - 1), u**s mod p**T is u**n
+# for the integer n = s mod p**(T - k), whatever the route.  It splits
+# n = low + p**m * high (argument reduction, Brent 1976): u**low and
+# b = u**(p**m) by modular pow, b**high = exp(high log b) by series of about
+# T/(k + m) terms instead of T/k.  A digit of m costs about 2 log2(p)
+# products, so m = isqrt(T / bit_length(p)) - k, or 0 (p = 1009, 24 digits).
 #
 # For z = p**k * zu known modulo p**target (k >= 1), term n of either series
 # is c_n * zu**n with c_n = p**e_n / m_n for a p-adic unit m_n and e_n >= k,
@@ -888,33 +894,52 @@ def _log_residue(p: int, unit: int, target: int) -> tuple[int, int, int]:
     return k, series // p**k, target - k
 
 
-def _exp_residue(p: int, val: int, unit: int, rel: int) -> PadicNumber:
-    """exp(p**val * unit) for an argument known modulo p**(val + rel); rel = 0
-    is the bounded zero O(p**val)."""
+def _exp_residue(p: int, val: int, unit: int, rel: int) -> int:
+    """exp(p**val * unit) as a residue modulo p**(val + rel), the precision of
+    the argument; rel = 0 is the bounded zero O(p**val)."""
     if val < 1:
         raise OutsideExpDomain("exp needs valuation >= 1")
-    target = val + rel
     if not rel:
-        return PadicNumber(p, 0, 1, target)
+        return 1
     # every term has valuation >= 1, so 1 + series is a unit below p**target
-    series = _horner(_exp_coefficients(p, val, target), unit, p**target)
-    return PadicNumber(p, 0, 1 + series, target)
+    target = val + rel
+    return 1 + _horner(_exp_coefficients(p, val, target), unit, p**target)
 
 
-def _power_residue(p: int, unit: int, rel: int, sv: int, su: int, sr: int) -> PadicNumber:
-    """unit**s = exp(s log unit) for a residue unit = 1 mod p known modulo
+def _power_residue(p: int, unit: int, rel: int, sv: int, su: int, sr: int) -> tuple[int, int]:
+    """unit**s as (residue, relprec) for a residue unit = 1 mod p known modulo
     p**rel and s = p**sv * su known to relprec sr (0 for the bounded zero
-    O(p**sv)), s not the exact zero.
+    O(p**sv)), s not the exact zero.  With k = v_p(unit - 1), or k = rel
+    where the log is a bounded zero, the relprec is sv + k + min(sr, rel - k),
+    or sv + k (the value 1) where s or the log is a bounded zero."""
+    z = (unit - 1) % p**rel
+    k = _vp_split(z, p)[0] if z else rel
+    if not sr or k == rel:
+        # exp of a bounded zero: 1, or OutsideExpDomain below valuation 1
+        return _exp_residue(p, sv + k, 0, 0), sv + k
+    target = sv + k + min(sr, rel - k)
+    mod = p**target
+    # unit**n for n = s mod p**(target - k) = low + p**m * high (see above)
+    m = max(math.isqrt(target // p.bit_length()) - k, 0)
+    high, low = divmod(su * p**sv % p ** (target - k), p**m)
+    value = pow(unit, low, mod)
+    if high:
+        # b**high = exp(high log b) for b = unit**(p**m), which is 1 modulo
+        # exactly p**(k + m); high < p**(target - k - m), the relprec of log b
+        lv, lu, lr = _log_residue(p, pow(unit, p**m, mod), target)
+        hv, hu = _vp_split(high, p)
+        value = value * _exp_residue(p, lv + hv, hu * lu % p ** (lr - hv), lr - hv) % mod
+    return value, target
 
-    s log unit keeps the precision of the ``PadicNumber`` product: relative
-    precision min(sr, relprec of the log), or a bounded zero at the sum of
-    the valuations when either factor is one.
-    """
-    lv, lu, lr = _log_residue(p, unit, rel)
-    if sr and lr:
-        r = min(sr, lr)
-        return _exp_residue(p, sv + lv, su * lu % p**r, r)
-    return _exp_residue(p, sv + lv, 0, 0)
+
+def _angle_power_residue(p: int, prec: int, xu: int, xr: int, sv: int, su: int, sr: int) -> tuple:
+    """``PadicContext.angle_power`` as (residue, relprec), for the unit part
+    xu of x known to relprec xr and s = p**sv * su, not the exact zero."""
+    rel = min(xr, prec)
+    if sr:
+        mod = p**sr
+        su = su * _inverse_of_p_minus_1(p, mod) % mod
+    return _power_residue(p, pow(xu, p - 1, p**rel), rel, sv, su, sr)
 
 
 def _horner(coeffs: tuple[int, ...], zu: int, mod: int) -> int:

@@ -25,7 +25,7 @@ from math import comb
 from typing import Callable, Mapping
 
 from . import euler, kernels
-from .characters import DirichletCharacter, char_eval
+from .characters import DirichletCharacter, _char_values
 from .errors import PadicError
 from .fermionic import (
     Integrand,
@@ -739,7 +739,8 @@ def _check_char_suite(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> R
     out = []
 
     lhs = zeta_char(ctx, chi, sp, x + 1, budget) + zeta_char(ctx, chi, sp, x, budget)
-    cv = char_eval(ctx, chi, ctx.from_int(x))
+    chi_at = _char_values(ctx, chi)
+    cv = chi_at(ctx.from_int(x))
     if cv.is_exact_zero:
         rhs = ctx.exact_zero()
     else:
@@ -755,7 +756,7 @@ def _check_char_suite(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> R
         lhs = zeta_char(ctx, chi, sp, n, budget)
         inner = (-1) ** (n + 1) * ell_val
         for j in range(1, n):
-            cv = char_eval(ctx, chi, ctx.from_int(j - n))
+            cv = chi_at(ctx.from_int(j - n))
             if cv.is_exact_zero:
                 continue
             term = 2 * ctx.angle_power(ctx.from_int(j - n), one_minus_s) * cv
@@ -768,7 +769,7 @@ def _check_char_suite(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> R
     lhs = alternating_sum(
         ctx, n_parts, lambda i: zeta_char(ctx, chi, sp, x + Fraction(i, n_parts), budget)
     )
-    chi_n = char_eval(ctx, chi, ctx.from_int(n_parts))
+    chi_n = chi_at(ctx.from_int(n_parts))
     stated = zeta_char(ctx, chi, sp, n_parts * x, budget) / chi_n
     scale = ctx.angle_power(n_parts, sp - ctx.one())
     out.append(compare_values("distribution-char", params, lhs, scale * stated))
@@ -823,7 +824,8 @@ def _check_derivative_char(
     if h_exp is None:
         # d/dx at (chi omega, 0, x) collapses to the plain character sum
         lhs = dzeta_char_dx(ctx, chi.twist(1), 0, x, cfg.budget())
-        rhs = alternating_sum(ctx, capped_power(p, v), lambda j: char_eval(ctx, chi, x + j))
+        chi_at = _char_values(ctx, chi)
+        rhs = alternating_sum(ctx, capped_power(p, v), lambda j: chi_at(x + j))
         return [
             compare_values(
                 "derivative-char-at-zero",

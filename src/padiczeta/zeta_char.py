@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import euler, kernels
-from .characters import DirichletCharacter, char_eval
+from .characters import DirichletCharacter, _char_values
 from .errors import (
     ArgumentOutsideZp,
     ArgumentViolation,
@@ -200,9 +200,10 @@ def zeta_char_special(
         raise ArgumentViolation("k must be >= 1")
     pv = capped_power(ctx.p, chi.v)
     lhs = zeta_char(ctx, chi.twist(k), 1 - k, x, budget)
+    chi_at = _char_values(ctx, chi)
 
     def term(j: int) -> PadicNumber:
-        cv = char_eval(ctx, chi, x + j)
+        cv = chi_at(x + j)
         if cv.is_exact_zero:
             return cv
         return cv * ctx.from_fraction(euler.euler_poly(k, Fraction(x + j, pv)))

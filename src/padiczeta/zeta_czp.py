@@ -27,11 +27,12 @@ entry by entry.  The set keeps only what the per-x pass reads: the
 integers unit * p**(valuation - base) in Horner order, split by the parity
 of i.  A ``padic._BitsMemo`` keeps ``_COEFFICIENT_BITS`` of sets (a few dozen
 integers at the default precision, 0.4 MB at 1000 digits); a set is never
-extended, a larger term count is a new entry.  Each x then costs a precision
-scan over the entries and an integer Horner pass in 1/x modulo the sum's
-absolute precision, which give the same value and precision as summing the
-terms as ``PadicNumber`` objects.  The prefactor <x>^(1-s) is
-``PadicContext.angle_power``, log and exp on integer residues.
+extended, a larger term count is a new entry.  The precision scan over the
+entries runs once per (set, v_p(x), relprec of x), kept in the set; each x
+then costs an integer Horner pass in 1/x modulo the sum's absolute precision,
+which give the same value and precision as summing the terms as
+``PadicNumber`` objects.  The prefactor <x>^(1-s) (``padic._angle_power_residue``),
+its product with the sum and the cap are integers: one ``PadicNumber`` a value.
 
 The identities ask for the same zeta(s, y) again and again (a representation
 sum, its shifts and its twists at one s), so the whole expansion
@@ -70,7 +71,9 @@ from .errors import (
 from .padic import (
     PadicContext,
     PadicNumber,
+    _angle_power_residue,
     _BitsMemo,
+    _normal_form,
     _vp_split,
     alternating_sum,
     capped_power,
@@ -198,7 +201,9 @@ def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: i
     * the integers unit * p**(valuation - base) of the regular entries (0 for
       a zero) at even i and at odd i, each in Horner order (highest i first)
       and without its leading zeros, so that the zeros of E_i(0) at even
-      i >= 2 cost nothing.
+      i >= 2 cost nothing;
+    * a dict where ``_laurent_series`` keeps the sum's absolute precision by
+      (-v_p(x), relprec of x).
 
     ``tests/object_reference.py`` builds the same set by ``PadicNumber``
     arithmetic.
@@ -249,7 +254,7 @@ def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: i
     entries = tuple((i, c[0], c[2]) for i, c in enumerate(items) if c is not None)
     base = min((v for _, v, r in entries if r), default=None)
     scaled = [c[1] * p ** (c[0] - base) if c and c[2] else 0 for c in items]
-    return entries, base, _horner_order(scaled[0::2]), _horner_order(scaled[1::2])
+    return entries, base, _horner_order(scaled[0::2]), _horner_order(scaled[1::2]), {}
 
 
 def _horner_order(coefficients: list[int]) -> tuple[int, ...]:
@@ -261,43 +266,43 @@ def _horner_order(coefficients: list[int]) -> tuple[int, ...]:
 
 def _laurent_series(
     ctx: PadicContext,
-    one_minus_s: PadicNumber,
-    x: PadicNumber,
+    one_minus_s: tuple,
+    x: tuple,
     weight: tuple,
     decay: int,
     budget: SeriesBudget,
-) -> PadicNumber:
-    """sum_i C(one_minus_s, i) w(i) x^(-i) with tail-safe truncation.
+) -> tuple:
+    """sum_i C(1-s, i) w(i) x^(-i) with tail-safe truncation, as a
+    (valuation, unit, relprec) triple, from the triples of 1-s and x.
 
     Term i is coefficient i times x^(-i), which has valuation i*dx and, for
     i >= 1, the relative precision of x.  The sum is known modulo the
-    smallest absolute precision of its terms.  Scaled by p**-base it is the
-    polynomial in y = p**dx / unit(x) with the pre-scaled coefficients,
-    evaluated modulo p**(absprec - base) as even(y**2) + y odd(y**2), each
-    half by Horner's rule.
+    smallest absolute precision of its terms, kept in the set by (dx, rx).
+    Scaled by p**-base it is the polynomial in y = p**dx / unit(x) with the
+    pre-scaled coefficients, evaluated modulo p**(absprec - base) as
+    even(y**2) + y odd(y**2), each half by Horner's rule, and normalised.
     """
-    p = ctx.p
+    p, prec = ctx.p, ctx.internal_prec
     terms = _series_terms(ctx, decay, budget)
-    entries, base, even, odd = _coefficients(
-        p, ctx.internal_prec, _triple(one_minus_s), weight, terms
-    )
-    dx, rx = -x.valuation, x.relprec
-    absprec = min(
-        (v + i * dx + (r if i == 0 or r < rx else rx) for i, v, r in entries), default=None
-    )
+    entries, base, even, odd, scans = _coefficients(p, prec, one_minus_s, weight, terms)
+    dx, rx = -x[0], x[2]
+    if (dx, rx) not in scans:
+        precs = (v + i * dx + (r if i == 0 or r < rx else rx) for i, v, r in entries)
+        scans[dx, rx] = min(precs, default=None)
+    absprec = scans[dx, rx]
     if absprec is None:
-        return ctx.exact_zero()
+        return None, 0, None
     if base is None or absprec <= base:
-        return ctx.bounded_zero(absprec)
+        return absprec, 0, 0
     mod = p ** (absprec - base)
-    y = pow(x.unit, -1, mod) * p**dx % mod
+    y = pow(x[1], -1, mod) * p**dx % mod
     y2 = y * y % mod
     acc_even = acc_odd = 0
     for c in even:
         acc_even = (acc_even * y2 + c) % mod
     for c in odd:
         acc_odd = (acc_odd * y2 + c) % mod
-    return PadicNumber._normalize(p, base, acc_even + acc_odd * y, absprec)
+    return _normal_form(p, base, acc_even + acc_odd * y, absprec)
 
 
 @lru_cache(maxsize=_ZETA_VALUES)  # at most three numbers an entry, read tens of thousands of times
@@ -306,21 +311,27 @@ def _zeta_value(
 ) -> PadicNumber:
     """<x>^(1-s) sum_i C(1-s, i) w(i) x^(-i), capped at the budget's target,
     from the (valuation, unit, relprec) triples of s and x."""
-    p = ctx.p
+    p, prec = ctx.p, ctx.internal_prec
     sv, su, sr = s
     if sr is None:
-        one_minus_s = ctx.one()
+        one_minus_s = (0, 1, prec)
     else:
         # 1 - s as PadicNumber subtraction forms it: known modulo the least
         # absolute precision of 1 and s (a regular s has sv >= 0)
         mantissa = 1 - su * p**sv if sr else 1
-        one_minus_s = PadicNumber._normalize(p, 0, mantissa, min(ctx.internal_prec, sv + sr))
-    x = PadicNumber(p, *x)
+        one_minus_s = _normal_form(p, 0, mantissa, min(prec, sv + sr))
     u = weight[0]
-    decay = -x.valuation + (min(0, vp_fraction(u, p)) if u else 0)
-    series = _laurent_series(ctx, one_minus_s, x, weight, decay, budget)
-    prefactor = ctx.angle_power(x, one_minus_s)
-    return (prefactor * series).cap_absprec(budget.target(ctx))
+    decay = -x[0] + (min(0, vp_fraction(u, p)) if u else 0)
+    val, unit, rel = _laurent_series(ctx, one_minus_s, x, weight, decay, budget)
+    power, power_rel = _angle_power_residue(p, prec, x[1], x[2], *one_minus_s)
+    if rel is None:
+        return ctx.exact_zero()
+    # the product with the unit <x>^(1-s) as PadicNumber forms it, then the cap
+    target = budget.target(ctx)
+    rel = min(rel, power_rel, target - val) if rel else 0
+    if rel > 0:
+        return PadicNumber(p, val, unit * power % p**rel, rel)
+    return ctx.bounded_zero(min(val, target))
 
 
 def _expansion(

@@ -8,10 +8,12 @@ type.
 """
 
 import json
+import math
 import random
 import sys
 import threading
 from fractions import Fraction
+from functools import partial
 
 import object_reference as ref
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiczeta import euler, padic
-from padiczeta.characters import DirichletCharacter
+from padiczeta.characters import DirichletCharacter, _char_values, char_eval
 from padiczeta.errors import BudgetExhausted, PadicError
 from padiczeta.padic import (
     PadicContext,
@@ -36,6 +38,7 @@ from padiczeta.zeta_czp import (
     SeriesBudget,
     _coefficients,
     _laurent_series,
+    _triple,
     integral_of_zeta,
     zeta_czp,
     zeta_shifted,
@@ -127,8 +130,14 @@ def test_laurent_series_bytes(p):
                     expected = _outcome(
                         ref.weighted_series, ctx, one_minus_s, xp, fn, decay, budget
                     )
-                    got = _outcome(_laurent_series, ctx, one_minus_s, xp, weight, decay, budget)
+                    got = _outcome(_series_value, ctx, one_minus_s, xp, weight, decay, budget)
                     assert got == expected, (s, x, weight)
+
+
+def _series_value(ctx, one_minus_s, x, weight, decay, budget):
+    """The triple ``_laurent_series`` gives, as a value."""
+    triple = _laurent_series(ctx, _triple(one_minus_s), _triple(x), weight, decay, budget)
+    return PadicNumber(ctx.p, *triple)
 
 
 @st.composite
@@ -163,8 +172,9 @@ def _coefficient_cases(draw):
 @given(_coefficient_cases())
 def test_coefficients_match_object_arithmetic(case):
     # entry by entry: the (i, valuation, relprec) list, the base and both
-    # Horner halves of the integer builder are those of PadicNumber products
-    assert _coefficients.__wrapped__(*case) == ref.coefficients(*case)
+    # Horner halves of the integer builder are those of PadicNumber products;
+    # the fifth item is the set's empty dict of precision scans
+    assert _coefficients.__wrapped__(*case) == (*ref.coefficients(*case), {})
 
 
 def test_default_precision_bytes(ctx3, ctx7):
@@ -272,13 +282,33 @@ def test_representation_sum_refuses_a_long_sum_first(ctx3):
             assert _outcome(fn, ctx3, chi, 2, x, 3**13, SeriesBudget()) == "EvaluationCapExceeded"
 
 
+# (workprec, guard) per prime where the exponent of a unit power is split into
+# a low part by modular pow and a high part by log and exp on u**(p**m):
+# m = 11 at p = 3 and 308 digits, m = 1 at p = 1009 and 68 digits (and 0 at
+# 24); the other contexts split it at m <= 2
+SPLIT_CONTEXTS = {3: (300, 8), 1009: (60, 8)}
+
+
+def _split_exponents(ctx, rng):
+    """v_p(s) above every split point (the low part is 0), and an integer
+    below p (fewer digits than the split point: the high part is 0)."""
+    p, prec = ctx.p, ctx.internal_prec
+    return [
+        PadicNumber._normalize(p, math.isqrt(prec) + 1, _coprime(rng, p, p**9), prec),
+        rng.randrange(2, p),
+    ]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_log_exp_unit_power_bytes(p):
     rng = random.Random(4300 + p)
-    for workprec, guard in ((16, 8), (5, 0), (1, 0)):
+    contexts = [(16, 8, 40), (5, 0, 40), (1, 0, 40)]
+    if p in SPLIT_CONTEXTS:
+        contexts.append((*SPLIT_CONTEXTS[p], 4))
+    for workprec, guard, cases in contexts:
         ctx = PadicContext(p, workprec, guard)
         prec = ctx.internal_prec
-        for _ in range(40):
+        for _ in range(cases):
             rel = rng.randrange(1, prec + 3)
             unit = PadicNumber._normalize(p, 0, 1 + p * rng.randrange(p**rel), rel)
             k = rng.randrange(-1, 5)
@@ -289,8 +319,11 @@ def test_log_exp_unit_power_bytes(p):
             for arg in [unit, z, ctx.one(), _coprime(rng, p, 100)] + zeros:
                 _same(ref.log, PadicContext.log, ctx, arg)
                 _same(ref.exp, PadicContext.exp, ctx, arg)
-            for exponent in [s] + zeros:
+            for exponent in [s] + zeros + _split_exponents(ctx, rng):
                 _same(ref.unit_power, PadicContext.unit_power, ctx, unit, exponent)
+            # a unit = 1 mod p**rel: the log is a bounded zero
+            one = PadicNumber._normalize(p, 0, 1 + p**rel * rng.randrange(p), rel)
+            _same(ref.unit_power, PadicContext.unit_power, ctx, one, s)
 
 
 def _unit_power_of_angle(ctx, x, s):
@@ -331,10 +364,61 @@ def test_angle_power_bytes(p):
             PadicNumber._normalize(p, -1, _coprime(rng, p, p**4), 3),
             *(ctx.bounded_zero(a) for a in (-1, 0, 1, prec + 2)),
             ctx.exact_zero(),
+            *_split_exponents(ctx, rng),
         ]
         for x in arguments:
             for s in exponents:
                 _same(_unit_power_of_angle, PadicContext.angle_power, ctx, x, s)
+
+
+@pytest.mark.parametrize("p", sorted(SPLIT_CONTEXTS))
+def test_angle_power_bytes_split_exponent(p):
+    rng = random.Random(4650 + p)
+    ctx = PadicContext(p, *SPLIT_CONTEXTS[p])
+    prec = ctx.internal_prec
+    arguments = [
+        ctx.parse_value(f"{v}:" + _digits(rng, p, r, lead_nonzero=True))
+        for v, r in ((-1, prec), (0, prec + 3), (1, 2))
+    ]
+    arguments += [
+        1,  # the log is a bounded zero
+        1 + p ** (prec - 1),  # <x> = 1 mod p**(prec - 1): the log keeps one digit
+        Fraction(_coprime(rng, p), p**2),
+        Fraction(_coprime(rng, p), _coprime(rng, p, 1000)),
+    ]
+    exponents = [
+        PadicNumber._normalize(p, 0, _coprime(rng, p, p**prec), prec),
+        PadicNumber._normalize(p, 2, _coprime(rng, p, p**9), prec + 1),
+        Fraction(_coprime(rng, 2, 1000), _coprime(rng, p, 1000)),
+        ctx.bounded_zero(1),
+        *_split_exponents(ctx, rng),
+    ]
+    for x in arguments:
+        for s in exponents:
+            _same(_unit_power_of_angle, PadicContext.angle_power, ctx, x, s)
+
+
+@pytest.mark.parametrize("p", (3, 7, 1009))
+def test_table_read_character_equals_char_eval(p):
+    # omega(a mod p) from teichmuller_table against one lift per argument,
+    # over every residue and the arguments char_eval refuses or sends to 0
+    ctx = PadicContext(p, 16)
+    arguments = [
+        *range(-p, 2 * p),
+        Fraction(_coprime(random.Random(p), p, 1000), 2),
+        ctx.parse_value("0:1,2"),
+        ctx.bounded_zero(0),  # unit status unknown
+        ctx.bounded_zero(2),
+        ctx.exact_zero(),
+        Fraction(1, p),  # outside Z_p
+    ]
+    for k in sorted({0, 1, 2, p - 2} & set(range(p - 1))):
+        chi = DirichletCharacter(p, 1 + k % 2, k)
+        chi_at = _char_values(ctx, chi)
+        for a in arguments:
+            _same(partial(char_eval, ctx, chi), chi_at, a)
+    other = DirichletCharacter(5, 1, 1)  # another prime
+    _same(partial(char_eval, ctx, other), _char_values(ctx, other), 1)
 
 
 @settings(max_examples=100, deadline=None)
