@@ -38,7 +38,6 @@ from .zeta_char import (
 )
 from .zeta_czp import (
     SeriesBudget,
-    ZetaArgumentCZp,
     distribution_czp,
     dzeta_dx,
     integral_of_zeta,
@@ -59,7 +58,6 @@ __all__ = [
     "PadicError",
     "PadicNumber",
     "SeriesBudget",
-    "ZetaArgumentCZp",
     "agreement_depth",
     "alternating_power_sum",
     "char_eval",

@@ -41,10 +41,6 @@ class Integrand:
             cs = cs[:-1]
         return Integrand(cs)
 
-    @staticmethod
-    def monomial(degree: int) -> "Integrand":
-        return Integrand.polynomial([0] * degree + [1])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

@@ -716,6 +716,12 @@ class PadicContext:
                 raise ParseError(f"bad digit literal: {text!r}") from exc
             if not digits or any(not 0 <= d < self.p for d in digits):
                 raise ParseError(f"bad digit literal: {text!r}")
+            # the series and powers of the value build p**|val|: bounded as the modulus is
+            if abs(val) * math.log2(self.p) > MAX_MODULUS_BITS:
+                raise ParseError(
+                    f"digit literal valuation {val}: p**{abs(val)} has more than"
+                    f" {MAX_MODULUS_BITS} bits"
+                )
             mantissa = sum(d * self.p**i for i, d in enumerate(digits))
             return PadicNumber._normalize(self.p, val, mantissa, val + len(digits))
         return self.coerce(text)

@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 from . import euler, kernels
 from .characters import DirichletCharacter, _char_values
-from .errors import PadicError
+from .errors import PadicError, ParseError
 from .fermionic import (
     Integrand,
     alternating_power_sum,
@@ -78,17 +78,29 @@ Reports = list[VerificationReport]
 Task = tuple[str, Callable[[], Reports]]
 
 
+def _parse_slack(text: str, source) -> dict[str, int]:
+    """The slack constants of a calibration fixture: a JSON object whose
+    ``families`` object maps each report family to an integer (text that is
+    not JSON raises ValueError)."""
+    obj = json.loads(text)
+    families = obj.get("families") if isinstance(obj, dict) else None
+    if not isinstance(families, dict) or any(type(v) is not int for v in families.values()):
+        raise ParseError(
+            f"{source}: a calibration fixture is an object whose \"families\" maps"
+            " report families to integers"
+        )
+    return families
+
+
 def default_slack() -> dict[str, int]:
     """Slack constants from the packaged calibration fixture."""
-    text = resources.files("padiczeta").joinpath("data/calibration.json").read_text()
-    obj = json.loads(text)
-    return {str(k): int(v) for k, v in obj["families"].items()}
+    path = resources.files("padiczeta").joinpath("data/calibration.json")
+    return _parse_slack(path.read_text(), path)
 
 
 def load_slack(path) -> dict[str, int]:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return {str(k): int(v) for k, v in obj["families"].items()}
+        return _parse_slack(fh.read(), path)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 
 from . import euler, kernels
 from .errors import (
@@ -83,7 +83,6 @@ from .padic import (
 
 __all__ = [
     "SeriesBudget",
-    "ZetaArgumentCZp",
     "distribution_czp",
     "dzeta_dx",
     "integral_of_zeta",
@@ -112,34 +111,18 @@ class SeriesBudget:
 _DEFAULT_BUDGET = SeriesBudget()
 
 
-@dataclass(frozen=True)
-class ZetaArgumentCZp:
-    """An argument with v_p(x) <= -1; its angle and Teichmuller parts are
-    computed on first use and then kept."""
+def _coerce_czp(ctx: PadicContext, x) -> PadicNumber:
+    """x as the ``PadicNumber`` every evaluator here reads, refused unless
+    v_p(x) <= -1."""
+    xp = ctx.coerce(x)
+    if xp.is_zero() or xp.valuation >= 0:
+        raise ArgumentInZp("argument must have negative valuation")
+    return xp
 
-    ctx: PadicContext
-    value: PadicNumber
-    exact: Fraction | None
 
-    @staticmethod
-    def build(ctx: PadicContext, x) -> "ZetaArgumentCZp":
-        if isinstance(x, ZetaArgumentCZp):
-            return x
-        exact = None
-        if isinstance(x, (int, Fraction)):
-            exact = Fraction(x)
-        xp = ctx.coerce(x)
-        if xp.is_zero() or xp.valuation >= 0:
-            raise ArgumentInZp("argument must have negative valuation")
-        return ZetaArgumentCZp(ctx, xp, exact)
-
-    @cached_property
-    def angle(self) -> PadicNumber:
-        return self.ctx.angle(self.value)
-
-    @cached_property
-    def omega_v(self) -> PadicNumber:
-        return self.ctx.omega_v(self.value)
+def _exact(x) -> Fraction | None:
+    """The rational an int or Fraction argument stands for; None otherwise."""
+    return Fraction(x) if isinstance(x, (int, Fraction)) else None
 
 
 def _series_terms(ctx: PadicContext, decay: int, budget: SeriesBudget) -> int:
@@ -335,15 +318,14 @@ def _zeta_value(
 
 
 def _expansion(
-    ctx: PadicContext, s, arg: ZetaArgumentCZp, weight: tuple, budget: SeriesBudget
+    ctx: PadicContext, s, xp: PadicNumber, weight: tuple, budget: SeriesBudget
 ) -> PadicNumber:
-    sp = ctx._exponent(s)
-    return _zeta_value(ctx, _triple(sp), _triple(arg.value), weight, budget)
+    return _zeta_value(ctx, _triple(ctx._exponent(s)), _triple(xp), weight, budget)
 
 
 def zeta_czp(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) -> PadicNumber:
     """zeta(s, x) for v_p(x) <= -1 via the Laurent expansion."""
-    return _expansion(ctx, s, ZetaArgumentCZp.build(ctx, x), _EULER_ZERO, budget)
+    return _expansion(ctx, s, _coerce_czp(ctx, x), _EULER_ZERO, budget)
 
 
 def zeta_czp_oracle(ctx: PadicContext, s, x: Fraction, depth: int) -> PadicNumber:
@@ -358,10 +340,11 @@ def zeta_special_neg(ctx: PadicContext, m: int, x) -> PadicNumber:
     """zeta(1-m, x) = omega_v(x)^(-m) E_m(x) through the exact route."""
     if m < 1:
         raise ArgumentViolation("m must be >= 1")
-    arg = ZetaArgumentCZp.build(ctx, x)
-    if arg.exact is None:
+    xp = _coerce_czp(ctx, x)
+    exact = _exact(x)
+    if exact is None:
         raise ArgumentViolation("exact special values need a rational x")
-    return arg.omega_v ** (-m) * ctx.from_fraction(euler.euler_poly(m, arg.exact))
+    return ctx.omega_v(xp) ** (-m) * ctx.from_fraction(euler.euler_poly(m, exact))
 
 
 def zeta_special_pos(
@@ -381,14 +364,15 @@ def zeta_special_pos(
     """
     if m == 0:
         raise ArgumentViolation("m must be nonzero")
-    arg = ZetaArgumentCZp.build(ctx, x)
+    xp = _coerce_czp(ctx, x)
     if m < 0:
-        return zeta_czp(ctx, 1 + m, arg, budget), zeta_special_neg(ctx, -m, arg)
-    if arg.exact is None:
+        return _expansion(ctx, 1 + m, xp, _EULER_ZERO, budget), zeta_special_neg(ctx, -m, x)
+    exact = _exact(x)
+    if exact is None:
         raise ArgumentViolation("the truncated oracle needs a rational x")
-    formula = zeta_czp(ctx, 1 + m, arg, budget)
-    sums = kernels.hurwitz_sums(ctx.p, ctx.internal_prec, arg.exact, 1 + m, (depth,))
-    e = vp_int(arg.exact.denominator, ctx.p)
+    formula = _expansion(ctx, 1 + m, xp, _EULER_ZERO, budget)
+    sums = kernels.hurwitz_sums(ctx.p, ctx.internal_prec, exact, 1 + m, (depth,))
+    e = vp_int(exact.denominator, ctx.p)
     return formula, sums[depth].cap_absprec(ctx.internal_prec - e * m)
 
 
@@ -400,32 +384,30 @@ def zeta_shifted(
     Valid when v_p(x) < v_p(u); at u = 0 it reduces to zeta(s, x).
     """
     u = Fraction(u)
-    arg = ZetaArgumentCZp.build(ctx, x)
-    if u != 0 and arg.value.valuation >= vp_fraction(u, ctx.p):
+    xp = _coerce_czp(ctx, x)
+    if u != 0 and xp.valuation >= vp_fraction(u, ctx.p):
         raise ShiftConditionViolated("need v_p(x) < v_p(u)")
-    return _expansion(ctx, s, arg, (u, 0), budget)
+    return _expansion(ctx, s, xp, (u, 0), budget)
 
 
 def dzeta_dx(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) -> PadicNumber:
     """d/dx zeta(s, x) = (1-s)/omega_v(x) * zeta(s+1, x)."""
-    arg = ZetaArgumentCZp.build(ctx, x)
+    xp = _coerce_czp(ctx, x)
     sp = ctx._exponent(s)
-    factor = (ctx.one() - sp) / arg.omega_v
+    factor = (ctx.one() - sp) / ctx.omega_v(xp)
     if factor.is_exact_zero:
         return factor
-    return factor * zeta_czp(ctx, sp + ctx.one(), arg, budget)
+    return factor * _expansion(ctx, sp + ctx.one(), xp, _EULER_ZERO, budget)
 
 
 def reflection_czp(
     ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET
 ) -> tuple[PadicNumber, PadicNumber]:
     """(zeta(s, 1-x), zeta(s, x)) - the two sides of the reflection identity."""
-    arg = ZetaArgumentCZp.build(ctx, x)
-    if arg.exact is not None:
-        mirrored: object = 1 - arg.exact
-    else:
-        mirrored = 1 - arg.value
-    return zeta_czp(ctx, s, mirrored, budget), zeta_czp(ctx, s, arg, budget)
+    xp = _coerce_czp(ctx, x)
+    exact = _exact(x)
+    mirrored = 1 - (xp if exact is None else exact)
+    return zeta_czp(ctx, s, mirrored, budget), _expansion(ctx, s, xp, _EULER_ZERO, budget)
 
 
 def distribution_czp(
@@ -467,9 +449,9 @@ def integral_of_zeta(
     Using int E_i(a) dmu(a) = 2 (E_i(0) + E_{i+1}(0)) termwise:
         2 zeta(s,x) + 2 <x>^(1-s) sum_i C(1-s,i) E_{i+1}(0) x^(-i).
     """
-    arg = ZetaArgumentCZp.build(ctx, x)
-    plain = _expansion(ctx, s, arg, _EULER_ZERO, budget)
-    tail = _expansion(ctx, s, arg, _EULER_NEXT, budget)
+    xp = _coerce_czp(ctx, x)
+    plain = _expansion(ctx, s, xp, _EULER_ZERO, budget)
+    tail = _expansion(ctx, s, xp, _EULER_NEXT, budget)
     return (2 * plain + 2 * tail).cap_absprec(budget.target(ctx))
 
 
@@ -495,15 +477,14 @@ def raabe_closed_forms(
                     rearrangement that fails the s=1 spot check and is reported
                     for reference, never asserted.
     """
-    arg = ZetaArgumentCZp.build(ctx, x)
+    xp = _coerce_czp(ctx, x)
     sp = ctx._exponent(s)
-    z_s = zeta_czp(ctx, sp, arg, budget)
-    z_prev = zeta_czp(ctx, sp - ctx.one(), arg, budget)
-    x_val = arg.value
-    closed = 2 * (1 - x_val) * z_s + 2 * arg.omega_v * z_prev
-    variant = 2 * (1 + 1 / x_val) * z_s - (2 / (x_val * arg.angle)) * z_prev
+    z_s = _expansion(ctx, sp, xp, _EULER_ZERO, budget)
+    z_prev = _expansion(ctx, sp - ctx.one(), xp, _EULER_ZERO, budget)
+    closed = 2 * (1 - xp) * z_s + 2 * ctx.omega_v(xp) * z_prev
+    variant = 2 * (1 + 1 / xp) * z_s - (2 / (xp * ctx.angle(xp))) * z_prev
     return {
-        "termwise": integral_of_zeta(ctx, sp, arg, budget),
+        "termwise": integral_of_zeta(ctx, sp, xp, budget),
         "closed": closed.cap_absprec(budget.target(ctx)),
         "variant": variant.cap_absprec(budget.target(ctx)),
     }

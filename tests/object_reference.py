@@ -31,7 +31,7 @@ from padiczeta.padic import (
 from padiczeta.zeta_char import _check_char, _coerce_zp
 from padiczeta.zeta_czp import (
     SeriesBudget,
-    ZetaArgumentCZp,
+    _coerce_czp,
     _horner_order,
     _series_terms,
 )
@@ -148,13 +148,11 @@ def coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: in
 
 
 def _prefactor_and_series(ctx, s, x, weight, decay_shift, budget):
-    arg = ZetaArgumentCZp.build(ctx, x)
+    xp = _coerce_czp(ctx, x)
     sp = ctx._exponent(s)
     one_minus_s = ctx.one() - sp
-    prefactor = unit_power(ctx, arg.angle, one_minus_s)
-    series = weighted_series(
-        ctx, one_minus_s, arg.value, weight, -arg.value.valuation + decay_shift, budget
-    )
+    prefactor = unit_power(ctx, ctx.angle(xp), one_minus_s)
+    series = weighted_series(ctx, one_minus_s, xp, weight, -xp.valuation + decay_shift, budget)
     return prefactor, series
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -15,7 +16,7 @@ from padiczeta.report import (
     report_to_json_line,
     reports_to_csv,
 )
-from padiczeta.verify import VerifyConfig
+from padiczeta.verify import VerifyConfig, default_slack, load_slack
 from padiczeta.zeta_czp import _zeta_value
 
 
@@ -143,6 +144,10 @@ class TestCompute:
              "BudgetExhausted"),
             # p**100000008 is never built: the context refuses its size
             (["--prec", "100000000", "zeta-czp", "--s", "1/2", "--x", "2/3"], "InvalidArgument"),
+            # nor p**v for a digit literal of valuation v: refused as it is read
+            (["zeta-czp", "--s=100000000000:1", "--x", "1/3"], "ParseError"),
+            (["zeta-czp", "--s", "2", "--x=-100000000000:1"], "ParseError"),
+            (["zeta-char", "--char", "1:1", "--s=100000000000:1", "--x", "1"], "ParseError"),
         ],
     )
     def test_huge_precision_refused_fast(self, args, code):
@@ -344,6 +349,30 @@ class TestVerifyCommand:
             "raabe-czp-oracle": 0,
             "special-pos": 0,
         }
+
+    @pytest.mark.parametrize(
+        "text", ["{}", "[1]", '{"families": [0]}', '{"families": {"oracle-czp": "x"}}']
+    )
+    def test_malformed_slack_fixture_exits_2(self, capsys, tmp_path, text):
+        fixture = tmp_path / "bad.json"
+        fixture.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["verify", "--identity", "zeta-one", "--slack-fixture", str(fixture)], capsys
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "ParseError"
+
+    def test_packaged_slack_fixture_loads(self, capsys):
+        packaged = resources.files("padiczeta").joinpath("data/calibration.json")
+        assert load_slack(packaged) == default_slack()
+        assert default_slack()["change-of-variable"] == 2
+        code, _, _ = run_cli(
+            ["verify", "--p", "5", "--identity", "zeta-one", "--slack-fixture", str(packaged)],
+            capsys,
+        )
+        assert code == 0
 
 
 class TestTableCommand:

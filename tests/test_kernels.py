@@ -23,7 +23,6 @@ from padiczeta.padic import PadicContext, _BitsMemo, render, vp_int
 from padiczeta.verify import _REGISTRY, VerifyConfig
 from padiczeta.zeta_char import ell_limit_oracle, raabe_char, zeta_char_oracle
 from padiczeta.zeta_czp import (
-    ZetaArgumentCZp,
     integral_of_zeta_oracle,
     zeta_czp_oracle,
     zeta_special_pos,
@@ -56,7 +55,7 @@ def _same_sums(expected, got):
 
 def _special_pos_reference(ctx, m, x, depth):
     """omega_v(x)^m times the literal sum of (x+a)^(-m) (-1)^a."""
-    omega_v = ZetaArgumentCZp.build(ctx, x).omega_v
+    omega_v = ctx.omega_v(x)
     return omega_v**m * ref.inverse_power_sums(ctx.p, ctx.internal_prec, x, m, (depth,))[depth]
 
 

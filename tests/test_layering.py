@@ -2,9 +2,11 @@
 comparison into a ``VerificationReport``, so no evaluator imports ``report``
 or ``verify``.  Every cache of big integers is the one bits-bounded memo of
 ``padic``; ``lru_cache`` serves only the two caches whose entries are a few
-numbers each.  The source is read with ``ast``."""
+numbers each.  The source is read with ``ast``; every exported name must
+resolve."""
 
 import ast
+import importlib
 from importlib.util import find_spec
 from pathlib import Path
 
@@ -82,3 +84,9 @@ def test_lru_cache_only_on_the_count_bounded_caches(name):
     for node in ast.walk(tree):
         if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in decorating:
             assert getattr(node, "id", getattr(node, "attr", None)) not in {"lru_cache", "cache"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module("padiczeta" if name == "__init__" else f"padiczeta.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

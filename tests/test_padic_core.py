@@ -14,6 +14,7 @@ from padiczeta.errors import (
     NotAUnit,
     OutsideExpDomain,
     OutsideLogDomain,
+    ParseError,
     ZeroArgument,
 )
 from padiczeta.padic import (
@@ -85,6 +86,18 @@ class TestEmbedding:
         assert x.valuation == -1
         assert x.unit == 3 + 2 * 25
         assert x.relprec == 3
+
+    @pytest.mark.parametrize("p", [3, 7, 10007])
+    def test_digit_literal_valuation_bound(self, p):
+        # |v| log2(p) is the size of the p**|v| a series or power of the value
+        # builds: the literal is refused past the bound a context puts on its modulus
+        ctx = PadicContext(p, 16)
+        top = int(MAX_MODULUS_BITS / math.log2(p))
+        for v in (top, -top):
+            assert ctx.parse_value(f"{v}:1,1").valuation == v
+        for v in (top + 1, -top - 1, 10**11, -(10**11)):
+            with pytest.raises(ParseError, match="valuation"):
+                ctx.parse_value(f"{v}:1")
 
 
 class TestFieldArithmetic:

@@ -11,6 +11,7 @@ from padiczeta import padic
 from padiczeta.characters import DirichletCharacter
 from padiczeta.errors import (
     ArgumentInZp,
+    ArgumentViolation,
     BudgetExhausted,
     EvenN,
     ExponentOutsideDomain,
@@ -19,7 +20,6 @@ from padiczeta.errors import (
 from padiczeta.padic import PadicContext, agreement_depth, render
 from padiczeta.zeta_czp import (
     SeriesBudget,
-    ZetaArgumentCZp,
     _coefficients,
     _zeta_value,
     distribution_czp,
@@ -109,12 +109,35 @@ class TestOracleAgreement:
             assert agreement_depth(lhs, rhs) >= min(lhs.absprec, rhs.absprec)
 
 
+# every evaluator of the Laurent expansion, called at x with its other arguments valid
+FAMILY = {
+    "zeta_czp": lambda ctx, x: zeta_czp(ctx, 2, x),
+    "zeta_shifted": lambda ctx, x: zeta_shifted(ctx, 2, x, 0),
+    "dzeta_dx": lambda ctx, x: dzeta_dx(ctx, 2, x),
+    "reflection_czp": lambda ctx, x: reflection_czp(ctx, 2, x),
+    "integral_of_zeta": lambda ctx, x: integral_of_zeta(ctx, 2, x),
+    "raabe_closed_forms": lambda ctx, x: raabe_closed_forms(ctx, 2, x),
+    "zeta_special_neg": lambda ctx, x: zeta_special_neg(ctx, 2, x),
+    "zeta_special_pos": lambda ctx, x: zeta_special_pos(ctx, 2, x, 3),
+}
+
+
 class TestDomainErrors:
     def test_argument_in_zp(self, ctx5):
-        with pytest.raises(ArgumentInZp):
-            zeta_czp(ctx5, 2, Fraction(3))
-        with pytest.raises(ArgumentInZp):
-            ZetaArgumentCZp.build(ctx5, ctx5.exact_zero())
+        for evaluate in FAMILY.values():
+            for x in (ctx5.exact_zero(), ctx5.bounded_zero(3), Fraction(3), 0):
+                with pytest.raises(ArgumentInZp):
+                    evaluate(ctx5, x)
+
+    @pytest.mark.parametrize("name", ["zeta_special_neg", "zeta_special_pos"])
+    def test_special_values_need_a_rational_x(self, ctx5, name):
+        # the series needs only the p-adic x; the exact route and the oracle need its rational form
+        for x in ("1/5", ctx5.from_fraction(Fraction(1, 5))):
+            with pytest.raises(ArgumentViolation, match="rational x"):
+                FAMILY[name](ctx5, x)
+        # m < 0 reaches the exact route through zeta_special_pos
+        with pytest.raises(ArgumentViolation, match="exact special values need a rational x"):
+            zeta_special_pos(ctx5, -2, "1/5", 3)
 
     def test_exponent_domain(self, ctx5):
         with pytest.raises(ExponentOutsideDomain):
@@ -336,6 +359,18 @@ class TestValueCache:
         info = _zeta_value.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert render(a) == render(b)
+
+    @pytest.mark.parametrize("name", sorted(set(FAMILY) - {"zeta_special_neg", "zeta_special_pos"}))
+    def test_every_input_type_reads_one_entry(self, ctx5, name):
+        # x is read once as a PadicNumber: a Fraction, its string and its embedding are one key
+        x = Fraction(987654321, 25)
+        _zeta_value.cache_clear()
+        first = FAMILY[name](ctx5, x)
+        misses = _zeta_value.cache_info().misses
+        for same in (str(x), ctx5.from_fraction(x)):
+            again = FAMILY[name](ctx5, same)
+            assert _zeta_value.cache_info().misses == misses
+            assert repr(again) == repr(first)
 
     def test_warm_value_equals_cold(self, ctx7):
         s, x = Fraction(1, 3), Fraction(10, 49)
