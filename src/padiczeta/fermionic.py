@@ -41,10 +41,6 @@ class Integrand:
             cs = cs[:-1]
         return Integrand(cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def eval_fraction(self, a) -> Fraction:
         a = Fraction(a)
         acc = Fraction(0)

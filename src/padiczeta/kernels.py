@@ -16,9 +16,9 @@ C(j,b) f(b), the sum is linear in the values:
     sum_{b<n} (-1)^b f(b) = sum_{b<D} W[b] f(b),  W[b] = sum_{j=b}^{D-1} (-1)^(j-b) C(j,b) S_j(n),
 
 for any values, with the same residue mod p^G.  The weights depend on (p, G,
-D, n) only (``_newton_weights`` builds them in O(D) steps and keeps 4 MiB of
-vectors of D integers of G digits, D about 800 at p = 3, G = 1204), so each
-depth costs one dot product of D integers.
+D, n) only (``_newton_weights`` builds them in O(D) steps and keeps them in a
+``padic._BitsMemo``, vectors of D integers of G digits, D about 800 at p = 3,
+G = 1204), so each depth costs one dot product of D integers.
 
 In ``_angle_power_sums`` f(b) = (y0 + b*step)^e with y0 prime to p and v =
 v_p(step) >= 1.  With t = step/y0, f(b) = y0^e sum_k C(e,k) t^k b^k, C(e,k)
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import mul
 
 from .errors import ArgumentViolation
@@ -93,10 +93,7 @@ def _exponent_one_minus(p: int, modexp: int, s) -> int:
     raise ArgumentViolation(f"unsupported exponent {s!r}")
 
 
-_WEIGHT_BITS = 1 << 25  # 4 MiB: about 18 vectors of p = 3 at 1200 digits, thousands at 16
-
-
-@partial(_BitsMemo, max_bits=_WEIGHT_BITS)
+@_BitsMemo
 def _newton_weights(p: int, g_prec: int, degree: int, n: int) -> tuple[int, ...]:
     """W[b] = sum_{j=b}^{D-1} (-1)^(j-b) C(j,b) S_j(n) mod p**g_prec for b < D = degree.
 

@@ -21,7 +21,8 @@ are lifted by Newton's iteration (``_teichmuller_root``).
 ``PadicContext.teichmuller`` makes one uncached lift per call; the residue
 sums of the oracle kernels and of ``zeta_char`` read ``teichmuller_table``,
 all of omega mod p**prec from one lift.  Every cache of big integers in the
-package is a ``_BitsMemo``, bounded by bits as its values grow with precision.
+package is a ``_BitsMemo``: its values grow with precision, so each memo is
+bounded by ``_MEMO_BITS`` of retained bits and evicts in insertion order.
 
 ``PadicContext.log`` and ``exp`` sum their series as one integer residue over
 memoised coefficients, with the precision that term-by-term ``PadicNumber``
@@ -36,10 +37,10 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, update_wrapper
+from functools import update_wrapper
 
 from .errors import (
     ArgumentViolation,
@@ -155,16 +156,20 @@ def _teichmuller_root(p: int, prec: int, u: int) -> int:
 
 
 _MemoInfo = namedtuple("MemoInfo", "hits misses currsize")
+# 8 MiB for each memo: no memo fills 1 MiB at the benchmark precisions
+_MEMO_BITS = 1 << 26
 
 
 class _BitsMemo:
-    """fn's values by argument tuple, the least recently used evicted until
-    the retained ``sys.getsizeof`` bits (of each value and of everything in
-    its tuples) are at most ``max_bits``; a larger value is returned and not
-    kept.  A lock guards it for threaded library callers, which
-    ``test_memo_accounting_under_threads`` pins (``verify`` runs serially)."""
+    """fn's values by argument tuple, kept while the retained
+    ``sys.getsizeof`` bits (of each value and of everything in its tuples)
+    are at most ``max_bits``.  A hit only counts; an insert evicts the oldest
+    entries until the bound holds or the newest is the only one left, so a
+    value over the bound is kept alone and built once.  A lock guards it for
+    threaded library callers, which ``test_memo_accounting_under_threads``
+    pins (``verify`` runs serially)."""
 
-    def __init__(self, fn, max_bits: int):
+    def __init__(self, fn, max_bits: int = _MEMO_BITS):
         update_wrapper(self, fn)
         self.max_bits = max_bits
         self._lock = threading.Lock()
@@ -175,17 +180,16 @@ class _BitsMemo:
             entry = self._entries.get(key)
             if entry is not None:
                 self.hits += 1
-                self._entries.move_to_end(key)
                 return entry[0]
             self.misses += 1
         value = self.__wrapped__(*key)
         size = _retained_bits(value)
         with self._lock:
-            if size <= self.max_bits and key not in self._entries:
+            if key not in self._entries:
                 self._entries[key] = (value, size)
                 self.bits += size
-                while self.bits > self.max_bits:
-                    self.bits -= self._entries.popitem(last=False)[1][1]
+                while self.bits > self.max_bits and len(self._entries) > 1:
+                    self.bits -= self._entries.pop(next(iter(self._entries)))[1]
         return value
 
     def cache_info(self) -> _MemoInfo:
@@ -193,7 +197,7 @@ class _BitsMemo:
 
     def cache_clear(self) -> None:
         with self._lock:
-            self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+            self._entries: dict[tuple, tuple[object, int]] = {}
             self.bits = self.hits = self.misses = 0
 
 
@@ -202,12 +206,7 @@ def _retained_bits(value) -> int:
     return 8 * sys.getsizeof(value) + inner
 
 
-# 4 MiB: keeps p = 10007 at 28 digits (7 Mbit), not at 300 (45 Mbit), where a
-# call sums about p series, which cost more than the table
-_TABLE_BITS = 1 << 25
-
-
-@partial(_BitsMemo, max_bits=_TABLE_BITS)
+@_BitsMemo
 def teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
     """omega(u) mod p**prec for u = 0..p-1 (entry 0 is unused and set to 0).
 
@@ -837,13 +836,10 @@ class PadicContext:
 # modulo its smallest absolute precision does not depend on the order of
 # addition, so sum_n c_n zu**n reduced once modulo p**target is the value
 # term-by-term PadicNumber arithmetic gives.  The coefficients depend on
-# (p, k, target) only and are memoised, up to 4 MiB for each series (7 Mbit
-# of log and 15 of exp at p = 3, k = 1, 2000 digits); the term counts follow
-# the stopping rules of the object-arithmetic loops.
-_SERIES_BITS = 1 << 25
-
-
-@partial(_BitsMemo, max_bits=_SERIES_BITS)
+# (p, k, target) only and are memoised (7 Mbit of log and 15 of exp at p = 3,
+# k = 1, 2000 digits); the term counts follow the stopping rules of the
+# object-arithmetic loops.
+@_BitsMemo
 def _log_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
     """(-1)**(n+1) p**(n*k) / n modulo p**target for n = 1..N."""
     mod = p**target
@@ -861,7 +857,7 @@ def _log_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
         n += 1
 
 
-@partial(_BitsMemo, max_bits=_SERIES_BITS)
+@_BitsMemo
 def _exp_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
     """p**(n*k) / n! modulo p**target for n = 1..N."""
     mod = p**target

@@ -25,9 +25,10 @@ unit part of b.
 entry by entry.  The set keeps only what the per-x pass reads: the
 (valuation, relprec) of each entry, the least valuation base, and the
 integers unit * p**(valuation - base) in Horner order, split by the parity
-of i.  A ``padic._BitsMemo`` keeps ``_COEFFICIENT_BITS`` of sets (a few dozen
-integers at the default precision, 0.4 MB at 1000 digits); a set is never
-extended, a larger term count is a new entry.  The precision scan over the
+of i.  A ``padic._BitsMemo`` keeps the sets (a few dozen integers at the
+default precision, 0.4 MB at 1000 digits); a set is never extended, a larger
+term count is a new entry, and a set over the memo's bound is kept alone, so a
+representation sum builds its one set once.  The precision scan over the
 entries runs once per (set, v_p(x), relprec of x), kept in the set; each x
 then costs an integer Horner pass in 1/x modulo the sum's absolute precision,
 which give the same value and precision as summing the terms as
@@ -37,7 +38,11 @@ its product with the sum and the cap are integers: one ``PadicNumber`` a value.
 The identities ask for the same zeta(s, y) again and again (a representation
 sum, its shifts and its twists at one s), so the whole expansion
 <x>^(1-s) sum_i C(1-s, i) w(i) x^(-i) is kept in an ``lru_cache`` of
-``_ZETA_VALUES`` entries.  ``zeta_czp`` (w = E_i(0)), ``zeta_shifted`` (E_i(u);
+``_ZETA_VALUES`` entries.  Its longest cycle is ``verify``'s
+``power-series-char``, which reads the same (p-1)K values at each gridpoint, K
+the term count of its x-expansion (1,212 values at p = 3 and 300 digits): 2048
+entries hold that cycle up to about 500 digits at p = 3, and a longer cycle
+misses on every read.  ``zeta_czp`` (w = E_i(0)), ``zeta_shifted`` (E_i(u);
 at u = 0 the entry of ``zeta_czp``) and the two halves of
 ``integral_of_zeta`` (E_i(0) and E_{i+1}(0)) each read it.  Its key is the
 whole context (``workprec`` sets the cap, ``series_guard`` the term count), the
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import euler, kernels
 from .errors import (
@@ -145,15 +150,14 @@ def _series_terms(ctx: PadicContext, decay: int, budget: SeriesBudget) -> int:
 # A weight (u, offset) stands for w(i) = E_{i+offset}(u).
 _EULER_ZERO = (0, 0)
 _EULER_NEXT = (0, 1)
-_COEFFICIENT_BITS = 1 << 26  # 8 MiB: 10 times a 16-digit verify's sets, 20 sets at 1000 digits
-_ZETA_VALUES = 1024
+_ZETA_VALUES = 2048
 
 
 def _triple(value: PadicNumber) -> tuple:
     return value.valuation, value.unit, value.relprec
 
 
-@partial(_BitsMemo, max_bits=_COEFFICIENT_BITS)
+@_BitsMemo
 def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: int) -> tuple:
     """C(1-s, i) w(i) for i < terms, from the triple of 1-s, as the Horner
     pass of ``_laurent_series`` reads them.

@@ -500,30 +500,53 @@ def test_teichmuller_table_lifts_once(monkeypatch):
 
 def test_teichmuller_table_cache_bounded_by_bits():
     teichmuller_table.cache_clear()
-    table = teichmuller_table(10007, 300)  # about 45 million bits
+    table = teichmuller_table(10007, 300)  # about 45 million bits, under the 67 of the bound
     assert table[5] == _teichmuller_root(10007, 300, 5)
-    assert teichmuller_table.cache_info() == (0, 1, 0)
+    assert teichmuller_table.cache_info() == (0, 1, 1)
+    assert teichmuller_table(10007, 300) is table
     teichmuller_table(10007, 28)  # about 7 million bits
-    assert teichmuller_table.cache_info() == (0, 2, 1)
-    # a table over the bound is built, and counted, on every call
-    teichmuller_table(10007, 300)
-    assert teichmuller_table.cache_info() == (0, 3, 1)
+    assert teichmuller_table.cache_info() == (1, 2, 2)
+    # about 60 million bits: the oldest table goes until the bound holds
+    teichmuller_table(10007, 400)
+    assert teichmuller_table.cache_info() == (1, 3, 2)
+    assert list(teichmuller_table._entries) == [(10007, 28), (10007, 400)]
+    assert 0 < teichmuller_table.bits <= teichmuller_table.max_bits == padic._MEMO_BITS
+    teichmuller_table.cache_clear()
 
 
-def test_memo_value_over_its_bound_is_returned_not_kept(monkeypatch):
+def test_memo_value_over_its_bound_is_kept_alone(monkeypatch):
     teichmuller_table.cache_clear()
     kept = teichmuller_table(3, 50)
     assert teichmuller_table(3, 50) is kept
     assert teichmuller_table.cache_info() == (1, 1, 1)
     assert teichmuller_table.bits == padic._retained_bits(kept)
     monkeypatch.setattr(teichmuller_table, "max_bits", teichmuller_table.bits)
+    # the newest value is kept whatever its size: built once, read again
     big = teichmuller_table(3, 60)
     assert big == (0, _teichmuller_root(3, 60, 1), _teichmuller_root(3, 60, 2))
-    assert teichmuller_table(3, 60) == big
-    assert teichmuller_table.cache_info() == (1, 3, 1)
-    assert teichmuller_table(3, 50) is kept
+    assert teichmuller_table(3, 60) is big
+    assert teichmuller_table.cache_info() == (2, 2, 1)
+    assert teichmuller_table.bits == padic._retained_bits(big) > teichmuller_table.max_bits
+    # and the next insert evicts it
+    assert teichmuller_table(3, 50) == kept
+    assert teichmuller_table.cache_info() == (2, 3, 1)
+    assert list(teichmuller_table._entries) == [(3, 50)]
     teichmuller_table.cache_clear()
     assert teichmuller_table.cache_info() == (0, 0, 0) and teichmuller_table.bits == 0
+
+
+def test_memo_hit_does_not_protect_the_oldest_entry():
+    def build(n):
+        return tuple(range(n, n + 40))
+
+    memo = padic._BitsMemo(build, 2 * padic._retained_bits(build(1)))
+    memo(1)
+    memo(2)
+    assert memo(1) == build(1)  # a hit: the entry stays the oldest
+    memo(3)
+    assert list(memo._entries) == [(2,), (3,)]
+    assert memo.cache_info() == (1, 3, 2)
+    assert memo.bits == memo.max_bits
 
 
 def test_memo_accounting_under_threads():

@@ -278,7 +278,7 @@ def test_depth_over_the_cap_raises(monkeypatch):
     def refuse(*key):
         raise _WeightsBuilt(key)
 
-    monkeypatch.setattr(kernels, "_newton_weights", _BitsMemo(refuse, kernels._WEIGHT_BITS))
+    monkeypatch.setattr(kernels, "_newton_weights", _BitsMemo(refuse))
     for call, _ in calls:
         with pytest.raises(_WeightsBuilt):
             call(12)  # with an empty memo, a depth under the cap builds weights
@@ -296,15 +296,15 @@ def test_weight_memo_stays_under_its_bound(monkeypatch):
     # so each vector holds D residues of about 1900 bits
     depths = (7, 9, 12)
     build = kernels._newton_weights.__wrapped__
-    memo = _BitsMemo(build, kernels._WEIGHT_BITS)
+    memo = _BitsMemo(build)
     monkeypatch.setattr(kernels, "_newton_weights", memo)
     expected = {}
     for x in (Fraction(1, 3), Fraction(2, 9)):
         expected[x] = kernels.hurwitz_sums(3, 1200, x, 3, depths)
-        assert 0 < memo.bits <= kernels._WEIGHT_BITS
+        assert 0 < memo.bits <= memo.max_bits
     assert memo.cache_info().currsize == 2 * len(depths)
     assert memo.bits == sum(_vector_bits(w) for w, _ in memo._entries.values())
-    # a bound of about one and a half vectors evicts the least recently used
+    # a bound of about one and a half vectors evicts the oldest vectors first
     small = _BitsMemo(build, 3 * 10**6)
     monkeypatch.setattr(kernels, "_newton_weights", small)
     for x, sums in expected.items():

@@ -482,6 +482,23 @@ class TestValueCache:
         info = _coefficients.cache_info()
         assert info.currsize < len(ss) < info.misses
 
+    def test_set_over_the_bound_is_built_once_per_representation_sum(self, monkeypatch):
+        # at p = 1009 one set passes the 8 MiB bound at about 2600 digits; a
+        # 1-bit bound puts every set over it, and the p - 1 series values of
+        # the sum still read the one set they share
+        ctx = PadicContext(1009, 16)
+        chi = DirichletCharacter(1009, 1, 1)
+        args = (ctx, chi, Fraction(1, 2), 5)
+        _zeta_value.cache_clear()
+        _coefficients.cache_clear()
+        expected = zeta_char(*args)
+        _zeta_value.cache_clear()
+        _coefficients.cache_clear()
+        monkeypatch.setattr(_coefficients, "max_bits", 1)
+        value = zeta_char(*args)
+        assert (render(value), value.absprec) == (render(expected), expected.absprec)
+        assert _coefficients.cache_info().misses == 1
+
 
 def _digit_literal(valuation, digits):
     return f"{valuation}:{','.join(map(str, digits))}"
