@@ -9,15 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
+from contextlib import nullcontext
 from fractions import Fraction
-from pathlib import Path
+from typing import TextIO
 
 from . import euler
 from .characters import DirichletCharacter
 from .errors import PadicError
 from .padic import PadicContext, parse_rational, render, to_json_dict
-from .report import report_to_json_line, report_to_text, reports_to_csv
+from .report import report_writer
 from .verify import (
     IDENTITY_NAMES,
     VerifyConfig,
@@ -128,15 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        try:
-            Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            raise SystemExit(3)
-    else:
-        sys.stdout.write(text)
+def _emit(args, text: TextIO | str) -> None:
+    """Write ``text``, a string or a text file read from where it stands, to
+    -o PATH (opened with mode "w", so PATH keeps its mode) or to stdout."""
+    target = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with target as out:
+        if isinstance(text, str):
+            out.write(text)
+        else:
+            shutil.copyfileobj(text, out)
 
 
 def _context(args) -> PadicContext:
@@ -241,17 +244,20 @@ def _cmd_verify(args) -> int:
             return 1
         return 0
     reports = run_verify(cfg, _selected_identities(args))
-    if args.format == "json":
-        body = "".join(report_to_json_line(r) + "\n" for r in reports)
-    elif args.format == "csv":
-        body = reports_to_csv(reports)
-    else:
-        body = "".join(report_to_text(r) + "\n" for r in reports)
-    _emit(args, body)
-    failed = [r for r in reports if not r.passed]
-    summary = f"{len(reports)} checks, {len(failed)} failed\n"
+    # each report is written as its check returns it and then dropped (map,
+    # unlike a loop variable, keeps no reference to the last one); the lines
+    # wait in an unnamed file, so a run that ends in an error (exit 2 or 3)
+    # leaves -o PATH as it was
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as lines:
+        write = report_writer(lines, args.format)
+        total = failed = 0
+        for passed in map(write, reports):
+            total += 1
+            failed += not passed
+        lines.seek(0)
+        _emit(args, lines)
     if not args.output:
-        sys.stderr.write(summary)
+        sys.stderr.write(f"{total} checks, {failed} failed\n")
     return 1 if failed else 0
 
 

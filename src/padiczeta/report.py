@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, TextIO
 
 from .padic import PadicNumber, agreement_depth, render
 
@@ -24,9 +24,9 @@ __all__ = [
     "compare_exact",
     "compare_values",
     "render_param",
-    "reports_to_csv",
     "report_to_json_line",
     "report_to_text",
+    "report_writer",
 ]
 
 
@@ -165,10 +165,21 @@ CSV_FIELDS = [
 ]
 
 
-def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for rep in reports:
-        writer.writerow({**_row(rep), "params": _params_text(rep)})
-    return buf.getvalue()
+def report_writer(out: TextIO, fmt: str) -> Callable[[VerificationReport], bool]:
+    """A function that writes one report onto the text stream ``out`` as it
+    arrives, in ``fmt`` (json, csv or text), and returns whether it passed.
+    For CSV the header row is written here, once."""
+    if fmt == "csv":
+        table = csv.DictWriter(out, fieldnames=CSV_FIELDS, lineterminator="\n")
+        table.writeheader()
+
+    def write(rep: VerificationReport) -> bool:
+        if fmt == "csv":
+            table.writerow({**_row(rep), "params": _params_text(rep)})
+        elif fmt == "json":
+            out.write(report_to_json_line(rep) + "\n")
+        else:
+            out.write(report_to_text(rep) + "\n")
+        return rep.passed
+
+    return write

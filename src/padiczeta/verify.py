@@ -2,9 +2,11 @@
 
 Each named identity is one registry record: a grid of parameter tuples and a
 check that turns one tuple into reports.  ``run_verify`` runs the checks
-serially, identity by identity and gridpoint by gridpoint, so the report
-order is the grid order.  The checks are the only code that turns a
-comparison into a report; the evaluators they call return values.
+serially, identity by identity and gridpoint by gridpoint, and yields each
+check's reports as it returns them, so the report order is the grid order and
+no more than one check's reports are held at a time.  The checks are the only
+code that turns a comparison into a report; the evaluators they call return
+values.
 
 Oracle-backed identities pass when the agreement depth reaches N - c, where
 the per-family slack constants c come from a checked-in calibration fixture
@@ -20,9 +22,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
-from itertools import product
+from itertools import chain, product
 from math import comb
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from . import euler, kernels
 from .characters import DirichletCharacter, _char_values
@@ -966,20 +968,27 @@ _REPORT_FAMILY = {
 CALIBRATED_FAMILIES = tuple(dict.fromkeys(_REPORT_FAMILY.values()))
 
 
-def run_verify(cfg: VerifyConfig, names: list[str] | None = None) -> Reports:
-    """Run the selected identities serially and return reports in grid order."""
+def run_verify(
+    cfg: VerifyConfig, names: list[str] | None = None
+) -> Iterator[VerificationReport]:
+    """Run the selected identities serially and yield their reports in grid order.
+
+    Unknown names are refused at once; each check runs when the iterator
+    reaches its gridpoint, and its list of reports is dropped once yielded.
+    """
     selected = list(IDENTITY_NAMES) if not names else names
     unknown = [n for n in selected if n not in _BUILDERS]
     if unknown:
         raise PadicError(f"unknown identities: {', '.join(unknown)}")
-    return [rep for name in selected for _, task in _BUILDERS[name](cfg) for rep in task()]
+    return chain.from_iterable(task() for name in selected for _, task in _BUILDERS[name](cfg))
 
 
 def calibrate(cfg: VerifyConfig) -> dict[str, int]:
     """Measure the oracle slack constants on the standard grids.
 
     Returns max(0, reference_depth - agreement_depth) per family, the
-    smallest integers making every oracle comparison pass.
+    smallest integers making every oracle comparison pass, folded over the
+    reports as ``run_verify`` yields them.
     """
     wide = replace(cfg, slack={name: 10**6 for name in CALIBRATED_FAMILIES})
     measured = {name: 0 for name in CALIBRATED_FAMILIES}

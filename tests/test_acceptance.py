@@ -29,7 +29,7 @@ def reports():
         oracle_depth=ORACLE_DEPTH,
         report_both_forms=True,
     )
-    return run_verify(cfg, None)
+    return list(run_verify(cfg, None))
 
 
 def _select(reports, *identities):

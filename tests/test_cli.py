@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 import pytest
@@ -11,12 +14,13 @@ import pytest
 from padiczeta.cli import main
 from padiczeta.padic import PadicContext, from_json_dict
 from padiczeta.report import (
+    VerificationReport,
     compare_exact,
     compare_values,
     report_to_json_line,
-    reports_to_csv,
+    report_writer,
 )
-from padiczeta.verify import VerifyConfig, default_slack, load_slack
+from padiczeta.verify import _BUILDERS, VerifyConfig, default_slack, load_slack
 from padiczeta.zeta_czp import _zeta_value
 
 
@@ -270,6 +274,94 @@ class TestVerifyCommand:
         info = _zeta_value.cache_info()
         assert info.hits > info.misses
 
+    def test_json_stdout_bytes_equal_the_output_file(self, tmp_path):
+        argv = ["verify", "--p", "5", "--prec", "12", "--identity", "euler-exact,zeta-one"]
+        path = tmp_path / "v.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "padiczeta.cli", *argv, "--format", "json", "-o", str(path)],
+            capture_output=True,
+        )
+        assert proc.returncode == 0 and proc.stdout == b""
+        proc = subprocess.run(
+            [sys.executable, "-m", "padiczeta.cli", *argv, "--format", "json"],
+            capture_output=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == path.read_bytes()
+        assert proc.stderr == b"%d checks, 0 failed\n" % len(proc.stdout.splitlines())
+
+    def test_refused_run_leaves_the_output_file_alone(self, capsys, tmp_path):
+        # zeta-one's reports are built before oracle-czp refuses 3^13 terms
+        path = tmp_path / "keep.jsonl"
+        path.write_bytes(b"keep\n")
+        argv = ["verify", "--p", "3", "--identity", "zeta-one,oracle-czp", "--oracle-depth"]
+        code, out, err = run_cli(argv + ["13", "-o", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "EvaluationCapExceeded"
+        assert path.read_bytes() == b"keep\n"
+        assert list(tmp_path.iterdir()) == [path]
+        # a run whose reports fail (exit 1) still writes every one of them
+        fixture = tmp_path / "tight.json"
+        fixture.write_text('{"families": {"oracle-czp": -3}}')
+        argv += ["3", "--slack-fixture", str(fixture), "--format", "json"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        lines = out.splitlines()
+        failed = sum(json.loads(line)["status"] == "fail" for line in lines)
+        assert failed and err == f"{len(lines)} checks, {failed} failed\n"
+        assert run_cli(argv + ["-o", str(path)], capsys)[:2] == (1, "")
+        assert path.read_text() == out
+
+    def test_unwritable_output_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "v.jsonl"
+        code, out, err = run_cli(
+            ["verify", "--p", "5", "--identity", "zeta-one", "-o", str(path)], capsys
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("I/O error")
+
+    def test_reports_are_dropped_once_written(self, tmp_path, monkeypatch):
+        # no more reports are alive at once than the longest list one check
+        # returns: the run is never held in memory
+        alive = peak = 0
+        refs = set()
+
+        def dropped(ref):
+            nonlocal alive
+            alive -= 1
+            refs.discard(ref)
+
+        init = VerificationReport.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal alive, peak
+            init(self, *args, **kwargs)
+            alive += 1
+            peak = max(peak, alive)
+            refs.add(weakref.ref(self, dropped))
+
+        lengths = []
+
+        def run(task):
+            reports = task()
+            lengths.append(len(reports))
+            return reports
+
+        def measured(builder):
+            return lambda cfg: [(name, partial(run, task)) for name, task in builder(cfg)]
+
+        monkeypatch.setattr(VerificationReport, "__init__", counting_init)
+        for name, builder in list(_BUILDERS.items()):
+            monkeypatch.setitem(_BUILDERS, name, measured(builder))
+        argv = [
+            "verify", "--p", "5", "--prec", "12", "--oracle-depth", "3", "--seed", "7",
+            "--report-both-forms", "--identity", "euler-exact,special-pos,raabe-czp,char-suite",
+            "-o", str(tmp_path / "v.txt"),
+        ]
+        assert main(argv) == 0
+        assert sum(lengths) == len((tmp_path / "v.txt").read_text().splitlines()) > 100
+        assert peak <= max(lengths) < sum(lengths)
+
     def test_huge_oracle_depth_refused_fast(self, capsys):
         # 3^10000000 terms: the exponent is checked before p^N is built
         start = time.perf_counter()
@@ -461,9 +553,11 @@ class TestReportRendering:
             compare_values("a", {"p": 5}, ctx5.one(), ctx5.one()),
             compare_exact("b", {}, Fraction(0), Fraction(1)),
         ]
-        text = reports_to_csv(reps)
-        lines = text.splitlines()
-        assert lines[0].startswith("identity,status")
+        buf = io.StringIO()
+        write = report_writer(buf, "csv")
+        assert buf.getvalue().startswith("identity,status")  # the header, before any report
+        assert [write(rep) for rep in reps] == [True, False]
+        lines = buf.getvalue().splitlines()
         assert len(lines) == 3
         assert ",fail," in lines[2]
 

@@ -66,7 +66,7 @@ def test_zero_value_denominators_are_two_powers():
 
 
 def test_identity_network_exact():
-    reports = run_verify(VerifyConfig(), ["euler-exact"])
+    reports = list(run_verify(VerifyConfig(), ["euler-exact"]))
     assert {r.identity for r in reports} == {
         "euler-conversion",
         "euler-shift",
