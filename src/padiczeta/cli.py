@@ -1,6 +1,11 @@
 """Command-line interface: compute single values, emit tables, run the
 identity verification suite.
 
+Every command writes its lines into an unnamed temporary file as it
+produces them (``verify`` each report, ``table`` each row) and keeps none
+of them; ``main`` copies the file to -o PATH or stdout once the command
+ends, so a command stopped by an error leaves both untouched.
+
 Exit codes: 0 success / all identities pass, 1 verification failure,
 2 usage or domain error, 3 I/O error.
 """
@@ -19,7 +24,7 @@ from typing import TextIO
 from . import euler
 from .characters import DirichletCharacter
 from .errors import PadicError
-from .padic import PadicContext, parse_rational, render, to_json_dict
+from .padic import PadicContext, PadicNumber, parse_rational, render, to_json_dict
 from .report import report_writer
 from .verify import (
     IDENTITY_NAMES,
@@ -126,27 +131,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--s-list", default="0,1,2", help="comma list of rationals")
     p_table.add_argument("--x-list", default=None, help="comma list of rationals")
     p_table.add_argument(
-        "--chars", default="0..3", help="characters: 'v:k,v:k,...' or 'a..b' (v=1)"
+        "--chars",
+        default=None,
+        help="characters: 'v:k,v:k,...' or 'a..b' (v=1; default 0..min(3, p-2))",
     )
     return parser
 
 
-def _emit(args, text: TextIO | str) -> None:
-    """Write ``text``, a string or a text file read from where it stands, to
-    -o PATH (opened with mode "w", so PATH keeps its mode) or to stdout."""
+def _emit(args, out: TextIO) -> None:
+    """Copy ``out`` from its start to -o PATH (opened with mode "w", so PATH
+    keeps its mode) or to stdout."""
+    out.seek(0)
     target = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
-    with target as out:
-        if isinstance(text, str):
-            out.write(text)
-        else:
-            shutil.copyfileobj(text, out)
+    with target as dest:
+        shutil.copyfileobj(out, dest)
 
 
 def _context(args) -> PadicContext:
     return PadicContext(args.p if args.p is not None else 5, args.prec, args.guard)
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args, out: TextIO) -> int:
     ctx = _context(args)
     budget = SeriesBudget(max_terms=args.max_terms, target_prec=args.prec)
 
@@ -156,40 +161,37 @@ def _cmd_compute(args) -> int:
         return value
 
     if args.target == "euler-number":
-        m = need("--m", args.m)
-        value = euler.euler_number(m)
-        payload = {"kind": "rational", "value": str(value)}
-        text = str(value)
+        value = euler.euler_number(need("--m", args.m))
     elif args.target == "euler-poly":
         m = need("--m", args.m)
         x = parse_rational(need("--x", args.x))
         value = euler.euler_poly(m, x)
-        payload = {"kind": "rational", "value": str(value)}
-        text = str(value)
-    else:
-        if args.target == "zeta-czp":
-            s = ctx.parse_value(need("--s", args.s))
-            x = ctx.parse_value(need("--x", args.x))
-            value = zeta_czp(ctx, s, x, budget)
-        elif args.target == "zeta-char":
-            chi = DirichletCharacter.parse(need("--char", args.char), ctx.p)
-            s = ctx.parse_value(need("--s", args.s))
-            x = ctx.parse_value(need("--x", args.x))
-            value = zeta_char(ctx, chi, s, x, budget)
-        elif args.target == "ell":
-            chi = DirichletCharacter.parse(need("--char", args.char), ctx.p)
-            s = ctx.parse_value(need("--s", args.s))
-            value = ell(ctx, chi, s, budget)
-        else:  # teichmuller
-            x = ctx.parse_value(need("--x", args.x))
-            value = ctx.teichmuller(x)
-        payload = {"kind": "padic", "value": to_json_dict(value)}
-        text = render(value)
+    elif args.target == "zeta-czp":
+        s = ctx.parse_value(need("--s", args.s))
+        x = ctx.parse_value(need("--x", args.x))
+        value = zeta_czp(ctx, s, x, budget)
+    elif args.target == "zeta-char":
+        chi = DirichletCharacter.parse(need("--char", args.char), ctx.p)
+        s = ctx.parse_value(need("--s", args.s))
+        x = ctx.parse_value(need("--x", args.x))
+        value = zeta_char(ctx, chi, s, x, budget)
+    elif args.target == "ell":
+        chi = DirichletCharacter.parse(need("--char", args.char), ctx.p)
+        s = ctx.parse_value(need("--s", args.s))
+        value = ell(ctx, chi, s, budget)
+    else:  # teichmuller
+        x = ctx.parse_value(need("--x", args.x))
+        value = ctx.teichmuller(x)
 
-    if args.format == "json":
-        _emit(args, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    if isinstance(value, PadicNumber):
+        kind, text, data = "padic", render, to_json_dict
     else:
-        _emit(args, text + "\n")
+        kind, text, data = "rational", str, str
+    if args.format == "json":
+        payload = {"kind": kind, "value": data(value)}
+        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    else:
+        out.write(text(value) + "\n")
     return 0
 
 
@@ -204,9 +206,9 @@ def _selected_identities(args) -> list[str] | None:
     return names
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out: TextIO) -> int:
     if args.list_identities:
-        _emit(args, "\n".join(IDENTITY_NAMES) + "\n")
+        out.writelines(name + "\n" for name in IDENTITY_NAMES)
         return 0
     if args.primes:
         primes = tuple(int(t) for t in args.primes.split(","))
@@ -227,15 +229,8 @@ def _cmd_verify(args) -> int:
     )
     if args.calibrate:
         measured = calibrate(cfg)
-        body = (
-            json.dumps(
-                {"families": measured, "version": 1},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-        _emit(args, body)
+        json.dump({"families": measured, "version": 1}, out, sort_keys=True, separators=(",", ":"))
+        out.write("\n")
         exceeded = {
             name: c for name, c in measured.items() if c > int(slack.get(name, 0))
         }
@@ -243,19 +238,13 @@ def _cmd_verify(args) -> int:
             print(f"measured slack exceeds fixture: {exceeded}", file=sys.stderr)
             return 1
         return 0
-    reports = run_verify(cfg, _selected_identities(args))
     # each report is written as its check returns it and then dropped (map,
-    # unlike a loop variable, keeps no reference to the last one); the lines
-    # wait in an unnamed file, so a run that ends in an error (exit 2 or 3)
-    # leaves -o PATH as it was
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as lines:
-        write = report_writer(lines, args.format)
-        total = failed = 0
-        for passed in map(write, reports):
-            total += 1
-            failed += not passed
-        lines.seek(0)
-        _emit(args, lines)
+    # unlike a loop variable, keeps no reference to the last one)
+    write = report_writer(out, args.format)
+    total = failed = 0
+    for passed in map(write, run_verify(cfg, _selected_identities(args))):
+        total += 1
+        failed += not passed
     if not args.output:
         sys.stderr.write(f"{total} checks, {failed} failed\n")
     return 1 if failed else 0
@@ -273,68 +262,58 @@ def _parse_chars(text: str, p: int) -> list[DirichletCharacter]:
     return [DirichletCharacter.parse(t, p) for t in text.split(",") if t.strip()]
 
 
-def _cmd_table(args) -> int:
-    ctx = _context(args)
-    budget = SeriesBudget(max_terms=args.max_terms, target_prec=args.prec)
-    if args.kind == "euler":
-        _emit(args, euler.table_json(args.max))
-        return 0
-
-    rows: list[dict] = []
+def _table_rows(args, ctx: PadicContext, budget: SeriesBudget):
+    """Yield each row's argument columns with its value, as the value is computed."""
     if args.kind == "zeta-values":
         if not args.x_list:
             raise PadicError("zeta-values requires --x-list")
         for s in _parse_rational_list(args.s_list):
             for x in _parse_rational_list(args.x_list):
-                value = zeta_czp(ctx, s, x, budget)
-                rows.append(
-                    {
-                        "p": ctx.p,
-                        "prec": args.prec,
-                        "s": str(s),
-                        "x": str(x),
-                        "value": render(value),
-                        "value_json": to_json_dict(value),
-                    }
-                )
+                yield {"s": str(s), "x": str(x)}, zeta_czp(ctx, s, x, budget)
     else:  # ell-values
-        for chi in _parse_chars(args.chars, ctx.p):
+        for chi in _parse_chars(args.chars or f"0..{min(3, ctx.p - 2)}", ctx.p):
             for s in _parse_rational_list(args.s_list):
-                value = ell(ctx, chi, s, budget)
-                rows.append(
-                    {
-                        "p": ctx.p,
-                        "prec": args.prec,
-                        "char": chi.label,
-                        "s": str(s),
-                        "value": render(value),
-                        "value_json": to_json_dict(value),
-                    }
-                )
+                yield {"char": chi.label, "s": str(s)}, ell(ctx, chi, s, budget)
 
-    if not rows:
+
+def _cmd_table(args, out: TextIO) -> int:
+    ctx = _context(args)
+    budget = SeriesBudget(max_terms=args.max_terms, target_prec=args.prec)
+    if args.kind == "euler":
+        out.write(euler.table_json(args.max))
+        return 0
+    # JSON is one sorted, compact list; CSV (also for --format text) takes its
+    # header from the first row's keys
+    n = 0
+    for n, (columns, value) in enumerate(_table_rows(args, ctx, budget), 1):
+        row = {"p": ctx.p, "prec": args.prec, **columns, "value": render(value)}
+        if args.format == "json":
+            row["value_json"] = to_json_dict(value)
+            line = json.dumps(row, sort_keys=True, separators=(",", ":"))
+            out.write(("," if n > 1 else "[") + line)
+        else:
+            if n == 1:
+                out.write(",".join(row) + "\n")
+            out.write(",".join(f'"{v}"' for v in row.values()) + "\n")
+    if not n:
         raise PadicError("table selection produced no rows")
     if args.format == "json":
-        body = json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        cols = [c for c in ("p", "prec", "char", "s", "x", "value") if c in rows[0]]
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(f'"{row[c]}"' for c in cols))
-        body = "\n".join(lines) + "\n"
-    _emit(args, body)
+        out.write("]\n")
     return 0
 
 
+_COMMANDS = {"compute": _cmd_compute, "verify": _cmd_verify, "table": _cmd_table}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_table(args)
+        # the command writes into an unnamed file as it goes, so a run that
+        # ends in an error (exit 2 or 3) leaves -o PATH and stdout untouched
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as out:
+            code = _COMMANDS[args.command](args, out)
+            _emit(args, out)
+        return code
     except PadicError as exc:
         error = {"error": {"code": exc.code, "message": str(exc)}}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import partial
@@ -275,31 +276,50 @@ class TestVerifyCommand:
         assert info.hits > info.misses
 
     def test_json_stdout_bytes_equal_the_output_file(self, tmp_path):
-        argv = ["verify", "--p", "5", "--prec", "12", "--identity", "euler-exact,zeta-one"]
-        path = tmp_path / "v.jsonl"
-        proc = subprocess.run(
-            [sys.executable, "-m", "padiczeta.cli", *argv, "--format", "json", "-o", str(path)],
-            capture_output=True,
-        )
-        assert proc.returncode == 0 and proc.stdout == b""
-        proc = subprocess.run(
-            [sys.executable, "-m", "padiczeta.cli", *argv, "--format", "json"],
-            capture_output=True,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == path.read_bytes()
-        assert proc.stderr == b"%d checks, 0 failed\n" % len(proc.stdout.splitlines())
+        # every command writes the same bytes to stdout as to -o PATH
+        verify = ["verify", "--p", "5", "--prec", "12", "--identity", "euler-exact,zeta-one"]
+        table = ["table", "zeta-values", "--p", "5", "--s-list", "0,2", "--x-list", "1/5,2/5"]
+        commands = [
+            verify + ["--format", "json"],
+            ["compute", "--p", "5", "zeta-czp", "--s", "2", "--x", "1/5", "--format", "json"],
+            ["compute", "--p", "5", "euler-poly", "--m", "4", "--x", "1/3"],
+            table + ["--format", "json"],
+            table + ["--format", "csv"],
+            ["table", "ell-values", "--p", "7", "--s-list", "0,2", "--format", "json"],
+        ]
+        path = tmp_path / "out"
+        for argv in commands:
+            cli = [sys.executable, "-m", "padiczeta.cli", *argv]
+            proc = subprocess.run(cli + ["-o", str(path)], capture_output=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+            proc = subprocess.run(cli, capture_output=True)
+            assert proc.returncode == 0 and proc.stdout
+            assert proc.stdout == path.read_bytes()
+            if argv[0] == "verify":
+                lines = len(proc.stdout.splitlines())
+                assert proc.stderr == b"%d checks, 0 failed\n" % lines
+            else:
+                assert proc.stderr == b""
 
     def test_refused_run_leaves_the_output_file_alone(self, capsys, tmp_path):
-        # zeta-one's reports are built before oracle-czp refuses 3^13 terms
+        # each command writes into the unnamed file before it is refused:
+        # zeta-one's reports are built before oracle-czp refuses 3^13 terms,
+        # and the table's first row before x = 1, which lies in Z_3
         path = tmp_path / "keep.jsonl"
         path.write_bytes(b"keep\n")
         argv = ["verify", "--p", "3", "--identity", "zeta-one,oracle-czp", "--oracle-depth"]
-        code, out, err = run_cli(argv + ["13", "-o", str(path)], capsys)
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"]["code"] == "EvaluationCapExceeded"
-        assert path.read_bytes() == b"keep\n"
-        assert list(tmp_path.iterdir()) == [path]
+        table = ["table", "zeta-values", "--p", "3", "--s-list", "2", "--x-list", "1/3,1"]
+        refused = [
+            (argv + ["13"], "EvaluationCapExceeded"),
+            (table, "ArgumentInZp"),
+            (["compute", "--p", "5", "zeta-czp", "--s", "1", "--x", "3"], "ArgumentInZp"),
+        ]
+        for command, error in refused:
+            code, out, err = run_cli(command + ["-o", str(path)], capsys)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"]["code"] == error
+            assert path.read_bytes() == b"keep\n"
+            assert list(tmp_path.iterdir()) == [path]
         # a run whose reports fail (exit 1) still writes every one of them
         fixture = tmp_path / "tight.json"
         fixture.write_text('{"families": {"oracle-czp": -3}}')
@@ -506,6 +526,35 @@ class TestTableCommand:
                 assert value.is_zero()
             else:
                 assert not value.is_zero()
+
+    def test_ell_values_default_characters_fit_p(self, capsys):
+        # the default is k = 0..min(3, p - 2): p = 3 has only omega^0 and omega^1
+        code, out, _ = run_cli(["table", "ell-values", "--p", "3", "--s-list", "2"], capsys)
+        assert code == 0
+        assert [line.split(",")[2] for line in out.splitlines()] == ["char", '"1:0"', '"1:1"']
+        argv = ["table", "ell-values", "--p", "5", "--s-list", "2,3", "--format", "json"]
+        code, default, _ = run_cli(argv, capsys)
+        assert code == 0 and len(json.loads(default)) == 8
+        assert run_cli(argv + ["--chars", "0..3"], capsys) == (0, default, "")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_table_memory_does_not_grow_with_its_rows(self, tmp_path, fmt):
+        # each row is written as it is computed: 4,960 rows peak within a few
+        # hundred kB of 4 rows (the memos fill up to their bounds), where
+        # holding the rows took 7.6 MB (csv) to 10.0 MB (json)
+        def peak(s_list, x_list):
+            argv = ["table", "zeta-values", "--p", "5", "--s-list", s_list, "--x-list", x_list]
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--format", fmt, "-o", str(tmp_path / "t")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak("2,3", "1/125,2/125")
+        s_list = ",".join(str(s) for s in range(2, 42))
+        large = peak(s_list, ",".join(f"{x}/125" for x in range(1, 125)))
+        assert large - small < 3_000_000
 
     def test_json_values_round_trip(self, capsys):
         code, out, _ = run_cli(
