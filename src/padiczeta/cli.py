@@ -23,7 +23,7 @@ from typing import TextIO
 
 from . import euler
 from .characters import DirichletCharacter
-from .errors import PadicError
+from .errors import ArgumentViolation, PadicError
 from .padic import PadicContext, PadicNumber, parse_rational, render, to_json_dict
 from .report import report_writer
 from .verify import (
@@ -60,7 +60,9 @@ def _common_options() -> argparse.ArgumentParser:
         "--format",
         choices=("text", "json", "csv"),
         default="text",
-        help="output format (csv applies to verify and table)",
+        help="output format: compute writes JSON with json and text otherwise; verify "
+        "writes text, JSON lines or CSV; table euler always writes JSON and refuses csv, "
+        "table zeta-values and ell-values write JSON with json and CSV otherwise",
     )
     common.add_argument(
         "--threads", type=int, default=1, help="has no effect (verify runs serially)"
@@ -280,6 +282,8 @@ def _cmd_table(args, out: TextIO) -> int:
     ctx = _context(args)
     budget = SeriesBudget(max_terms=args.max_terms, target_prec=args.prec)
     if args.kind == "euler":
+        if args.format == "csv":
+            raise ArgumentViolation("table euler writes JSON only; --format csv is refused")
         out.write(euler.table_json(args.max))
         return 0
     # JSON is one sorted, compact list; CSV (also for --format text) takes its

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import euler
+from . import euler, kernels
 from .characters import DirichletCharacter, _char_values
 from .errors import ArgumentViolation
 from .padic import PadicContext, PadicNumber, alternating_sum, capped_power
@@ -107,7 +107,9 @@ def change_of_variable(
     LHS: sum_{j<p^v} chi(x+j) g((x+j)/p^v) (-1)^j with
     g(y) = int f(y+a) dmu(a) = sum_k c_k E_k(y) built from the polynomial
     closed form.
-    RHS: the depth-N truncated integral of a -> chi(x+a) f((x+a)/p^v).
+    RHS: the depth-N truncated integral of a -> chi(x+a) f((x+a)/p^v), from
+    deg f + 1 values on each class of a mod p^v, where it is a polynomial in
+    a of degree deg f (``kernels._class_newton_sum``).
     """
     if depth < 1:
         raise ArgumentViolation("truncation depth must be >= 1")
@@ -141,5 +143,11 @@ def change_of_variable(
         return term
 
     lhs = alternating_sum(ctx, n_pv, twisted(g))
-    rhs = alternating_sum(ctx, capped_power(ctx.p, depth), twisted(lambda y: f.eval_padic(ctx, y)))
+    rhs = kernels._class_newton_sum(
+        ctx.p,
+        capped_power(ctx.p, depth),
+        twisted(lambda y: f.eval_padic(ctx, y)),
+        n_pv,
+        len(f.coeffs),
+    )
     return lhs, rhs

@@ -1,9 +1,10 @@
 """Integer-arithmetic kernels behind the truncated alternating-sum oracles.
 
-Each kernel returns sum_{a < p^N} (-1)^a f(a) exactly modulo p^G at every
-requested depth N, without visiting the p^N terms.  ``_alternating_newton_sum``
-takes f(0), ..., f(D-1) and uses Newton's forward differences (Mahler's
-theorem; Robert, *A Course in p-adic Analysis*, GTM 198, ch. 4):
+Kim's fermionic integral of f over Z_p is the limit of the truncated sums
+sum_{a<p^N} (-1)^a f(a).  Each kernel returns such a sum without visiting
+its p^N terms.  ``_alternating_newton_sum`` takes f(0), ..., f(D-1) and uses
+Newton's forward differences (Mahler's theorem; Robert, *A Course in p-adic
+Analysis*, GTM 198, ch. 4):
 
     sum_{b<n} (-1)^b f(b) = sum_{j<D} Delta^j f(0) S_j(n),  S_j(n) = sum_{b<n} (-1)^b C(b,j),
 
@@ -20,22 +21,99 @@ D, n) only (``_newton_weights`` builds them in O(D) steps and keeps them in a
 ``padic._BitsMemo``, vectors of D integers of G digits, D about 800 at p = 3,
 G = 1204), so each depth costs one dot product of D integers.
 
-In ``_angle_power_sums`` f(b) = (y0 + b*step)^e with y0 prime to p and v =
-v_p(step) >= 1.  With t = step/y0, f(b) = y0^e sum_k C(e,k) t^k b^k, C(e,k)
-in Z_p for any e in Z_p (negative or reduced too); Delta^j(b^k)(0) = j!
-S(k,j) (Stirling) is 0 for k < j, so v_p(Delta^j f(0)) >= j*v + v_p(j!), and
-D = the least d with d*v + v_p(d!) >= G suffices (``_progression_degree``,
-computed once per (p, v, G)).  The monomials (x+a)^m are polynomials of
-degree m in a: D = m + 1.
+The decay.  If f(b) = sum_k c_k b^k with v_p(c_k) >= k*v, then, as
+Delta^j(b^k)(0) = j! S(k,j) (Stirling) is 0 for k < j, v_p(Delta^j f(0)) >=
+j*v + v_p(j!), and D = the least d >= 1 with d*v + v_p(d!) >= G suffices
+(``_progression_degree``, computed once per (p, v, G)).  A polynomial of
+degree d has Delta^j f = 0 for j > d: D = d + 1 at any G.
 
-The oracles stay independent of the series path: nothing reads an Euler
-number or log/exp, and unit powers are modular ``pow`` of the actual terms.
-An angle <x+a> is y0 + b*step times a unit c free of b, and c^e leaves the
-sum.  ``hurwitz_sums`` (and the special-value oracle, s = 1 + m) is one
-progression x + a = (num + a*den)/den.  ``char_hurwitz_sums`` splits a = r +
-p*b: on each class chi(x+a) and omega(x+a) are constant and (-1)^a = (-1)^r
-(-1)^b.  As t^s = t^(s mod p^K) mod p^(K+1) for t = 1 mod p, s in Z_p, a
-non-integer exponent is reduced; Python's pow inverts a negative one.
+Integer progressions.  In ``_angle_power_sums`` f(b) = (y0 + b*step)^e with
+y0 prime to p and v = v_p(step) >= 1.  With t = step/y0, f(b) = y0^e sum_k
+C(e,k) t^k b^k, C(e,k) in Z_p for any e in Z_p (negative or reduced too), so
+v_p(c_k) >= k*v.  The monomials (x+a)^m are polynomials of degree m in a:
+D = m + 1.  These oracles stay independent of the series path: nothing reads
+an Euler number or log/exp, and unit powers are modular ``pow`` of the
+actual terms.  An angle <x+a> is y0 + b*step times a unit c free of b, and
+c^e leaves the sum.  ``hurwitz_sums`` (and the special-value oracle, s = 1 +
+m) is one progression x + a = (num + a*den)/den.  ``char_hurwitz_sums``
+splits a = r + p*b: on each class chi(x+a) and omega(x+a) are constant and
+(-1)^a = (-1)^r (-1)^b.  As t^s = t^(s mod p^K) mod p^(K+1) for t = 1 mod p,
+s in Z_p, a non-integer exponent is reduced; Python's pow inverts a negative
+one.
+
+Value functions.  ``_class_newton_sum(p, n, term, P, D)`` sums the
+``PadicNumber`` values term(a), a < n = p^N.  With a = r + P*b for r < P and
+b < n/P (P = 1 or p^v, at most n), (-1)^a = (-1)^r (-1)^b, and each class
+sum is sum_{b<D} W[b] term(r + P*b) with the weights of (p, G, D, n/P), or
+the literal sum of its n/P values when n/P <= D.  Its three callers, with
+f(b) = term(r + P*b) on a class:
+
+* ``zeta_czp.integral_of_zeta_oracle``, term(a) = zeta(s, x+a) for a
+  rational x with v_p(x) = -e <= -1, P = 1.  As v_p(b/x) >= e, <x+b> =
+  <x> (1 + b/x) and
+
+      zeta(s, x+b) = <x>^(1-s) sum_i C(1-s,i) E_i(0) x^(-i) (1 + b/x)^(1-s-i),
+
+  a power series in b/x with Z_p coefficients (C(1-s,i), E_i(0) and x^(-i)
+  lie in Z_p, and (1+t)^c = sum_k C(c,k) t^k for c in Z_p).  So v_p(c_k) >=
+  k*e: D = ``_progression_degree(p, e, G)``.
+* ``zeta_char.raabe_char``, term(a) = zeta(chi, s, x+a) for an integer x, P
+  = p^v.  On the class y = y0 + p^v b the representation sum reads
+
+      zeta(chi, s, y0 + p^v b) = sum_{j<p} chi(y0+j) (-1)^j zeta(s, X_j + p^(v-1) b)
+
+  with X_j = (y0+j)/p, where chi = omega^k and the skipped j (p | y0+j)
+  depend on y0 mod p only.  Each zeta(s, X_j + p^(v-1) b) is the series
+  above in b p^(v-1)/X_j, of valuation >= v, and chi(y0+j) is a unit:
+  v_p(c_k) >= k*v, D = ``_progression_degree(p, v, G)``.
+* the right side of ``fermionic.change_of_variable``, term(a) = chi(x+a)
+  g((x+a)/p^v) for a polynomial g of degree d and x in Z_p, P = p^v.  On a
+  class chi(x+a) is constant and g((x+r)/p^v + b) is a polynomial of degree
+  d in b: D = d + 1, exact at any G.
+
+For the first two G is the budget's target, which caps every value, and the
+values lie in Z_p.
+
+The result is the literal sum (``padic.alternating_sum``) as a
+``PadicNumber``: value, valuation and relative precision.  That sum is the
+canonical form of sum_a (-1)^a term(a) modulo p^A, A the least absolute
+precision of the terms that are not the exact zero (``padic._residue_sum``),
+and each term is its f(a) modulo p^A.  The kernel takes A over the values it
+evaluates, base their least valuation, and weights modulo p^(A - base):
+then sum_b W[b] term(r + P*b) = sum_b (-1)^b f(b) mod p^A on every class,
+as the two differ by the tail sum_{j>=D} Delta^j f(0) S_j(n/P) (in p^A Z_p
+by the decay, A <= G) and by the weights' reduction times values of
+valuation >= base.  So the two forms agree once A is the least precision of
+every term, which holds because every term of a class has the precision of
+the ones evaluated:
+
+* zeta(s, x+b): x + b is an exact rational of valuation -e, read at the
+  internal precision R, so every term reads ``zeta_czp._zeta_value`` under
+  the same (valuation, relprec) key.  The value has valuation 0 (the i = 0
+  term is 1, the others lie in p Z_p) and absolute precision min(A_L, r_pow,
+  target): A_L, the Laurent sum's, is the scan of the coefficient set by
+  (e, R), and r_pow, the prefactor's, is min(k + A_s, t + R), with t and
+  A_s the valuation and absolute precision of 1-s and k = v_p(u^(p-1) - 1)
+  for u the unit part of x + b.  As u = u_0 mod p^e, either k is the same
+  at every b, or k >= e at every b; then k + A_s >= e + A_s >= A_L, as the
+  i = 1 term -(1-s)/(2x) is known only modulo p^(e + A_s) (a one-term
+  series needs target + guard <= e, and then k + A_s >= target).
+* zeta(chi, s, x+i): x + i is an integer, read at relprec R, so every
+  series of every representation sum reads the key (-1, ., R), whose
+  absolute precision is the same for every unit (the case k >= e = 1 above).
+  So every product with chi(x+i+j), a unit of relprec R, has one absolute
+  precision, and so has their sum, capped at the target.
+* chi(x+a) g((x+a)/p^v): the term is the exact zero where p | x+a, so every
+  other term has v_p(x+a) = 0 and y = (x+a)/p^v has valuation -v and relprec
+  rho = min(A_x, R), A_x the absolute precision of x.  Write A(z) and v(z)
+  for the absolute precision and valuation of a ``PadicNumber`` and m(z) =
+  min(A(z), v(z) + rho) (m = A for a bounded zero).  ``PadicNumber``'s
+  rules give A(zy) = m(zy) = m(z) - v, and, for a coefficient c (relprec R
+  >= rho), A(z + c) = min(A(z), v(c) + R) and m(z + c) = min(m(z), v(c) +
+  rho), whether or not the sum cancels (a zero c changes neither).  So
+  Horner's rule, from the leading coefficient down, gives g(y) an absolute
+  precision that no value enters, and chi(x+a), a unit of relprec R >=
+  relprec(g(y)), keeps it.
 """
 
 from __future__ import annotations
@@ -47,7 +125,8 @@ from operator import mul
 
 from .errors import ArgumentViolation
 from .padic import EVALUATION_CAP, PadicNumber, capped_power, teichmuller_table
-from .padic import _BitsMemo, _vp_split, vp_factorial, vp_fraction, vp_int
+from .padic import _BitsMemo, _check_sum_length, _residue_sum, _vp_split
+from .padic import vp_factorial, vp_fraction, vp_int
 
 __all__ = [
     "EVALUATION_CAP",
@@ -140,11 +219,41 @@ def _alternating_newton_sum(p: int, g_prec: int, values, counts) -> dict[int, in
 
 @lru_cache(maxsize=256)  # one small int per entry: a count bound is a bits bound
 def _progression_degree(p: int, v: int, g_prec: int) -> int:
-    """The least D with D*v + v_p(D!) >= g_prec (module docstring)."""
-    degree = 0
+    """The least D >= 1 with D*v + v_p(D!) >= g_prec (module docstring)."""
+    degree = 1
     while degree * v + vp_factorial(degree, p) < g_prec:
         degree += 1
     return degree
+
+
+def _class_newton_sum(p: int, n: int, term, period: int, degree: int) -> PadicNumber:
+    """sum_{a<n} (-1)^a term(a) from at most period * degree values (module docstring).
+
+    n and period are powers of p and term(a) is a ``PadicNumber``; on each
+    class a = r + period*b, ``degree`` values must give the class sum, and a
+    class of n/period <= degree terms is summed whole.  The result is
+    ``padic.alternating_sum`` of the n terms; n > EVALUATION_CAP is refused
+    before any term is evaluated.
+    """
+    _check_sum_length(n)
+    period = min(period, n)
+    length = n // period
+    classes = [[term(r + period * b) for b in range(min(length, degree))] for r in range(period)]
+    evaluated = [t for values in classes for t in values if not t.is_exact_zero]
+    absprec = min((t.absprec for t in evaluated), default=None)
+    base = min((t.valuation for t in evaluated if t.relprec), default=None)
+    terms = []
+    if base is not None and base < absprec:  # else every value is 0 mod p**absprec
+        g_prec = absprec - base
+        mod = p**g_prec
+        for r, values in enumerate(classes):
+            ints = [t.unit * p ** (t.valuation - base) % mod if t.relprec else 0 for t in values]
+            if length > degree:
+                total = _alternating_newton_sum(p, g_prec, ints, (length,))[length]
+            else:
+                total = sum(ints[0::2]) - sum(ints[1::2])
+            terms.append((base, -total if r & 1 else total))
+    return _residue_sum(p, terms, absprec)
 
 
 def _angle_power_sums(p: int, g_prec: int, y0: int, step: int, e: int, counts) -> dict[int, int]:

@@ -238,13 +238,18 @@ def raabe_char(
 ) -> tuple[PadicNumber, PadicNumber]:
     """(oracle, closed form) for the integral of a -> zeta(chi, s, x+a).
 
-    oracle:      sum_{i<p^N} zeta(chi, s, x+i) (-1)^i
+    oracle:      sum_{i<p^N} zeta(chi, s, x+i) (-1)^i, the truncated sum from
+                 D = ``kernels._progression_degree(p, v, target)`` values on
+                 each class of i mod p^v (``kernels._class_newton_sum``)
     closed form: 2 (1-x) zeta(chi, s, x) + 2 zeta(chi omega, s-1, x)
     """
     _check_char(ctx, chi)
     sp = ctx._exponent(s)
-    acc = alternating_sum(
-        ctx, capped_power(ctx.p, depth), lambda i: zeta_char(ctx, chi, sp, x + i, budget)
+    p = ctx.p
+    n = capped_power(p, depth)
+    degree = kernels._progression_degree(p, chi.v, budget.target(ctx))
+    acc = kernels._class_newton_sum(
+        p, n, lambda i: zeta_char(ctx, chi, sp, x + i, budget), p ** min(chi.v, depth), degree
     )
     rhs = 2 * (ctx.one() - ctx.from_int(x)) * zeta_char(ctx, chi, sp, x, budget) + 2 * zeta_char(
         ctx, chi.twist(1), sp - ctx.one(), x, budget

@@ -462,10 +462,18 @@ def integral_of_zeta(
 def integral_of_zeta_oracle(
     ctx: PadicContext, s, x: Fraction, depth: int, budget: SeriesBudget = _DEFAULT_BUDGET
 ) -> PadicNumber:
-    """Truncated alternating sum of zeta(s, x+a) over a < p^depth."""
+    """Truncated alternating sum of zeta(s, x+a) over a < p^depth, from D values.
+
+    zeta(s, x+a) is a power series in a/x, so its first D =
+    ``kernels._progression_degree(p, -v_p(x), target)`` values give the sum
+    (``kernels._class_newton_sum``, proved in the ``kernels`` docstring).
+    """
     x = Fraction(x)
-    return alternating_sum(
-        ctx, capped_power(ctx.p, depth), lambda a: zeta_czp(ctx, s, x + a, budget)
+    n = capped_power(ctx.p, depth)
+    e = -_coerce_czp(ctx, x).valuation
+    degree = kernels._progression_degree(ctx.p, e, budget.target(ctx))
+    return kernels._class_newton_sum(
+        ctx.p, n, lambda a: zeta_czp(ctx, s, x + a, budget), 1, degree
     )
 
 

@@ -4,8 +4,11 @@ the forward-difference sum that the kernels' cached weights replaced.
 Each term a < p^N is computed on its own: the Hurwitz sums scale x + a by the
 inverse Teichmuller digit of x, the character sums look up chi and omega^-1
 by the residue of x + a, the inverse-power sums raise x + a to -m, and the
-monomial sums raise x + a to every m <= m_max.  The library sums none of
-these terms: it evaluates each sum as one dot product of a few values with
+monomial sums raise x + a to every m <= m_max.  The three series-valued and
+polynomial oracles (the Raabe oracle of ``zeta_czp``, that of ``zeta_char``
+and the right side of the change of variable) sum every term as a
+``PadicNumber`` with ``padic.alternating_sum``.  The library sums none of
+these terms: it evaluates each sum from a few values per residue class with
 cached weights.  ``test_kernels.py`` checks that both give the same
 ``PadicNumber``s, and that the weights give the residues of
 ``alternating_newton_sum``, which forms the forward differences of the
@@ -17,9 +20,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from padiczeta.characters import _char_values
 from padiczeta.errors import ArgumentViolation
 from padiczeta.kernels import _exponent_one_minus, _snapshots, wrap_mod
-from padiczeta.padic import PadicNumber, capped_power, teichmuller_table, vp_fraction, vp_int
+from padiczeta.padic import (
+    PadicNumber,
+    alternating_sum,
+    capped_power,
+    teichmuller_table,
+    vp_fraction,
+    vp_int,
+)
+from padiczeta.zeta_char import zeta_char
+from padiczeta.zeta_czp import SeriesBudget, zeta_czp
 
 
 def alternating_newton_sum(p: int, g_prec: int, values, counts) -> dict[int, int]:
@@ -185,3 +198,33 @@ def monomial_alternating_sums(
                 out[(m, n_depth)] = wrap_mod(p, acc[m] * scale % mod, prec)
                 scale = scale * b_inv % mod
     return out
+
+
+def integral_of_zeta_oracle(ctx, s, x: Fraction, depth: int, budget=SeriesBudget()):
+    """sum_{a<p^depth} zeta(s, x+a) (-1)^a, one series value a term."""
+    x = Fraction(x)
+    return alternating_sum(
+        ctx, capped_power(ctx.p, depth), lambda a: zeta_czp(ctx, s, x + a, budget)
+    )
+
+
+def raabe_char_oracle(ctx, chi, s, x: int, depth: int, budget=SeriesBudget()):
+    """sum_{i<p^depth} zeta(chi, s, x+i) (-1)^i, one representation sum a term."""
+    sp = ctx._exponent(s)
+    return alternating_sum(
+        ctx, capped_power(ctx.p, depth), lambda i: zeta_char(ctx, chi, sp, x + i, budget)
+    )
+
+
+def change_of_variable_rhs(ctx, chi, f, x, depth: int):
+    """sum_{a<p^depth} chi(x+a) f((x+a)/p^v) (-1)^a, the exact zero where p | x+a."""
+    x = ctx.coerce(x)
+    pv = ctx.from_int(capped_power(ctx.p, chi.v))
+    chi_at = _char_values(ctx, chi)
+
+    def term(a: int) -> PadicNumber:
+        xa = x + ctx.from_int(a)
+        cv = chi_at(xa)
+        return cv if cv.is_exact_zero else cv * f.eval_padic(ctx, xa / pv)
+
+    return alternating_sum(ctx, capped_power(ctx.p, depth), term)

@@ -496,6 +496,18 @@ class TestTableCommand:
         digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
         assert digest == "fd0211715d0a2807884053d295f136b673c49606721244c52b11ce3df14442c6"
 
+    def test_euler_table_refuses_csv(self, capsys, tmp_path):
+        # the Euler table is JSON whatever --format says, except csv, which
+        # is refused before any output
+        out_path = tmp_path / "euler.csv"
+        out_path.write_text("keep\n")
+        code, out, err = run_cli(["table", "euler", "--format", "csv", "-o", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["code"] == "ArgumentViolation"
+        assert out_path.read_text() == "keep\n"
+        tables = {run_cli(["table", "euler", "--format", f], capsys)[1] for f in ("text", "json")}
+        assert len(tables) == 1 and json.loads(tables.pop())
+
     def test_zeta_values_csv_deterministic(self, capsys):
         args = [
             "table", "--p", "5", "--prec", "10", "zeta-values",

@@ -2,10 +2,13 @@
 
 ``kernel_reference`` computes every term a < p^N on its own; the library
 evaluates each sum as a dot product of its first few terms with cached
-weights (``kernels._alternating_newton_sum``).  Numbers are compared through
-``render`` and ``absprec``; the Newton sums themselves are compared with
-literal sums at the edges of their degree bound, and with the forward
-differences of ``kernel_reference.alternating_newton_sum`` for any values.
+weights (``kernels._alternating_newton_sum``), one residue class at a time
+for the Raabe and change-of-variable oracles (``kernels._class_newton_sum``).
+Numbers are compared through ``render`` and ``absprec``, the oracles of
+``_class_newton_sum`` as (valuation, unit, relprec); the Newton sums
+themselves are compared with literal sums at the edges of their degree
+bound, and with the forward differences of
+``kernel_reference.alternating_newton_sum`` for any values.
 """
 
 import sys
@@ -17,12 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiczeta import kernels
+from padiczeta import zeta_char as zeta_char_module
+from padiczeta import zeta_czp as zeta_czp_module
 from padiczeta.characters import DirichletCharacter
 from padiczeta.errors import ArgumentViolation, EvaluationCapExceeded
+from padiczeta.fermionic import Integrand, change_of_variable
 from padiczeta.padic import PadicContext, _BitsMemo, render, vp_int
 from padiczeta.verify import _REGISTRY, VerifyConfig
 from padiczeta.zeta_char import ell_limit_oracle, raabe_char, zeta_char_oracle
 from padiczeta.zeta_czp import (
+    SeriesBudget,
     integral_of_zeta_oracle,
     zeta_czp_oracle,
     zeta_special_pos,
@@ -315,3 +322,159 @@ def test_weight_memo_stays_under_its_bound(monkeypatch):
         # the depths are summed in order, so the vector read last is kept
         assert next(reversed(small._entries))[3] == 3**12
     assert small.cache_info().misses == 2 * len(depths)
+
+
+# ---- the oracles summed from a few values per class ---------------------------
+
+# the references evaluate every term: p^N is kept to 5^4
+_LITERAL_TERMS = 625
+
+
+def _triple(number):
+    return number.valuation, number.unit, number.relprec
+
+
+@st.composite
+def _class_sum_inputs(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    ctx = PadicContext(p, draw(st.integers(8, 60)))
+    depth = draw(st.integers(1, 4).filter(lambda n: p**n <= _LITERAL_TERMS))
+    coprime = st.integers(1, 10**4).filter(lambda n: n % p)
+    s = draw(
+        st.one_of(
+            st.integers(-20, 20),
+            st.integers(-(p**40), p**40),
+            st.builds(Fraction, st.integers(-(10**6), 10**6), coprime),
+        )
+    )
+    unit = draw(st.integers(-(p**6), p**6).filter(lambda n: n % p))
+    outside = Fraction(unit, draw(coprime) * p ** draw(st.integers(1, 2)))
+    chi = DirichletCharacter(p, draw(st.integers(1, 2)), draw(st.integers(0, min(2, p - 2))))
+    x = draw(st.integers(-(p**3), p**3))
+    coeffs = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-50, 50), st.sampled_from((1, 2, p))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    budget = SeriesBudget(target_prec=draw(st.sampled_from((None, 0, 4, 80))))
+    return ctx, depth, s, outside, chi, x, Integrand.polynomial(coeffs), budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(_class_sum_inputs())
+def test_class_sums_equal_the_literal_sums(inputs):
+    ctx, depth, s, outside, chi, x, f, budget = inputs
+    assert _triple(integral_of_zeta_oracle(ctx, s, outside, depth, budget)) == _triple(
+        ref.integral_of_zeta_oracle(ctx, s, outside, depth, budget)
+    )
+    lhs, _ = raabe_char(ctx, chi, s, x, depth, budget)
+    assert _triple(lhs) == _triple(ref.raabe_char_oracle(ctx, chi, s, x, depth, budget))
+    _, rhs = change_of_variable(ctx, chi, f, x, depth)
+    assert _triple(rhs) == _triple(ref.change_of_variable_rhs(ctx, chi, f, x, depth))
+
+
+def _refuse_weights(monkeypatch):
+    def refuse(*key):
+        raise _WeightsBuilt(key)
+
+    monkeypatch.setattr(kernels, "_newton_weights", _BitsMemo(refuse))
+
+
+# n/P <= D: every term is evaluated and summed with the weights (-1)^b; at
+# p = 3, 16 digits, D is 12 at v = 1 and 7 at v = 2
+_SHORT_CLASSES = [
+    ("czp", 3, 2, 1, (0,)),  # 3^2 terms, D = 12
+    ("char", 3, 3, 2, (0,)),  # classes of 3^(3-2) terms, D = 7
+    ("char", 5, 2, 2, (0,)),  # one term a class
+    ("cov", 3, 3, 2, (1, 2, 0, 1)),  # classes of 3 terms, D = 4
+    ("cov", 5, 1, 2, (3,)),  # 5 terms, period 5^2 > 5
+]
+# n/P > D: the classes read the cached weights
+_LONG_CLASSES = [
+    ("czp", 3, 4, 1, (0,)),
+    ("char", 3, 4, 1, (0,)),
+    ("cov", 5, 3, 1, (0, 0, 1)),
+]
+
+
+def _oracle_pair(kind, p, depth, v, coeffs):
+    """The kernel-backed oracle and its literal reference at one point."""
+    ctx = PadicContext(p, 16)
+    chi = DirichletCharacter(p, v, 1)
+    if kind == "czp":
+        x = Fraction(2, p)
+        return (
+            lambda: integral_of_zeta_oracle(ctx, 3, x, depth),
+            lambda: ref.integral_of_zeta_oracle(ctx, 3, x, depth),
+        )
+    if kind == "char":
+        return (
+            lambda: raabe_char(ctx, chi, 2, 1, depth)[0],
+            lambda: ref.raabe_char_oracle(ctx, chi, 2, 1, depth),
+        )
+    f = Integrand.polynomial(coeffs)
+    return (
+        lambda: change_of_variable(ctx, chi, f, 2, depth)[1],
+        lambda: ref.change_of_variable_rhs(ctx, chi, f, 2, depth),
+    )
+
+
+@pytest.mark.parametrize("case", _SHORT_CLASSES)
+def test_short_classes_take_every_value(monkeypatch, case):
+    kernel, literal = _oracle_pair(*case)
+    expected = _triple(literal())
+    _refuse_weights(monkeypatch)
+    assert _triple(kernel()) == expected
+
+
+@pytest.mark.parametrize("case", _LONG_CLASSES)
+def test_long_classes_read_the_weights(monkeypatch, case):
+    kernel, literal = _oracle_pair(*case)
+    assert _triple(kernel()) == _triple(literal())
+    _refuse_weights(monkeypatch)
+    with pytest.raises(_WeightsBuilt):
+        kernel()
+
+
+def test_raabe_czp_oracle_reads_d_series_values(ctx5):
+    # 5^4 terms, of which the first D: one value-cache miss each
+    x = Fraction(1, 5)
+    degree = kernels._progression_degree(5, 1, 16)
+    zeta_czp_module._zeta_value.cache_clear()
+    integral_of_zeta_oracle(ctx5, 2, x, 4)
+    assert zeta_czp_module._zeta_value.cache_info().misses == degree < 5**4
+
+
+def test_raabe_char_oracle_reads_d_values_per_class(monkeypatch, ctx5):
+    calls = []
+    evaluate = zeta_char_module.zeta_char
+
+    def counting(*args):
+        calls.append(args[3])
+        return evaluate(*args)
+
+    monkeypatch.setattr(zeta_char_module, "zeta_char", counting)
+    for v in (1, 2):
+        calls.clear()
+        raabe_char(ctx5, DirichletCharacter(5, v, 1), 2, 1, 4)
+        degree = kernels._progression_degree(5, v, 16)
+        # the closed form reads zeta(chi, s, 1) and zeta(chi omega, s-1, 1)
+        assert len(calls) - 2 <= 5**v * degree < 5**4
+
+
+def test_change_of_variable_reads_deg_plus_one_values_per_class(monkeypatch, ctx5):
+    f = Integrand.polynomial([0, 0, 1])
+    seen = []
+    evaluate = Integrand.eval_padic
+
+    def counting(self, ctx, a):
+        if self is f:
+            seen.append(a)
+        return evaluate(self, ctx, a)
+
+    monkeypatch.setattr(Integrand, "eval_padic", counting)
+    change_of_variable(ctx5, DirichletCharacter(5, 1, 2), f, 2, 4)
+    # the class with p | x+a is the exact zero and evaluates nothing
+    assert len(seen) == 4 * 3
