@@ -43,7 +43,7 @@ one.
 
 Value functions.  ``_class_newton_sum(p, n, term, P, D)`` sums the
 ``PadicNumber`` values term(a), a < n = p^N.  With a = r + P*b for r < P and
-b < n/P (P = 1 or p^v, at most n), (-1)^a = (-1)^r (-1)^b, and each class
+b < n/P (P = 1, p or p^v, at most n), (-1)^a = (-1)^r (-1)^b, and each class
 sum is sum_{b<D} W[b] term(r + P*b) with the weights of (p, G, D, n/P), or
 the literal sum of its n/P values when n/P <= D.  Its three callers, with
 f(b) = term(r + P*b) on a class:
@@ -58,14 +58,15 @@ f(b) = term(r + P*b) on a class:
   lie in Z_p, and (1+t)^c = sum_k C(c,k) t^k for c in Z_p).  So v_p(c_k) >=
   k*e: D = ``_progression_degree(p, e, G)``.
 * ``zeta_char.raabe_char``, term(a) = zeta(chi, s, x+a) for an integer x, P
-  = p^v.  On the class y = y0 + p^v b the representation sum reads
+  = p.  chi = omega^k for every level v, so chi(y + p b) = chi(y), and on
+  the class y = y0 + p b the representation sum reads
 
-      zeta(chi, s, y0 + p^v b) = sum_{j<p} chi(y0+j) (-1)^j zeta(s, X_j + p^(v-1) b)
+      zeta(chi, s, y0 + p b) = sum_{j<p} chi(y0+j) (-1)^j zeta(s, X_j + b)
 
-  with X_j = (y0+j)/p, where chi = omega^k and the skipped j (p | y0+j)
-  depend on y0 mod p only.  Each zeta(s, X_j + p^(v-1) b) is the series
-  above in b p^(v-1)/X_j, of valuation >= v, and chi(y0+j) is a unit:
-  v_p(c_k) >= k*v, D = ``_progression_degree(p, v, G)``.
+  with X_j = (y0+j)/p, where the skipped j (p | y0+j) depend on y0 mod p
+  only.  v_p(X_j) = -1, so each zeta(s, X_j + b) is the series above in
+  b/X_j, of valuation >= 1, and chi(y0+j) is a unit: v_p(c_k) >= k, D =
+  ``_progression_degree(p, 1, G)``.
 * the right side of ``fermionic.change_of_variable``, term(a) = chi(x+a)
   g((x+a)/p^v) for a polynomial g of degree d and x in Z_p, P = p^v.  On a
   class chi(x+a) is constant and g((x+r)/p^v + b) is a polynomial of degree

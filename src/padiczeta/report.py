@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Callable, TextIO
 
 from .padic import PadicNumber, agreement_depth, render
@@ -135,9 +136,29 @@ def _params_text(rep: VerificationReport) -> str:
     return " ".join(f"{k}={v}" for k, v in rep.params)
 
 
+# json.dumps(sort_keys=True) writes the fields in sorted order: the line has a
+# %s for each, and params, a tuple of (str, str) pairs, is an object
+_JSON_KEYS = sorted(f.name for f in dataclasses.fields(VerificationReport))
+_JSON_LINE = "{" + ",".join(encode_basestring_ascii(k) + ":%s" for k in _JSON_KEYS) + "}"
+_PARAMS_AT = _JSON_KEYS.index("params")
+_scalar_fields = attrgetter(*[k for k in _JSON_KEYS if k != "params"])
+
+
 def report_to_json_line(rep: VerificationReport) -> str:
-    obj = {**_row(rep), "params": dict(rep.params)}
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The bytes of json.dumps({**fields, "params": dict(rep.params)},
+    sort_keys=True, separators=(",", ":")): every other field is a str, an
+    int or None."""
+    values = [
+        "null" if v is None else encode_basestring_ascii(v) if isinstance(v, str) else str(v)
+        for v in _scalar_fields(rep)
+    ]
+    params = dict(rep.params)
+    pairs = [
+        encode_basestring_ascii(k) + ":" + encode_basestring_ascii(params[k])
+        for k in sorted(params)
+    ]
+    values.insert(_PARAMS_AT, "{" + ",".join(pairs) + "}")
+    return _JSON_LINE % tuple(values)
 
 
 def report_to_text(rep: VerificationReport) -> str:

@@ -24,11 +24,28 @@ read from one ``padic.teichmuller_table`` per sum.  The signed products are
 reduced and normalised once, which gives the value and precision of
 term-by-term ``PadicNumber`` arithmetic (``tests/object_reference.py`` keeps
 that route for comparison).
+
+Every character here is omega^k, whatever its level v, so a value depends
+on k and never on v; ``verify`` asks for most values at v = 1 and again at
+v = 2.  Two ``lru_cache`` memos of ``_CHAR_VALUES`` entries each keep one
+``PadicNumber`` an entry, keyed by k and never by chi or v:
+``_representation_value`` by (context, k, the (valuation, unit, relprec)
+triples of s and x, M, budget), the key fields that the sum reads, and
+``_oracle_value`` by (p, internal precision, k, x, s, N).  ``zeta_char``,
+``ell``, ``representation_pair``, ``power_series_zeta``, ``dzeta_char_dx``
+and the ``raabe_char`` terms read the first, ``zeta_char_oracle`` and
+``ell_limit_oracle`` the second.  The public functions make every refusal
+before a memo is read, so a refused input is never cached and is raised on
+every call.  An entry is a value capped at the budget's target and a key of
+two small triples: a few hundred bytes at 16 digits, at most three numbers
+of ``padic.MAX_MODULUS_BITS`` bits (plus any longer x a caller passes), the
+bound of a ``zeta_czp._zeta_value`` entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import euler, kernels
 from .characters import DirichletCharacter, _char_values
@@ -48,6 +65,7 @@ from .padic import (
     alternating_sum,
     capped_power,
     teichmuller_table,
+    vp_int,
 )
 from .zeta_czp import (
     _DEFAULT_BUDGET,
@@ -68,6 +86,8 @@ __all__ = [
     "zeta_char_oracle",
     "zeta_char_special",
 ]
+
+_CHAR_VALUES = 2048  # a default verify computes 1,569 representation sums
 
 
 def _check_char(ctx: PadicContext, chi: DirichletCharacter) -> None:
@@ -98,8 +118,28 @@ def _representation_sum(
 ) -> PadicNumber:
     """sum_{j<M} chi(x+j) zeta(s, (x+j)/M) (-1)^j for an odd M divisible by p.
 
-    Every term with chi(x+j) != 0 is a series in (x+j)/M of valuation
-    -v_p(M), so its term budget is checked before any character value.
+    Every refusal comes here, before the memo is read, in this order: the
+    character's prime, x outside Z_p, the term budget of a series of
+    valuation -v_p(M) (checked before any character value), s outside Z_p,
+    M over the evaluation cap, and an x whose unit status is unknown.  The
+    value is ``_representation_value``'s, read by chi's exponent k alone.
+    """
+    _check_char(ctx, chi)
+    xp = _coerce_zp(ctx, x)
+    _series_terms(ctx, vp_int(big_m, ctx.p), budget)
+    s_key = _triple(ctx._exponent(s))
+    _check_sum_length(big_m)
+    if xp.is_bounded_zero and xp.valuation < 1:
+        raise PrecisionError("cannot evaluate character: unit status unknown")
+    return _representation_value(ctx, chi.k, s_key, _triple(xp), big_m, budget)
+
+
+@lru_cache(maxsize=_CHAR_VALUES)  # one value an entry
+def _representation_value(
+    ctx: PadicContext, k: int, s: tuple, x: tuple, big_m: int, budget: SeriesBudget
+) -> PadicNumber:
+    """The representation sum for chi = omega^k from the (valuation, unit,
+    relprec) triples of s and x, all checked.
 
     x is an integer r0 known modulo p**A (A = prec for the exact zero).  With
     M = N p^e and c = min(A, prec), the unit term r = r0 + j reads
@@ -110,23 +150,17 @@ def _representation_sum(
     min(prec, zeta.relprec), or only the absolute precision of a bounded-zero
     zeta.  ``padic._residue_sum`` reduces and normalises the sum once.
     """
-    _check_char(ctx, chi)
-    xp = _coerce_zp(ctx, x)
     p, prec = ctx.p, ctx.internal_prec
     e, n_factor = _vp_split(big_m, p)
-    _series_terms(ctx, e, budget)
-    s_key = _triple(ctx._exponent(s))
-    _check_sum_length(big_m)
-    if xp.is_exact_zero:
+    xv, xu, xr = x
+    if xr is None:
         r0, a0 = 0, prec
-    elif xp.is_bounded_zero:
-        r0, a0 = 0, xp.valuation
+    elif not xr:
+        r0, a0 = 0, xv
     else:
-        r0, a0 = xp.unit * p**xp.valuation, xp.absprec
-    if a0 < 1:
-        raise PrecisionError("cannot evaluate character: unit status unknown")
+        r0, a0 = xu * p**xv, xv + xr
     c = min(a0, prec)
-    mod, char_mod, k = p**c, p**prec, chi.k
+    mod, char_mod = p**c, p**prec
     n_inv = pow(n_factor, -1, mod)
     omega = teichmuller_table(p, prec)
     terms, absprec = [], None
@@ -135,7 +169,7 @@ def _representation_sum(
         digit = r % p
         if digit == 0:
             continue
-        z = _zeta_value(ctx, s_key, (-e, r * n_inv % mod, c), _EULER_ZERO, budget)
+        z = _zeta_value(ctx, s, (-e, r * n_inv % mod, c), _EULER_ZERO, budget)
         if z.relprec is None:
             continue
         if z.relprec:
@@ -177,9 +211,21 @@ def zeta_char_oracle(
     x = Fraction(x)
     if x.denominator % ctx.p == 0:
         raise ArgumentOutsideZp("oracle argument must lie in Z_p")
-    return kernels.char_hurwitz_sums(
-        ctx.p, ctx.internal_prec, chi.k, x, s, (depth,)
-    )[depth]
+    if isinstance(s, PadicNumber):
+        s = (s.p, *_triple(s))  # a PadicNumber is unhashable: its fields are the key
+    elif not isinstance(s, (int, Fraction)):
+        # the kernel refuses any other exponent, after its own checks
+        return kernels.char_hurwitz_sums(ctx.p, ctx.internal_prec, chi.k, x, s, (depth,))[depth]
+    return _oracle_value(ctx.p, ctx.internal_prec, chi.k, x, s, depth)
+
+
+@lru_cache(maxsize=_CHAR_VALUES)  # one value an entry
+def _oracle_value(p: int, prec: int, k: int, x: Fraction, s, depth: int) -> PadicNumber:
+    """The kernel's depth-N sum for chi = omega^k; s is an int, a Fraction or
+    the (p, valuation, unit, relprec) fields of a ``PadicNumber``."""
+    if isinstance(s, tuple):
+        s = PadicNumber(*s)
+    return kernels.char_hurwitz_sums(p, prec, k, x, s, (depth,))[depth]
 
 
 def zeta_char_special(
@@ -239,17 +285,17 @@ def raabe_char(
     """(oracle, closed form) for the integral of a -> zeta(chi, s, x+a).
 
     oracle:      sum_{i<p^N} zeta(chi, s, x+i) (-1)^i, the truncated sum from
-                 D = ``kernels._progression_degree(p, v, target)`` values on
-                 each class of i mod p^v (``kernels._class_newton_sum``)
+                 D = ``kernels._progression_degree(p, 1, target)`` values on
+                 each class of i mod p (``kernels._class_newton_sum``)
     closed form: 2 (1-x) zeta(chi, s, x) + 2 zeta(chi omega, s-1, x)
     """
     _check_char(ctx, chi)
     sp = ctx._exponent(s)
     p = ctx.p
     n = capped_power(p, depth)
-    degree = kernels._progression_degree(p, chi.v, budget.target(ctx))
+    degree = kernels._progression_degree(p, 1, budget.target(ctx))
     acc = kernels._class_newton_sum(
-        p, n, lambda i: zeta_char(ctx, chi, sp, x + i, budget), p ** min(chi.v, depth), degree
+        p, n, lambda i: zeta_char(ctx, chi, sp, x + i, budget), p, degree
     )
     rhs = 2 * (ctx.one() - ctx.from_int(x)) * zeta_char(ctx, chi, sp, x, budget) + 2 * zeta_char(
         ctx, chi.twist(1), sp - ctx.one(), x, budget

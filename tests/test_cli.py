@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,6 +12,8 @@ from functools import partial
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiczeta.cli import main
 from padiczeta.padic import PadicContext, from_json_dict
@@ -22,6 +25,7 @@ from padiczeta.report import (
     report_writer,
 )
 from padiczeta.verify import _BUILDERS, VerifyConfig, default_slack, load_slack
+from padiczeta.zeta_char import _oracle_value, _representation_value
 from padiczeta.zeta_czp import _zeta_value
 
 
@@ -261,7 +265,8 @@ class TestVerifyCommand:
             "--format", "json", "--identity",
             "char-suite,raabe-char,representation-char,power-series-char,derivative-char",
         ]
-        _zeta_value.cache_clear()
+        for memo in (_zeta_value, _representation_value, _oracle_value):
+            memo.cache_clear()
         outputs = []
         for run in ("cold", "warm"):
             path = tmp_path / f"{run}.jsonl"
@@ -604,6 +609,29 @@ class TestReportRendering:
         obj = json.loads(report_to_json_line(rep))
         assert obj["identity"] == "demo" and obj["status"] == "pass"
         assert obj["params"] == {"p": "5", "x": "1/5"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.tuples(*[st.text()] * 5),
+        params=st.lists(st.tuples(st.text(max_size=4), st.text()), max_size=6),
+        depths=st.tuples(*[st.none() | st.integers()] * 5),
+    )
+    def test_json_line_is_the_json_dumps_line(self, texts, params, depths):
+        # key by key, the line is json.dumps with sorted keys, whatever the
+        # characters of the notes and params, and with a repeated param key
+        identity, lhs, rhs, status, note = texts
+        rep = VerificationReport(
+            identity=identity, params=tuple(params), lhs=lhs, rhs=rhs, status=status, note=note,
+            **dict(zip(
+                ("lhs_prec", "rhs_prec", "agreement_depth", "required_depth", "reference_depth"),
+                depths,
+            )),
+        )
+        row = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+        expected = json.dumps(
+            {**row, "params": dict(rep.params)}, sort_keys=True, separators=(",", ":")
+        )
+        assert report_to_json_line(rep) == expected
 
     def test_exact_report(self):
         rep = compare_exact("demo-exact", {"m": 3}, Fraction(1, 2), Fraction(1, 2))

@@ -1,7 +1,7 @@
 """The math layers build no reports: only ``verify`` and ``cli`` turn a
 comparison into a ``VerificationReport``, so no evaluator imports ``report``
 or ``verify``.  Every cache of big integers is the one bits-bounded memo of
-``padic``; ``lru_cache`` serves only the two caches whose entries are a few
+``padic``; ``lru_cache`` serves only the caches whose entries are a few
 numbers each.  The source is read with ``ast``; every exported name must
 resolve."""
 
@@ -17,8 +17,9 @@ REPORTING = {"padiczeta.report", "padiczeta.verify"}
 PACKAGE = Path(find_spec("padiczeta").origin).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 # _zeta_value holds at most three numbers an entry and is the most read cache;
-# _progression_degree holds one small int
-COUNT_BOUNDED = {"_zeta_value", "_progression_degree"}
+# _progression_degree holds one small int; _representation_value and
+# _oracle_value hold one value an entry
+COUNT_BOUNDED = {"_zeta_value", "_progression_degree", "_representation_value", "_oracle_value"}
 
 
 def parse(name: str) -> ast.Module:

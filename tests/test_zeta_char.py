@@ -7,12 +7,18 @@ from padiczeta.characters import DirichletCharacter, char_eval
 from padiczeta.errors import (
     ArgumentOutsideZp,
     ArgumentViolation,
+    BudgetExhausted,
     EvaluationCapExceeded,
+    ExponentOutsideDomain,
     ParseError,
+    PrecisionError,
 )
 from padiczeta.padic import PadicContext, agreement_depth, render
+from padiczeta.cli import main
 from padiczeta.zeta_char import (
+    _oracle_value,
     _representation_sum,
+    _representation_value,
     dzeta_char_dx,
     ell,
     ell_limit_oracle,
@@ -24,7 +30,7 @@ from padiczeta.zeta_char import (
     zeta_char_special,
 )
 from padiczeta.verify import VerifyConfig, _check_char_suite
-from padiczeta.zeta_czp import _DEFAULT_BUDGET
+from padiczeta.zeta_czp import _DEFAULT_BUDGET, SeriesBudget
 
 class TestCharacter:
     def test_basic_values(self, ctx5):
@@ -333,3 +339,135 @@ class TestPowerSeries:
         chi = DirichletCharacter(5, 2, 1)
         with pytest.raises(ArgumentViolation):
             power_series_zeta(ctx5, chi, 2, 5, 6)  # needs x in p^2 Z_p
+
+
+CHI5 = DirichletCharacter(5, 1, 1)
+
+
+def _clear_character_memos():
+    _representation_value.cache_clear()
+    _oracle_value.cache_clear()
+
+
+class TestCharacterMemos:
+    """A character value is computed once per Teichmuller exponent k: the
+    memos of representation sums and of oracle sums are keyed by k, never by
+    the level v, and never hold a refusal."""
+
+    def test_levels_share_one_entry(self, ctx5):
+        _clear_character_memos()
+        one, two = DirichletCharacter(5, 1, 3), DirichletCharacter(5, 2, 3)
+        for memo, call in (
+            (_representation_value, lambda chi: zeta_char(ctx5, chi, Fraction(2, 7), 3)),
+            (_oracle_value, lambda chi: zeta_char_oracle(ctx5, chi, Fraction(2, 7), 3, 3)),
+        ):
+            first, second = call(one), call(two)
+            info = memo.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            assert repr(first) == repr(second)
+
+    def test_each_key_field_makes_an_entry(self):
+        ctx = PadicContext(5, 12)
+        chi = DirichletCharacter(5, 1, 1)
+        calls = [
+            lambda: zeta_char(ctx, chi, 2, 3),
+            lambda: zeta_char(ctx, chi, 2, 3, SeriesBudget(target_prec=8)),
+            lambda: zeta_char(ctx, chi, 2, 3, SeriesBudget(max_terms=5000)),
+            lambda: zeta_char(PadicContext(5, 12, series_guard=6), chi, 2, 3),
+            lambda: _representation_sum(ctx, chi, 2, 3, 25, _DEFAULT_BUDGET),
+            lambda: zeta_char(ctx, chi, 3, 3),
+            lambda: zeta_char(ctx, chi, 2, 4),
+            lambda: zeta_char(ctx, chi, 2, ctx.parse_value("0:3")),  # 3 known modulo 5
+            lambda: zeta_char(ctx, chi.twist(1), 2, 3),
+        ]
+        _clear_character_memos()
+        for n, call in enumerate(calls, 1):
+            call()
+            assert _representation_value.cache_info().currsize == n
+        for call in calls:
+            call()
+        info = _representation_value.cache_info()
+        assert (info.hits, info.misses) == (len(calls), len(calls))
+
+    def test_oracle_key_fields_make_entries(self):
+        ctx = PadicContext(5, 12)
+        chi = DirichletCharacter(5, 1, 1)
+        calls = [
+            lambda: zeta_char_oracle(ctx, chi, 2, 3, 3),
+            lambda: zeta_char_oracle(ctx, chi, 2, 3, 4),
+            lambda: zeta_char_oracle(ctx, chi, 3, 3, 3),
+            lambda: zeta_char_oracle(ctx, chi, 2, Fraction(3, 2), 3),
+            lambda: zeta_char_oracle(ctx, chi.twist(1), 2, 3, 3),
+            lambda: zeta_char_oracle(PadicContext(5, 10), chi, 2, 3, 3),
+            lambda: zeta_char_oracle(ctx, chi, ctx.parse_value("0:2,0,1"), 3, 3),
+        ]
+        _clear_character_memos()
+        for n, call in enumerate(calls, 1):
+            call()
+            assert _oracle_value.cache_info().currsize == n
+        # Fraction(2) reads the entry of 2, and an equal PadicNumber the entry of the first
+        zeta_char_oracle(ctx, chi, Fraction(2), 3, 3)
+        zeta_char_oracle(ctx, chi, ctx.parse_value("0:2,0,1"), 3, 3)
+        assert _oracle_value.cache_info().currsize == len(calls)
+
+    @pytest.mark.parametrize(
+        "error,call",
+        [
+            (ParseError, lambda c: zeta_char(c, DirichletCharacter(3, 1, 1), 2, 1)),
+            (ParseError, lambda c: zeta_char(c, CHI5, 2, "1/")),
+            (ArgumentOutsideZp, lambda c: zeta_char(c, CHI5.twist(1), 2, Fraction(1, 5))),
+            (BudgetExhausted, lambda c: ell(c, CHI5, 2, SeriesBudget(max_terms=1))),
+            (ExponentOutsideDomain, lambda c: zeta_char(c, CHI5, Fraction(1, 5), 1)),
+            # the term budget is refused before s
+            (
+                BudgetExhausted,
+                lambda c: zeta_char(c, CHI5, Fraction(1, 5), 1, SeriesBudget(max_terms=1)),
+            ),
+            (EvaluationCapExceeded, lambda c: representation_pair(c, CHI5, 2, 1, power=8)),
+            (PrecisionError, lambda c: zeta_char(c, CHI5, 2, c.bounded_zero(0))),
+            (ParseError, lambda c: zeta_char_oracle(c, DirichletCharacter(3, 1, 1), 2, 1, 3)),
+            (ArgumentOutsideZp, lambda c: zeta_char_oracle(c, CHI5, 2, Fraction(1, 5), 3)),
+            (ArgumentViolation, lambda c: ell_limit_oracle(c, CHI5, 2, 0)),
+            (EvaluationCapExceeded, lambda c: ell_limit_oracle(c, CHI5, 2, 9)),
+            (ArgumentViolation, lambda c: ell_limit_oracle(c, CHI5, Fraction(1, 5), 3)),
+            (ArgumentViolation, lambda c: ell_limit_oracle(c, CHI5, [2], 3)),
+        ],
+    )
+    def test_a_refusal_is_raised_on_every_call_and_never_cached(self, ctx5, error, call):
+        ell(ctx5, CHI5, 2)
+        zeta_char_oracle(ctx5, CHI5, 2, 1, 3)
+        memos = (_representation_value, _oracle_value)
+        sizes = [memo.cache_info().currsize for memo in memos]
+        for _ in range(2):
+            with pytest.raises(error):
+                call(ctx5)
+        assert [memo.cache_info().currsize for memo in memos] == sizes
+
+    def test_a_warm_value_equals_a_cold_one(self, ctx7):
+        chi = DirichletCharacter(7, 2, 3)
+        calls = [
+            lambda: zeta_char(ctx7, chi, Fraction(3, 11), 4),
+            lambda: ell(ctx7, chi, Fraction(3, 11)),
+            lambda: zeta_char_oracle(ctx7, chi, Fraction(3, 11), 4, 4),
+            lambda: ell_limit_oracle(ctx7, chi, -2, 4),
+            lambda: representation_pair(ctx7, chi, Fraction(3, 11), 4, factor=3),
+        ]
+
+        def key(value):
+            pair = value if isinstance(value, tuple) else (value,)
+            return [(render(v), v.absprec) for v in pair]
+
+        for call in calls:
+            _clear_character_memos()
+            cold = key(call())
+            assert key(call()) == cold
+            assert _representation_value.cache_info().hits + _oracle_value.cache_info().hits >= 1
+
+    def test_default_verify_evaluates_each_value_once_per_k(self, tmp_path):
+        # without the memos this run evaluates 5,523 representation sums and
+        # 126 oracle sums
+        _clear_character_memos()
+        path = tmp_path / "v.jsonl"
+        assert main(["verify", "--seed", "4001", "--format", "json", "-o", str(path)]) == 0
+        assert _representation_value.cache_info().misses <= 1596
+        assert _oracle_value.cache_info().misses <= 57

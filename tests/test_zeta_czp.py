@@ -34,7 +34,7 @@ from padiczeta.zeta_czp import (
     zeta_special_neg,
     zeta_special_pos,
 )
-from padiczeta.zeta_char import ell, power_series_zeta, zeta_char
+from padiczeta.zeta_char import _representation_value, ell, power_series_zeta, zeta_char
 
 
 class TestValueAtOne:
@@ -489,11 +489,11 @@ class TestValueCache:
         ctx = PadicContext(1009, 16)
         chi = DirichletCharacter(1009, 1, 1)
         args = (ctx, chi, Fraction(1, 2), 5)
-        _zeta_value.cache_clear()
-        _coefficients.cache_clear()
+        for memo in (_zeta_value, _coefficients, _representation_value):
+            memo.cache_clear()
         expected = zeta_char(*args)
-        _zeta_value.cache_clear()
-        _coefficients.cache_clear()
+        for memo in (_zeta_value, _coefficients, _representation_value):
+            memo.cache_clear()
         monkeypatch.setattr(_coefficients, "max_bits", 1)
         value = zeta_char(*args)
         assert (render(value), value.absprec) == (render(expected), expected.absprec)
