@@ -77,9 +77,7 @@ def integrate_truncated(ctx: PadicContext, f: Integrand, depth: int) -> PadicNum
     No convergence claim is made; this is the oracle primitive.  More than
     ``EVALUATION_CAP`` terms are refused with ``EvaluationCapExceeded``.
     """
-    if depth < 1:
-        raise ArgumentViolation("truncation depth must be >= 1")
-    n = capped_power(ctx.p, depth)
+    n = kernels._oracle_length(ctx.p, depth)
     return alternating_sum(ctx, n, lambda a: f.eval_padic(ctx, ctx.from_int(a)))
 
 
@@ -111,8 +109,7 @@ def change_of_variable(
     deg f + 1 values on each class of a mod p^v, where it is a polynomial in
     a of degree deg f (``kernels._class_newton_sum``).
     """
-    if depth < 1:
-        raise ArgumentViolation("truncation depth must be >= 1")
+    n = kernels._oracle_length(ctx.p, depth)
     x = ctx.coerce(x)
     if not x.is_zero() and x.valuation < 0:
         raise ArgumentViolation("x must lie in Z_p")
@@ -145,7 +142,7 @@ def change_of_variable(
     lhs = alternating_sum(ctx, n_pv, twisted(g))
     rhs = kernels._class_newton_sum(
         ctx.p,
-        capped_power(ctx.p, depth),
+        n,
         twisted(lambda y: f.eval_padic(ctx, y)),
         n_pv,
         len(f.coeffs),

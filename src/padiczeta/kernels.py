@@ -92,7 +92,7 @@ the ones evaluated:
   internal precision R, so every term reads ``zeta_czp._zeta_value`` under
   the same (valuation, relprec) key.  The value has valuation 0 (the i = 0
   term is 1, the others lie in p Z_p) and absolute precision min(A_L, r_pow,
-  target): A_L, the Laurent sum's, is the scan of the coefficient set by
+  target): A_L, the Laurent sum's, is carried by the coefficient set of
   (e, R), and r_pow, the prefactor's, is min(k + A_s, t + R), with t and
   A_s the valuation and absolute precision of 1-s and k = v_p(u^(p-1) - 1)
   for u the unit part of x + b.  As u = u_0 mod p^e, either k is the same
@@ -145,11 +145,18 @@ def wrap_mod(p: int, value: int, absprec: int) -> PadicNumber:
     return PadicNumber._normalize(p, 0, value, absprec)
 
 
+def _oracle_length(p: int, depth: int) -> int:
+    """p**N, the length of a depth-N oracle sum, refused for N < 1 and above
+    ``EVALUATION_CAP``."""
+    if depth < 1:
+        raise ArgumentViolation("oracle depth must be >= 1")
+    return capped_power(p, depth)
+
+
 def _snapshots(p: int, depths: tuple[int, ...], shift: int = 0) -> dict[int, int]:
     """{p**(N - shift): N} for each depth N; p**max(N) terms at most."""
-    if min(depths) < 1:
-        raise ArgumentViolation("oracle depth must be >= 1")
-    capped_power(p, max(depths))
+    _oracle_length(p, min(depths))
+    _oracle_length(p, max(depths))
     return {p ** (n - shift): n for n in depths}
 
 

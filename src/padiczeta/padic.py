@@ -20,9 +20,15 @@ so the module is safe for unsynchronised concurrent use.  Teichmuller values
 are lifted by Newton's iteration (``_teichmuller_root``).
 ``PadicContext.teichmuller`` makes one uncached lift per call; the residue
 sums of the oracle kernels and of ``zeta_char`` read ``teichmuller_table``,
-all of omega mod p**prec from one lift.  Every cache of big integers in the
-package is a ``_BitsMemo``: its values grow with precision, so each memo is
-bounded by ``_MEMO_BITS`` of retained bits and evicts in insertion order.
+all of omega mod p**prec from one lift.  Only this module defines memo
+machinery, and ``tests/test_layering.py`` holds the package to two kinds of
+cache.  A cache whose values grow with precision is a ``_BitsMemo``, bounded
+by ``_MEMO_BITS`` of retained bits and evicting in insertion order; its values
+are ints and tuples of ints, never changed once stored, so the count of bits
+is exact.  ``functools.lru_cache`` serves only the count-bounded caches whose
+entries are a few numbers each: ``zeta_czp._zeta_value``,
+``zeta_char._representation_value`` and ``_oracle_value``, and
+``kernels._progression_degree``.
 
 ``PadicContext.log`` and ``exp`` sum their series as one integer residue over
 memoised coefficients, with the precision that term-by-term ``PadicNumber``

@@ -211,11 +211,12 @@ def zeta_char_oracle(
     x = Fraction(x)
     if x.denominator % ctx.p == 0:
         raise ArgumentOutsideZp("oracle argument must lie in Z_p")
+    if isinstance(s, str):
+        s = ctx.coerce(s)
     if isinstance(s, PadicNumber):
         s = (s.p, *_triple(s))  # a PadicNumber is unhashable: its fields are the key
     elif not isinstance(s, (int, Fraction)):
-        # the kernel refuses any other exponent, after its own checks
-        return kernels.char_hurwitz_sums(ctx.p, ctx.internal_prec, chi.k, x, s, (depth,))[depth]
+        raise ArgumentViolation(f"unsupported exponent {s!r}")
     return _oracle_value(ctx.p, ctx.internal_prec, chi.k, x, s, depth)
 
 
@@ -292,7 +293,7 @@ def raabe_char(
     _check_char(ctx, chi)
     sp = ctx._exponent(s)
     p = ctx.p
-    n = capped_power(p, depth)
+    n = kernels._oracle_length(p, depth)
     degree = kernels._progression_degree(p, 1, budget.target(ctx))
     acc = kernels._class_newton_sum(
         p, n, lambda i: zeta_char(ctx, chi, sp, x + i, budget), p, degree

@@ -13,27 +13,26 @@ oracle of ``zeta_special_pos``); they are computed by the
 modular-exponentiation kernel ``kernels.hurwitz_sums``, a genuinely different
 route from the exp/log evaluation used here.
 
-The coefficients C(1-s, i) w(i) do not depend on x.  For each weight w (E_i(0)
+The coefficients C(1-s, i) w(i) do not depend on x, and the sum's precision
+only on v_p(x) and the relative precision of x.  For each weight w (E_i(0)
 for zeta(s, x), E_i(u) for the shifted expansion, E_{i+1}(0) for the
-integral) they are built on integers once per (p, internal precision, 1-s,
-weight, term count): C(1-s, i) from the residues of 1-s-j modulo the
-absolute precision of 1-s and the unit parts of j+1, with the valuation and
-precision a chain of ``PadicNumber`` products gives, and w(i) = E_n(a/b) from
-the integer (2b)^n E_n(a/b) and a running power of the inverse of 2 times the
-unit part of b.
-``tests/object_reference.py`` keeps the ``PadicNumber`` builder, pinned
-entry by entry.  The set keeps only what the per-x pass reads: the
-(valuation, relprec) of each entry, the least valuation base, and the
-integers unit * p**(valuation - base) in Horner order, split by the parity
-of i.  A ``padic._BitsMemo`` keeps the sets (a few dozen integers at the
-default precision, 0.4 MB at 1000 digits); a set is never extended, a larger
-term count is a new entry, and a set over the memo's bound is kept alone, so a
-representation sum builds its one set once.  The precision scan over the
-entries runs once per (set, v_p(x), relprec of x), kept in the set; each x
-then costs an integer Horner pass in 1/x modulo the sum's absolute precision,
-which give the same value and precision as summing the terms as
-``PadicNumber`` objects.  The prefactor <x>^(1-s) (``padic._angle_power_residue``),
-its product with the sum and the cap are integers: one ``PadicNumber`` a value.
+integral) a set is built on integers once per (p, internal precision, 1-s,
+weight, term count, -v_p(x), relprec of x): C(1-s, i) from the residues of
+1-s-j modulo the absolute precision of 1-s and the unit parts of j+1, with
+the valuation and precision a chain of ``PadicNumber`` products gives, and
+w(i) = E_n(a/b) from the integer (2b)^n E_n(a/b) and a running power of the
+inverse of 2 times the unit part of b.  ``tests/object_reference.py`` keeps
+the ``PadicNumber`` builder.  The set keeps only what the per-x pass reads:
+the least absolute precision of the terms, the least valuation base, and the
+integers unit * p**(valuation - base) in Horner order, split by the parity of
+i.  A ``padic._BitsMemo`` keeps the sets (a few dozen integers at the default
+precision, 0.25 MB at 1000 digits); a set never changes once built, a larger
+term count is a new entry, and a set over the memo's bound is kept alone, so
+a representation sum, whose terms share one key, builds its one set once.
+Each x then costs an integer Horner pass in 1/x modulo that precision, which
+gives the value and precision of summing the terms as ``PadicNumber``
+objects.  The prefactor <x>^(1-s) (``padic._angle_power_residue``), its
+product with the sum and the cap are integers: one ``PadicNumber`` a value.
 
 The identities ask for the same zeta(s, y) again and again (a representation
 sum, its shifts and its twists at one s), so the whole expansion
@@ -81,7 +80,6 @@ from .padic import (
     _normal_form,
     _vp_split,
     alternating_sum,
-    capped_power,
     vp_fraction,
     vp_int,
 )
@@ -158,9 +156,12 @@ def _triple(value: PadicNumber) -> tuple:
 
 
 @_BitsMemo
-def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: int) -> tuple:
+def _coefficients(
+    p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: int, dx: int, rx: int
+) -> tuple:
     """C(1-s, i) w(i) for i < terms, from the triple of 1-s, as the Horner
-    pass of ``_laurent_series`` reads them.
+    pass of ``_laurent_series`` reads them for an x of valuation -dx and
+    relative precision rx.
 
     1 - s lies in Z_p: a regular triple of valuation >= 0, or the bounded
     zero O(p^A).  Its residue sigma is known modulo p^A, A its absolute
@@ -180,17 +181,17 @@ def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: i
     the integer (2b)^n E_n(a/b) for u = a/b (``euler._scaled_poly``; 2^n E_n(0)
     at u = 0): its unit part times (2 b_unit)^-n, b_unit the unit part of b,
     at its valuation minus n v_p(b).  An entry is the exact zero where
-    w(i) = 0.  The set is (entries, base, even, odd):
+    w(i) = 0.  The set is (absprec, base, even, odd):
 
-    * (i, valuation, relprec) of every entry that is not the exact zero
-      (relprec 0 for a bounded zero);
+    * the sum's absolute precision: the least valuation + i*dx + relprec
+      over the entries that are not the exact zero, relprec capped at rx for
+      i >= 1 (relprec 0 for a bounded zero; None if every entry is the exact
+      zero);
     * the least valuation base of the regular entries (None if none is);
     * the integers unit * p**(valuation - base) of the regular entries (0 for
       a zero) at even i and at odd i, each in Horner order (highest i first)
       and without its leading zeros, so that the zeros of E_i(0) at even
-      i >= 2 cost nothing;
-    * a dict where ``_laurent_series`` keeps the sum's absolute precision by
-      (-v_p(x), relprec of x).
+      i >= 2 cost nothing.
 
     ``tests/object_reference.py`` builds the same set by ``PadicNumber``
     arithmetic.
@@ -238,10 +239,10 @@ def _coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: i
         val += t - tq
         if not zero:
             unit = unit * r * pow(q, -1, mod) % mod
-    entries = tuple((i, c[0], c[2]) for i, c in enumerate(items) if c is not None)
-    base = min((v for _, v, r in entries if r), default=None)
+    precs = (c[0] + i * dx + (min(c[2], rx) if i else c[2]) for i, c in enumerate(items) if c)
+    base = min((c[0] for c in items if c and c[2]), default=None)
     scaled = [c[1] * p ** (c[0] - base) if c and c[2] else 0 for c in items]
-    return entries, base, _horner_order(scaled[0::2]), _horner_order(scaled[1::2]), {}
+    return min(precs, default=None), base, _horner_order(scaled[0::2]), _horner_order(scaled[1::2])
 
 
 def _horner_order(coefficients: list[int]) -> tuple[int, ...]:
@@ -263,20 +264,16 @@ def _laurent_series(
     (valuation, unit, relprec) triple, from the triples of 1-s and x.
 
     Term i is coefficient i times x^(-i), which has valuation i*dx and, for
-    i >= 1, the relative precision of x.  The sum is known modulo the
-    smallest absolute precision of its terms, kept in the set by (dx, rx).
-    Scaled by p**-base it is the polynomial in y = p**dx / unit(x) with the
-    pre-scaled coefficients, evaluated modulo p**(absprec - base) as
+    i >= 1, the relative precision rx of x.  The sum is known modulo the
+    smallest absolute precision of its terms, which the set of (dx, rx)
+    carries.  Scaled by p**-base it is the polynomial in y = p**dx / unit(x)
+    with the pre-scaled coefficients, evaluated modulo p**(absprec - base) as
     even(y**2) + y odd(y**2), each half by Horner's rule, and normalised.
     """
     p, prec = ctx.p, ctx.internal_prec
     terms = _series_terms(ctx, decay, budget)
-    entries, base, even, odd, scans = _coefficients(p, prec, one_minus_s, weight, terms)
-    dx, rx = -x[0], x[2]
-    if (dx, rx) not in scans:
-        precs = (v + i * dx + (r if i == 0 or r < rx else rx) for i, v, r in entries)
-        scans[dx, rx] = min(precs, default=None)
-    absprec = scans[dx, rx]
+    dx = -x[0]
+    absprec, base, even, odd = _coefficients(p, prec, one_minus_s, weight, terms, dx, x[2])
     if absprec is None:
         return None, 0, None
     if base is None or absprec <= base:
@@ -469,7 +466,7 @@ def integral_of_zeta_oracle(
     (``kernels._class_newton_sum``, proved in the ``kernels`` docstring).
     """
     x = Fraction(x)
-    n = capped_power(ctx.p, depth)
+    n = kernels._oracle_length(ctx.p, depth)
     e = -_coerce_czp(ctx, x).valuation
     degree = kernels._progression_degree(ctx.p, e, budget.target(ctx))
     return kernels._class_newton_sum(

@@ -126,25 +126,32 @@ def weighted_series(ctx, one_minus_s, x, weight, decay, budget) -> PadicNumber:
     return acc
 
 
-def coefficients(p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: int) -> tuple:
+def coefficients(
+    p: int, prec: int, one_minus_s: tuple, weight: tuple, terms: int, dx: int, rx: int
+) -> tuple:
     """The coefficient set of ``zeta_czp._coefficients``, every entry and the
     running binomial a ``PadicNumber`` product: entry i is C(1-s, i) times
     w(i) = E_{i+offset}(u) embedded at relative precision prec, and the
-    binomial steps by (1-s - i) / (i + 1)."""
+    binomial steps by (1-s - i) / (i + 1).  The set's absolute precision is
+    the least of the terms c_i y^i that are not the exact zero, y = p**dx at
+    relative precision rx and y^0 the one at relative precision prec."""
     u, offset = weight
     one_minus_s = PadicNumber(p, *one_minus_s)
-    binom = PadicNumber(p, 0, 1, prec)
-    items = []
+    y = PadicNumber(p, dx, 1, rx)
+    binom = ypow = PadicNumber(p, 0, 1, prec)
+    items, precs = [], []
     for i in range(terms):
         w = euler.euler_zero(i + offset) if u == 0 else euler.euler_poly(i + offset, u)
-        items.append(binom * _embed_fraction(p, w, prec))
+        c = binom * _embed_fraction(p, w, prec)
+        items.append(c)
+        if not c.is_exact_zero:
+            precs.append((c * ypow).absprec)
         binom = binom * (one_minus_s - i) / (i + 1)
-    entries = tuple(
-        (i, c.valuation, c.relprec) for i, c in enumerate(items) if not c.is_exact_zero
-    )
+        ypow = ypow * y
     base = min((c.valuation for c in items if c.relprec), default=None)
     scaled = [c.unit * p ** (c.valuation - base) if c.relprec else 0 for c in items]
-    return entries, base, _horner_order(scaled[0::2]), _horner_order(scaled[1::2])
+    absprec = min(precs, default=None)
+    return absprec, base, _horner_order(scaled[0::2]), _horner_order(scaled[1::2])
 
 
 def _prefactor_and_series(ctx, s, x, weight, decay_shift, budget):

@@ -142,7 +142,7 @@ def _series_value(ctx, one_minus_s, x, weight, decay, budget):
 
 @st.composite
 def _coefficient_cases(draw):
-    """(p, prec, triple of 1 - s, weight, terms) for the coefficient builder."""
+    """(p, prec, triple of 1 - s, weight, terms, dx, rx) for the coefficient builder."""
     p = draw(st.sampled_from((3, 5, 7, 11, 1009)))
     prec = draw(st.integers(1, 40))
 
@@ -165,16 +165,17 @@ def _coefficient_cases(draw):
     denominator = draw(st.sampled_from((1, 2, 3, p, p * p)))
     shift = Fraction(draw(st.integers(-60, 60).filter(bool)), denominator)
     weight = draw(st.sampled_from(((0, 0), (0, 1), (shift, 0))))
-    return p, prec, one_minus_s, weight, draw(st.integers(1, 80))
+    # -v_p(x) and the relative precision of x, often fewer digits than prec
+    dx, rx = draw(st.integers(1, 4)), draw(st.integers(1, prec + 2))
+    return p, prec, one_minus_s, weight, draw(st.integers(1, 80)), dx, rx
 
 
 @settings(max_examples=200, deadline=None)
 @given(_coefficient_cases())
 def test_coefficients_match_object_arithmetic(case):
-    # entry by entry: the (i, valuation, relprec) list, the base and both
-    # Horner halves of the integer builder are those of PadicNumber products;
-    # the fifth item is the set's empty dict of precision scans
-    assert _coefficients.__wrapped__(*case) == (*ref.coefficients(*case), {})
+    # the absolute precision of the sum, the base and both Horner halves of
+    # the integer builder are those of PadicNumber products
+    assert _coefficients.__wrapped__(*case) == ref.coefficients(*case)
 
 
 def test_default_precision_bytes(ctx3, ctx7):

@@ -255,7 +255,9 @@ def test_negative_and_zero_depth_raise_argument_violation():
     chi = DirichletCharacter(3, 1, 1)
     calls = [
         lambda: integral_of_zeta_oracle(ctx, 2, Fraction(1, 3), -1),
+        lambda: integral_of_zeta_oracle(ctx, 2, Fraction(1, 3), 0),
         lambda: raabe_char(ctx, chi, 2, 1, depth=-1),
+        lambda: raabe_char(ctx, chi, 2, 1, depth=0),
         lambda: kernels.hurwitz_sums(3, 8, Fraction(1, 3), 2, (-1,)),
         lambda: kernels.char_hurwitz_sums(3, 8, 1, Fraction(1), 2, (0,)),
         lambda: kernels.char_hurwitz_sums(3, 8, 1, Fraction(1), 2, (3, 0)),

@@ -443,6 +443,19 @@ class TestCharacterMemos:
                 call(ctx5)
         assert [memo.cache_info().currsize for memo in memos] == sizes
 
+    def test_string_exponent_gives_the_fraction_value(self):
+        # a string is read as ctx.coerce reads it, before the memo
+        for p in (3, 5, 7):
+            ctx = PadicContext(p, 12)
+            chi = DirichletCharacter(p, 1, 1)
+            for text in ("1/2", "2", "-3/4"):
+                for call in (
+                    lambda s: zeta_char_oracle(ctx, chi, s, 2, 3),
+                    lambda s: ell_limit_oracle(ctx, chi, s, 3),
+                ):
+                    expected, value = call(Fraction(text)), call(text)
+                    assert (render(value), value.absprec) == (render(expected), expected.absprec)
+
     def test_a_warm_value_equals_a_cold_one(self, ctx7):
         chi = DirichletCharacter(7, 2, 3)
         calls = [

@@ -499,6 +499,19 @@ class TestValueCache:
         assert (render(value), value.absprec) == (render(expected), expected.absprec)
         assert _coefficients.cache_info().misses == 1
 
+    def test_coefficient_memo_counts_the_bits_it_holds(self):
+        # a set is never changed after it enters the memo, so the memo's bit
+        # count is the retained size of the sets it holds
+        ctx = PadicContext(5, 16)
+        _zeta_value.cache_clear()
+        _coefficients.cache_clear()
+        for s in (2, Fraction(1, 2), 7):
+            for x in (Fraction(1, 5), Fraction(2, 25), Fraction(3, 5)):
+                zeta_czp(ctx, s, x)
+        held = sum(padic._retained_bits(value) for value, _ in _coefficients._entries.values())
+        assert _coefficients.cache_info().currsize > 0
+        assert _coefficients.bits == held
+
 
 def _digit_literal(valuation, digits):
     return f"{valuation}:{','.join(map(str, digits))}"
