@@ -37,9 +37,9 @@ actual terms.  An angle <x+a> is y0 + b*step times a unit c free of b, and
 c^e leaves the sum.  ``hurwitz_sums`` (and the special-value oracle, s = 1 +
 m) is one progression x + a = (num + a*den)/den.  ``char_hurwitz_sums``
 splits a = r + p*b: on each class chi(x+a) and omega(x+a) are constant and
-(-1)^a = (-1)^r (-1)^b.  As t^s = t^(s mod p^K) mod p^(K+1) for t = 1 mod p,
-s in Z_p, a non-integer exponent is reduced; Python's pow inverts a negative
-one.
+(-1)^a = (-1)^r (-1)^b.  As t^c = t^c' mod p^(K+1) for t = 1 mod p if c = c'
+mod p^K, the exponent 1 - s is its residue of least absolute value mod p^K,
+K the lesser of the digits and the precision of s: 1 - s for an integer s.
 
 Value functions.  ``_class_newton_sum(p, n, term, P, D)`` sums the
 ``PadicNumber`` values term(a), a < n = p^N.  With a = r + P*b for r < P and
@@ -160,24 +160,16 @@ def _snapshots(p: int, depths: tuple[int, ...], shift: int = 0) -> dict[int, int
     return {p ** (n - shift): n for n in depths}
 
 
-def _exponent_one_minus(p: int, modexp: int, s) -> int:
-    """An integer e with t^e = t^(1-s) mod p^(modexp+1) for all t = 1 mod p."""
-    if isinstance(s, int):
-        return 1 - s
-    if isinstance(s, Fraction):
-        if s.denominator == 1:
-            return 1 - int(s)
-        if s.denominator % p == 0:
-            raise ArgumentViolation("exponent s must lie in Z_p")
-        mod = p**modexp
-        rep = s.numerator * pow(s.denominator, -1, mod) % mod
-        return (1 - rep) % mod
-    if isinstance(s, PadicNumber):
-        if not s.is_zero() and s.valuation < 0:
-            raise ArgumentViolation("exponent s must lie in Z_p")
-        rep = s.integer_rep(min(modexp, s._absprec_inf() if s.is_zero() else s.absprec))
-        return (1 - rep) % p**modexp
-    raise ArgumentViolation(f"unsupported exponent {s!r}")
+def _exponent_one_minus(p: int, modexp: int, s: PadicNumber) -> int:
+    """The e of least absolute value with e = 1 - s mod p^K, K = min(modexp,
+    absolute precision of s): t^e = t^(1-s) mod p^(K+1) for all t = 1 mod p,
+    and an integer s gives e = 1 - s."""
+    if not isinstance(s, PadicNumber) or (not s.is_zero() and s.valuation < 0):
+        raise ArgumentViolation("exponent s must be a PadicNumber in Z_p")
+    digits = min(modexp, s._absprec_inf())
+    mod = p ** max(digits, 0)
+    e = (1 - s.integer_rep(digits)) % mod
+    return e - mod if 2 * e > mod else e
 
 
 @_BitsMemo
@@ -276,7 +268,7 @@ def _angle_power_sums(p: int, g_prec: int, y0: int, step: int, e: int, counts) -
 
 
 def hurwitz_sums(
-    p: int, prec: int, x: Fraction, s, depths: tuple[int, ...]
+    p: int, prec: int, x: Fraction, s: PadicNumber, depths: tuple[int, ...]
 ) -> dict[int, PadicNumber]:
     """Partial sums sum_{a<p^N} <x+a>^(1-s) (-1)^a for each N in depths.
 
@@ -299,7 +291,7 @@ def hurwitz_sums(
 
 
 def char_hurwitz_sums(
-    p: int, prec: int, k: int, x: Fraction, s, depths: tuple[int, ...]
+    p: int, prec: int, k: int, x: Fraction, s: PadicNumber, depths: tuple[int, ...]
 ) -> dict[int, PadicNumber]:
     """Partial sums sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a, chi = omega^k.
 

@@ -42,7 +42,7 @@ class VerificationReport:
     agreement_depth: int | None = None
     required_depth: int | None = None
     reference_depth: int | None = None  # the N (or step exponent) an oracle ran at
-    status: str  # pass | fail | budget
+    status: str  # pass | fail
     note: str = ""
 
     @property
@@ -117,12 +117,6 @@ def compare_exact(
         rhs=str(rhs),
         status="pass" if lhs == rhs else "fail",
         note=note,
-    )
-
-
-def budget_failure(identity: str, params: dict, note: str) -> VerificationReport:
-    return VerificationReport(
-        identity=identity, params=params_tuple(params), status="budget", note=note
     )
 
 

@@ -38,7 +38,6 @@ from .fermionic import (
 from .padic import PadicContext, agreement_depth, alternating_sum, capped_power
 from .report import (
     VerificationReport,
-    budget_failure,
     compare_exact,
     compare_values,
     params_tuple,
@@ -133,9 +132,6 @@ class VerifyConfig:
 
     def c(self, family: str) -> int:
         return int(self.slack.get(family, 0))
-
-    def depth_czp(self) -> int:
-        return self.oracle_depth
 
     def depth_char(self) -> int:
         return min(self.oracle_depth, 5)
@@ -423,20 +419,17 @@ def _check_integral_convergence(cfg: VerifyConfig, p: int, x: Fraction) -> Repor
     targets = [ctx.from_fraction(euler.euler_poly(m, x), relprec=prec) for m in range(m_max + 1)]
     out = []
     for n_depth in depths:
-        worst = None
-        for m, target in enumerate(targets):
-            d = agreement_depth(sums[(m, n_depth)], target)
-            if worst is None or d < worst[0]:
-                worst = (d, m)
+        depth_at = {m: agreement_depth(sums[(m, n_depth)], t) for m, t in enumerate(targets)}
+        worst = min(depth_at, key=depth_at.get)
         out.append(
             compare_values(
                 "integral-convergence",
                 {"p": p, "x": x, "N": n_depth, "m_max": m_max},
-                sums[(worst[1], n_depth)],
-                targets[worst[1]],
+                sums[(worst, n_depth)],
+                targets[worst],
                 required_depth=n_depth,
                 reference_depth=n_depth,
-                note=f"worst m={worst[1]}",
+                note=f"worst m={worst}",
             )
         )
     return out
@@ -476,21 +469,18 @@ def _check_zeta_one(cfg: VerifyConfig, p: int, x: Fraction) -> Reports:
 @_identity("special-neg", _per_p(lambda cfg, p: (_x_grid(p),)))
 def _check_special_neg(cfg: VerifyConfig, p: int, x: Fraction) -> Reports:
     ctx = cfg.ctx(p)
-    worst = None
-    for m in range(1, 9):
-        series = zeta_czp(ctx, 1 - m, x, cfg.budget())
-        exact = zeta_special_neg(ctx, m, x)
-        d = agreement_depth(series, exact)
-        if worst is None or d < worst[0]:
-            worst = (d, m, series, exact)
+    pairs = [
+        (m, zeta_czp(ctx, 1 - m, x, cfg.budget()), zeta_special_neg(ctx, m, x)) for m in range(1, 9)
+    ]
+    m, series, exact = min(pairs, key=lambda pair: agreement_depth(pair[1], pair[2]))
     return [
         compare_values(
             "special-neg",
             {"p": p, "x": x, "m_max": 8},
-            worst[2],
-            worst[3],
+            series,
+            exact,
             required_depth=cfg.workprec,
-            note=f"worst m={worst[1]}",
+            note=f"worst m={m}",
         )
     ]
 
@@ -501,14 +491,10 @@ def _check_special_neg(cfg: VerifyConfig, p: int, x: Fraction) -> Reports:
     {"special-pos": "special-pos"},
 )
 def _check_special_pos(cfg: VerifyConfig, p: int, m: int, x: Fraction) -> Reports:
-    ctx = cfg.ctx(p)
-    depth = cfg.depth_czp()
+    depth = cfg.oracle_depth
+    values = zeta_special_pos(cfg.ctx(p), m, x, depth, cfg.budget())
     params = {"p": p, "m": m, "x": x, "N": depth}
-    try:
-        values = zeta_special_pos(ctx, m, x, depth, cfg.budget())
-        return [_compare_calibrated(cfg, "special-pos", params, *values, depth)]
-    except PadicError as exc:
-        return [budget_failure("special-pos", params, f"{exc.code}: {exc}")]
+    return [_compare_calibrated(cfg, "special-pos", params, *values, depth)]
 
 
 @_identity(
@@ -518,18 +504,14 @@ def _check_special_pos(cfg: VerifyConfig, p: int, m: int, x: Fraction) -> Report
 )
 def _check_oracle_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
     ctx = cfg.ctx(p)
-    n_max = cfg.depth_czp()
+    n_max = cfg.oracle_depth
     capped_power(p, n_max)  # refuse a huge depth before its depth list is built
     depths = tuple(range(2, n_max + 1))
-    series = zeta_czp(ctx, s, x, cfg.budget())
-    sums = kernels.hurwitz_sums(p, ctx.internal_prec, x, s, depths)
-    worst = None
-    for n_depth in depths:
-        d = agreement_depth(series, sums[n_depth])
-        margin = d - n_depth
-        if worst is None or margin < worst[0]:
-            worst = (margin, n_depth)
-    n_depth = worst[1]
+    sp = ctx._exponent(s)
+    series = zeta_czp(ctx, sp, x, cfg.budget())
+    sums = kernels.hurwitz_sums(p, ctx.internal_prec, x, sp, depths)
+    margins = {n: agreement_depth(series, sums[n]) - n for n in depths}
+    n_depth = min(margins, key=margins.get)
     return [
         _compare_calibrated(
             cfg,
@@ -538,7 +520,7 @@ def _check_oracle_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
             series,
             sums[n_depth],
             n_depth,
-            note=f"min margin over N=2..{n_max}: {worst[0]}",
+            note=f"min margin over N=2..{n_max}: {margins[n_depth]}",
         )
     ]
 
@@ -690,7 +672,7 @@ def _check_shifted_expansion(
         return [
             compare_values("shifted-expansion", {"p": p, "s": s, "x": x, "u": u}, lhs, rhs)
         ]
-    depth = cfg.depth_czp()
+    depth = cfg.oracle_depth
     oracle = zeta_czp_oracle(ctx, s, x + u, depth)
     params = {"p": p, "s": s, "x": x, "u": u, "N": depth}
     return [_compare_calibrated(cfg, "shifted-expansion-oracle", params, lhs, oracle, depth)]

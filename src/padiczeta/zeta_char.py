@@ -31,7 +31,9 @@ v = 2.  Two ``lru_cache`` memos of ``_CHAR_VALUES`` entries each keep one
 ``PadicNumber`` an entry, keyed by k and never by chi or v:
 ``_representation_value`` by (context, k, the (valuation, unit, relprec)
 triples of s and x, M, budget), the key fields that the sum reads, and
-``_oracle_value`` by (p, internal precision, k, x, s, N).  ``zeta_char``,
+``_oracle_value`` by (p, internal precision, k, x, the triple of s, N).
+Both read s through ``PadicContext._exponent``, as ``zeta_czp`` does, so a
+series and its oracle refuse the same s with the same error.  ``zeta_char``,
 ``ell``, ``representation_pair``, ``power_series_zeta``, ``dzeta_char_dx``
 and the ``raabe_char`` terms read the first, ``zeta_char_oracle`` and
 ``ell_limit_oracle`` the second.  The public functions make every refusal
@@ -211,22 +213,15 @@ def zeta_char_oracle(
     x = Fraction(x)
     if x.denominator % ctx.p == 0:
         raise ArgumentOutsideZp("oracle argument must lie in Z_p")
-    if isinstance(s, str):
-        s = ctx.coerce(s)
-    if isinstance(s, PadicNumber):
-        s = (s.p, *_triple(s))  # a PadicNumber is unhashable: its fields are the key
-    elif not isinstance(s, (int, Fraction)):
-        raise ArgumentViolation(f"unsupported exponent {s!r}")
-    return _oracle_value(ctx.p, ctx.internal_prec, chi.k, x, s, depth)
+    s_key = _triple(ctx._exponent(s))
+    return _oracle_value(ctx.p, ctx.internal_prec, chi.k, x, s_key, depth)
 
 
 @lru_cache(maxsize=_CHAR_VALUES)  # one value an entry
-def _oracle_value(p: int, prec: int, k: int, x: Fraction, s, depth: int) -> PadicNumber:
-    """The kernel's depth-N sum for chi = omega^k; s is an int, a Fraction or
-    the (p, valuation, unit, relprec) fields of a ``PadicNumber``."""
-    if isinstance(s, tuple):
-        s = PadicNumber(*s)
-    return kernels.char_hurwitz_sums(p, prec, k, x, s, (depth,))[depth]
+def _oracle_value(p: int, prec: int, k: int, x: Fraction, s: tuple, depth: int) -> PadicNumber:
+    """The kernel's depth-N sum for chi = omega^k from the (valuation, unit,
+    relprec) triple of s."""
+    return kernels.char_hurwitz_sums(p, prec, k, x, PadicNumber(p, *s), (depth,))[depth]
 
 
 def zeta_char_special(

@@ -81,7 +81,6 @@ from .padic import (
     _vp_split,
     alternating_sum,
     vp_fraction,
-    vp_int,
 )
 
 __all__ = [
@@ -330,11 +329,12 @@ def zeta_czp(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) ->
 
 
 def zeta_czp_oracle(ctx: PadicContext, s, x: Fraction, depth: int) -> PadicNumber:
-    """Truncated alternating sum sum_{a<p^depth} <x+a>^(1-s) (-1)^a."""
-    s_key = s if isinstance(s, (int, Fraction, PadicNumber)) else ctx.coerce(s)
-    return kernels.hurwitz_sums(
-        ctx.p, ctx.internal_prec, Fraction(x), s_key, (depth,)
-    )[depth]
+    """Truncated alternating sum sum_{a<p^depth} <x+a>^(1-s) (-1)^a; x and s
+    are read, and refused, as ``zeta_czp`` reads them."""
+    x = Fraction(x)
+    _coerce_czp(ctx, x)
+    sums = kernels.hurwitz_sums(ctx.p, ctx.internal_prec, x, ctx._exponent(s), (depth,))
+    return sums[depth]
 
 
 def zeta_special_neg(ctx: PadicContext, m: int, x) -> PadicNumber:
@@ -358,7 +358,7 @@ def zeta_special_pos(
     """(series value, oracle value) for zeta(1+m, x).
 
     The oracle side is omega_v(x)^m * sum_{a<p^depth} (x+a)^(-m) (-1)^a, that
-    is the Hurwitz oracle at s = 1+m (its terms are <x+a>^(-m)).  It is kept
+    is ``zeta_czp_oracle`` at s = 1+m (its terms are <x+a>^(-m)).  It is kept
     modulo p^(internal_prec - e*m), e = -v_p(x): the precision of omega_v(x)^m
     times a sum of (x+a)^(-m) known modulo p^internal_prec.  Negative m
     delegates to the exact negative-integer route.
@@ -371,10 +371,10 @@ def zeta_special_pos(
     exact = _exact(x)
     if exact is None:
         raise ArgumentViolation("the truncated oracle needs a rational x")
-    formula = _expansion(ctx, 1 + m, xp, _EULER_ZERO, budget)
-    sums = kernels.hurwitz_sums(ctx.p, ctx.internal_prec, exact, 1 + m, (depth,))
-    e = vp_int(exact.denominator, ctx.p)
-    return formula, sums[depth].cap_absprec(ctx.internal_prec - e * m)
+    sp = ctx._exponent(1 + m)
+    formula = _expansion(ctx, sp, xp, _EULER_ZERO, budget)
+    oracle = zeta_czp_oracle(ctx, sp, exact, depth)
+    return formula, oracle.cap_absprec(ctx.internal_prec + xp.valuation * m)
 
 
 def zeta_shifted(

@@ -64,9 +64,10 @@ def _inverse_teichmuller_table(p: int, prec: int) -> tuple[int, ...]:
 
 
 def hurwitz_sums(
-    p: int, prec: int, x: Fraction, s, depths: tuple[int, ...]
+    p: int, prec: int, x: Fraction, s: PadicNumber, depths: tuple[int, ...]
 ) -> dict[int, PadicNumber]:
-    """Partial sums sum_{a<p^N} <x+a>^(1-s) (-1)^a for each N in depths."""
+    """Partial sums sum_{a<p^N} <x+a>^(1-s) (-1)^a for each N in depths, s a
+    ``PadicNumber`` in Z_p."""
     x = Fraction(x)
     if vp_fraction(x, p) is None or vp_fraction(x, p) >= 0:
         raise ArgumentViolation("oracle argument must have negative valuation")
@@ -98,9 +99,10 @@ def hurwitz_sums(
 
 
 def char_hurwitz_sums(
-    p: int, prec: int, k: int, x: Fraction, s, depths: tuple[int, ...]
+    p: int, prec: int, k: int, x: Fraction, s: PadicNumber, depths: tuple[int, ...]
 ) -> dict[int, PadicNumber]:
-    """Partial sums sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a, chi = omega^k."""
+    """Partial sums sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a, chi = omega^k, s a
+    ``PadicNumber`` in Z_p."""
     x = Fraction(x)
     vx = vp_fraction(x, p)
     if vx is not None and vx < 0:

@@ -337,6 +337,24 @@ class TestVerifyCommand:
         assert run_cli(argv + ["-o", str(path)], capsys)[:2] == (1, "")
         assert path.read_text() == out
 
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["--p", "3", "--oracle-depth", "13"], "EvaluationCapExceeded"),
+            (["--max-terms", "3"], "BudgetExhausted"),
+        ],
+    )
+    def test_refused_special_pos_exits_2(self, capsys, tmp_path, argv, error):
+        # a refused special-pos oracle or series is raised like any other
+        # refusal, not written as a report
+        path = tmp_path / "keep.jsonl"
+        path.write_bytes(b"keep\n")
+        command = ["verify", "--identity", "special-pos", *argv, "-o", str(path)]
+        code, out, err = run_cli(command, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["code"] == error
+        assert path.read_bytes() == b"keep\n"
+
     def test_unwritable_output_exits_3(self, capsys, tmp_path):
         path = tmp_path / "missing" / "v.jsonl"
         code, out, err = run_cli(

@@ -68,7 +68,8 @@ def _special_pos_reference(ctx, m, x, depth):
 
 def test_oracle_czp_grid():
     for p, s, x in _grid("oracle-czp"):
-        prec = ACCEPTANCE.ctx(p).internal_prec
+        ctx = ACCEPTANCE.ctx(p)
+        prec, s = ctx.internal_prec, ctx.coerce(s)
         depths = _depths(p)
         _same_sums(
             ref.hurwitz_sums(p, prec, x, s, depths), kernels.hurwitz_sums(p, prec, x, s, depths)
@@ -78,6 +79,7 @@ def test_oracle_czp_grid():
 def test_oracle_char_grid():
     for p, v, k, s, x in _grid("oracle-char"):
         ctx = ACCEPTANCE.ctx(p)
+        s = ctx.coerce(s)
         depths = _depths(p, low=1)
         expected = ref.char_hurwitz_sums(p, ctx.internal_prec, k, x, s, depths)
         _same_sums(expected, kernels.char_hurwitz_sums(p, ctx.internal_prec, k, x, s, depths))
@@ -90,6 +92,7 @@ def test_ell_oracle_grid():
     for p, v, k, s in _grid("ell-oracle"):
         ctx = ACCEPTANCE.ctx(p)
         chi = DirichletCharacter(p, v, k)
+        s = ctx.coerce(s)
         expected = ref.char_hurwitz_sums(p, ctx.internal_prec, k, Fraction(0), s, _depths(p, low=1))
         for depth, value in expected.items():
             assert _key(ell_limit_oracle(ctx, chi, s, depth)) == _key(value), (p, k, s, depth)
@@ -142,7 +145,7 @@ def _kernel_inputs(draw):
 @given(_kernel_inputs())
 def test_kernels_match_reference(inputs):
     ctx, outside, inside, s, k, depths = inputs
-    p, prec = ctx.p, ctx.internal_prec
+    p, prec, s = ctx.p, ctx.internal_prec, ctx.coerce(s)
     expected = ref.hurwitz_sums(p, prec, outside, s, depths)
     _same_sums(expected, kernels.hurwitz_sums(p, prec, outside, s, depths))
     _same_sums(
@@ -181,7 +184,9 @@ def _progressions(draw):
             st.just(0),
             # the reduced exponent of a non-integer s, as hurwitz_sums makes it
             st.builds(Fraction, unit, st.integers(2, 10**4).filter(lambda n: n % p)).map(
-                lambda s: kernels._exponent_one_minus(p, g_prec - 1, s)
+                lambda s: kernels._exponent_one_minus(
+                    p, g_prec - 1, PadicContext(p, g_prec, 0).coerce(s)
+                )
             ),
         )
     )
@@ -276,9 +281,10 @@ def test_depth_over_the_cap_raises(monkeypatch):
     # no kernel visits the p^N terms: the check on p**max(depths) alone keeps
     # the oracle depth under EVALUATION_CAP (3^12 <= 10^6 < 3^13), and it
     # comes before any weight vector is built
+    two = PadicContext(3, 8).coerce(2)
     calls = [
-        (lambda d: kernels.hurwitz_sums(3, 8, Fraction(1, 3), 2, (d,)), 12),
-        (lambda d: kernels.char_hurwitz_sums(3, 8, 1, Fraction(1), 2, (d,)), 12),
+        (lambda d: kernels.hurwitz_sums(3, 8, Fraction(1, 3), two, (d,)), 12),
+        (lambda d: kernels.char_hurwitz_sums(3, 8, 1, Fraction(1), two, (d,)), 12),
         (lambda d: kernels.monomial_alternating_sums(3, 8, Fraction(1), 2, (d,)), (2, 12)),
     ]
     for call, key in calls:
@@ -304,12 +310,13 @@ def test_weight_memo_stays_under_its_bound(monkeypatch):
     # at 1200 digits D is about 800 at v_p(den) = 1 and 480 at 2, and 3^7 > D,
     # so each vector holds D residues of about 1900 bits
     depths = (7, 9, 12)
+    three = PadicContext(3, 1200).coerce(3)
     build = kernels._newton_weights.__wrapped__
     memo = _BitsMemo(build)
     monkeypatch.setattr(kernels, "_newton_weights", memo)
     expected = {}
     for x in (Fraction(1, 3), Fraction(2, 9)):
-        expected[x] = kernels.hurwitz_sums(3, 1200, x, 3, depths)
+        expected[x] = kernels.hurwitz_sums(3, 1200, x, three, depths)
         assert 0 < memo.bits <= memo.max_bits
     assert memo.cache_info().currsize == 2 * len(depths)
     assert memo.bits == sum(_vector_bits(w) for w, _ in memo._entries.values())
@@ -317,7 +324,7 @@ def test_weight_memo_stays_under_its_bound(monkeypatch):
     small = _BitsMemo(build, 3 * 10**6)
     monkeypatch.setattr(kernels, "_newton_weights", small)
     for x, sums in expected.items():
-        _same_sums(sums, kernels.hurwitz_sums(3, 1200, x, 3, depths))
+        _same_sums(sums, kernels.hurwitz_sums(3, 1200, x, three, depths))
         assert 0 < small.bits <= small.max_bits
         assert small.cache_info().currsize < len(depths)
         assert small.bits == sum(_vector_bits(w) for w, _ in small._entries.values())

@@ -5,6 +5,7 @@ import pytest
 
 from padiczeta.characters import DirichletCharacter, char_eval
 from padiczeta.errors import (
+    ArgumentInZp,
     ArgumentOutsideZp,
     ArgumentViolation,
     BudgetExhausted,
@@ -30,7 +31,7 @@ from padiczeta.zeta_char import (
     zeta_char_special,
 )
 from padiczeta.verify import VerifyConfig, _check_char_suite
-from padiczeta.zeta_czp import _DEFAULT_BUDGET, SeriesBudget
+from padiczeta.zeta_czp import _DEFAULT_BUDGET, SeriesBudget, zeta_czp, zeta_czp_oracle
 
 class TestCharacter:
     def test_basic_values(self, ctx5):
@@ -429,8 +430,8 @@ class TestCharacterMemos:
             (ArgumentOutsideZp, lambda c: zeta_char_oracle(c, CHI5, 2, Fraction(1, 5), 3)),
             (ArgumentViolation, lambda c: ell_limit_oracle(c, CHI5, 2, 0)),
             (EvaluationCapExceeded, lambda c: ell_limit_oracle(c, CHI5, 2, 9)),
-            (ArgumentViolation, lambda c: ell_limit_oracle(c, CHI5, Fraction(1, 5), 3)),
-            (ArgumentViolation, lambda c: ell_limit_oracle(c, CHI5, [2], 3)),
+            (ExponentOutsideDomain, lambda c: ell_limit_oracle(c, CHI5, Fraction(1, 5), 3)),
+            (ParseError, lambda c: ell_limit_oracle(c, CHI5, [2], 3)),
         ],
     )
     def test_a_refusal_is_raised_on_every_call_and_never_cached(self, ctx5, error, call):
@@ -484,3 +485,38 @@ class TestCharacterMemos:
         assert main(["verify", "--seed", "4001", "--format", "json", "-o", str(path)]) == 0
         assert _representation_value.cache_info().misses <= 1596
         assert _oracle_value.cache_info().misses <= 57
+
+
+class TestSeriesOracleParity:
+    """A series and its truncated-sum oracle read s (and x) the same way, so
+    they refuse the same input with the same error."""
+
+    @staticmethod
+    def _pairs(p):
+        chi = DirichletCharacter(p, 1, 1)
+        return [
+            (lambda c, s, x: zeta_czp(c, s, x), lambda c, s, x: zeta_czp_oracle(c, s, x, 3)),
+            (
+                lambda c, s, x: zeta_char(c, chi, s, x),
+                lambda c, s, x: zeta_char_oracle(c, chi, s, x, 3),
+            ),
+            (lambda c, s, x: ell(c, chi, s), lambda c, s, x: ell_limit_oracle(c, chi, s, 3)),
+        ]
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize(
+        "s,error", [("1/p", ExponentOutsideDomain), ([2], ParseError)], ids=["1/p", "list"]
+    )
+    def test_exponent_refusals_agree(self, p, s, error):
+        ctx = PadicContext(p, 8)
+        s = Fraction(1, p) if s == "1/p" else s
+        for (series, oracle), x in zip(self._pairs(p), (Fraction(1, p), 1, 0)):
+            for call in (series, oracle):
+                with pytest.raises(error):
+                    call(ctx, s, x)
+
+    def test_czp_argument_refusal_agrees(self, ctx5):
+        series, oracle = self._pairs(5)[0]
+        for call in (series, oracle):
+            with pytest.raises(ArgumentInZp):
+                call(ctx5, 2, Fraction(1, 3))
