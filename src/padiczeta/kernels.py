@@ -40,6 +40,7 @@ splits a = r + p*b: on each class chi(x+a) and omega(x+a) are constant and
 (-1)^a = (-1)^r (-1)^b.  As t^c = t^c' mod p^(K+1) for t = 1 mod p if c = c'
 mod p^K, the exponent 1 - s is its residue of least absolute value mod p^K,
 K the lesser of the digits and the precision of s: 1 - s for an integer s.
+So the sums are known modulo p^(K+1) only, and claim no more digits.
 
 Value functions.  ``_class_newton_sum(p, n, term, P, D)`` sums the
 ``PadicNumber`` values term(a), a < n = p^N.  With a = r + P*b for r < P and
@@ -172,6 +173,12 @@ def _exponent_one_minus(p: int, modexp: int, s: PadicNumber) -> int:
     return e - mod if 2 * e > mod else e
 
 
+def _known_digits(prec: int, s: PadicNumber) -> int:
+    """The digits of a sum of t^(1-s), t = 1 mod p: min(prec, K + 1) for K
+    the absolute precision of s (``_exponent_one_minus``)."""
+    return min(prec, s._absprec_inf() + 1)
+
+
 @_BitsMemo
 def _newton_weights(p: int, g_prec: int, degree: int, n: int) -> tuple[int, ...]:
     """W[b] = sum_{j=b}^{D-1} (-1)^(j-b) C(j,b) S_j(n) mod p**g_prec for b < D = degree.
@@ -272,7 +279,8 @@ def hurwitz_sums(
 ) -> dict[int, PadicNumber]:
     """Partial sums sum_{a<p^N} <x+a>^(1-s) (-1)^a for each N in depths.
 
-    Requires v_p(x) <= -1.  Results carry absolute precision ``prec``.
+    Requires v_p(x) <= -1.  Results carry absolute precision ``prec``, or
+    K + 1 for s known modulo p^K with K < prec.
     """
     x = Fraction(x)
     if vp_fraction(x, p) is None or vp_fraction(x, p) >= 0:
@@ -287,7 +295,8 @@ def hurwitz_sums(
     exponent = _exponent_one_minus(p, g_prec - 1, s)
     factor = pow(b_unit * omega, -exponent, mod)
     sums = _angle_power_sums(p, g_prec, num, den, exponent, counts)
-    return {counts[n]: wrap_mod(p, factor * acc, prec) for n, acc in sums.items()}
+    known = _known_digits(prec, s)
+    return {counts[n]: wrap_mod(p, factor * acc, known) for n, acc in sums.items()}
 
 
 def char_hurwitz_sums(
@@ -296,7 +305,8 @@ def char_hurwitz_sums(
     """Partial sums sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a, chi = omega^k.
 
     chi vanishes on multiples of p; x must lie in Z_p (denominator coprime
-    to p).  Results carry absolute precision ``prec``.
+    to p).  Results carry absolute precision ``prec``, or K + 1 for s known
+    modulo p^K with K < prec.
     """
     x = Fraction(x)
     vx = vp_fraction(x, p)
@@ -319,7 +329,8 @@ def char_hurwitz_sums(
         sums = _angle_power_sums(p, g_prec, num + r * den, p * den, exponent, counts)
         for n, class_sum in sums.items():
             acc[n] += weight * class_sum
-    return {counts[n]: wrap_mod(p, total, prec) for n, total in acc.items()}
+    known = _known_digits(prec, s)
+    return {counts[n]: wrap_mod(p, total, known) for n, total in acc.items()}
 
 
 def monomial_alternating_sums(

@@ -23,10 +23,13 @@ sums of the oracle kernels and of ``zeta_char`` read ``teichmuller_table``,
 all of omega mod p**prec from one lift.  Only this module defines memo
 machinery, and ``tests/test_layering.py`` holds the package to two kinds of
 cache.  A cache whose values grow with precision is a ``_BitsMemo``, bounded
-by ``_MEMO_BITS`` of retained bits and evicting in insertion order; its values
-are ints and tuples of ints, never changed once stored, so the count of bits
-is exact.  ``functools.lru_cache`` serves only the count-bounded caches whose
-entries are a few numbers each: ``zeta_czp._zeta_value``,
+by ``_MEMO_BITS`` of retained bits and evicting in insertion order: the
+coefficient sets of ``zeta_czp``, the weights of ``kernels``, and here the
+Teichmuller tables, the log and exp coefficients and the %-templates of
+``render``, one per (p, relprec).  Its values are ints, tuples of ints and
+strings, never changed once stored, so the count of bits is exact.
+``functools.lru_cache`` serves only the count-bounded caches whose entries
+are a few numbers each: ``zeta_czp._zeta_value``,
 ``zeta_char._representation_value`` and ``_oracle_value``, and
 ``kernels._progression_degree``.
 
@@ -359,47 +362,52 @@ class PadicNumber:
         return PadicNumber(self.p, self.valuation, mod - self.unit, self.relprec)
 
     def __add__(self, other):
-        other = self._binary_partner(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_exact_zero:
+        if other.__class__ is not PadicNumber or other.p != self.p:
+            other = self._binary_partner(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.relprec and other.relprec:
+            return _regular_sum(self, other, other.unit)
+        if self.relprec is None:
             return other
-        if other.is_exact_zero:
+        if other.relprec is None:
             return self
-        absprec = min(self.absprec, other.absprec)
-        if self.is_bounded_zero and other.is_bounded_zero:
-            return PadicNumber.bounded_zero(self.p, absprec)
-        if self.is_bounded_zero:
+        # at least one bounded zero, whose absprec is its valuation (relprec 0)
+        absprec = min(self.valuation + self.relprec, other.valuation + other.relprec)
+        if other.relprec:
             return other.cap_absprec(absprec)
-        if other.is_bounded_zero:
+        if self.relprec:
             return self.cap_absprec(absprec)
-        base = min(self.valuation, other.valuation)
-        m = self.unit * self.p ** (self.valuation - base) + other.unit * self.p ** (
-            other.valuation - base
-        )
-        return PadicNumber._normalize(self.p, base, m, absprec)
+        return PadicNumber(self.p, absprec, 0, 0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._binary_partner(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not PadicNumber or other.p != self.p:
+            other = self._binary_partner(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.relprec and other.relprec:
+            # -unit, not p**relprec - unit: the mantissas differ by a multiple
+            # of p**(absprec - base), which the normal form drops
+            return _regular_sum(self, other, -other.unit)
         return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._binary_partner(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_exact_zero or other.is_exact_zero:
-            return PadicNumber.exact_zero(self.p)
-        if self.is_bounded_zero or other.is_bounded_zero:
-            return PadicNumber.bounded_zero(self.p, self.valuation + other.valuation)
-        rel = min(self.relprec, other.relprec)
-        unit = (self.unit * other.unit) % self.p**rel
+        if other.__class__ is not PadicNumber or other.p != self.p:
+            other = self._binary_partner(other)
+            if other is NotImplemented:
+                return NotImplemented
+        rel, other_rel = self.relprec, other.relprec
+        if rel is None or other_rel is None:
+            return PadicNumber(self.p, None, 0, None)
+        if not rel or not other_rel:
+            return PadicNumber(self.p, self.valuation + other.valuation, 0, 0)
+        rel = min(rel, other_rel)
+        unit = self.unit * other.unit % self.p**rel
         return PadicNumber(self.p, self.valuation + other.valuation, unit, rel)
 
     __rmul__ = __mul__
@@ -462,6 +470,17 @@ class PadicNumber:
 
     def __repr__(self):
         return f"PadicNumber({render(self)})"
+
+
+def _regular_sum(a: PadicNumber, b: PadicNumber, b_unit: int) -> PadicNumber:
+    """a + b for regular a and b, with b_unit standing for b's unit (its
+    negation for a - b): the mantissa over the lesser valuation, known modulo
+    the lesser absolute precision."""
+    p, av, bv = a.p, a.valuation, b.valuation
+    absprec = min(av + a.relprec, bv + b.relprec)
+    if av <= bv:
+        return PadicNumber(p, *_normal_form(p, av, a.unit + b_unit * p ** (bv - av), absprec))
+    return PadicNumber(p, *_normal_form(p, bv, a.unit * p ** (av - bv) + b_unit, absprec))
 
 
 def _normal_form(p: int, base_val: int, mantissa: int, absprec: int) -> tuple[int, int, int]:
@@ -564,20 +583,19 @@ def alternating_sum(ctx: PadicContext, n: int, term) -> PadicNumber:
 
 def render(x: PadicNumber) -> str:
     """Canonical text form ``p^v * (d0 + d1*p + ...)`` with little-endian digits."""
-    if x.is_exact_zero:
+    if x.relprec is None:
         return "0"
-    if x.is_bounded_zero:
+    if not x.relprec:
         return f"O({x.p}^{x.valuation})"
-    digits = _digits_of(x)
-    parts = []
-    for i, d in enumerate(digits):
-        if i == 0:
-            parts.append(str(d))
-        elif i == 1:
-            parts.append(f"{d}*{x.p}")
-        else:
-            parts.append(f"{d}*{x.p}^{i}")
-    return f"{x.p}^{x.valuation} * ({' + '.join(parts)})"
+    return _render_template(x.p, x.relprec) % (x.valuation, *_digits_of(x))
+
+
+@_BitsMemo
+def _render_template(p: int, relprec: int) -> str:
+    """The %-template of ``render`` for relprec digits: the valuation, then
+    the digits."""
+    parts = ["%d", f"%d*{p}"] + [f"%d*{p}^{i}" for i in range(2, relprec)]
+    return f"{p}^%d * ({' + '.join(parts[:relprec])})"
 
 
 # short digit strings, every one at the default precision, take the divmod loop unsplit
@@ -686,8 +704,9 @@ class PadicContext:
 
     def from_fraction(self, q, relprec: int | None = None) -> PadicNumber:
         """Image of a rational in Q_p at relprec digits (default internal)."""
-        # an int has .numerator and .denominator, so it is embedded as it is
-        if not isinstance(q, int):
+        # an int has .numerator and .denominator, so it is embedded as it is,
+        # like a Fraction
+        if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
         r = self.internal_prec if relprec is None else relprec
         if q != 0 and r < 1:

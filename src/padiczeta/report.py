@@ -91,11 +91,14 @@ def compare_values(
         status = "pass" if depth == math.inf else "fail"
     else:
         status = "pass" if depth >= required else "fail"
+    lhs_text = render(lhs)
+    # agreement_depth has refused a pair of different primes
+    same = (lhs.valuation, lhs.unit, lhs.relprec) == (rhs.valuation, rhs.unit, rhs.relprec)
     return VerificationReport(
         identity=identity,
         params=params_tuple(params),
-        lhs=render(lhs),
-        rhs=render(rhs),
+        lhs=lhs_text,
+        rhs=lhs_text if same else render(rhs),
         lhs_prec=lp,
         rhs_prec=rp,
         agreement_depth=None if depth == math.inf else int(depth),

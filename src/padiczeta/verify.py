@@ -120,12 +120,20 @@ class VerifyConfig:
             raise ValueError(
                 f"oracle depth (--oracle-depth) must be at least 2, got {self.oracle_depth}"
             )
+        # one context per p and one budget per run: the value memos keyed by
+        # them find their keys by identity
+        object.__setattr__(self, "_contexts", {})
+        budget = SeriesBudget(max_terms=self.max_terms, target_prec=self.workprec)
+        object.__setattr__(self, "_budget", budget)
 
     def ctx(self, p: int) -> PadicContext:
-        return PadicContext(p, self.workprec, self.series_guard)
+        ctx = self._contexts.get(p)
+        if ctx is None:
+            ctx = self._contexts[p] = PadicContext(p, self.workprec, self.series_guard)
+        return ctx
 
     def budget(self) -> SeriesBudget:
-        return SeriesBudget(max_terms=self.max_terms, target_prec=self.workprec)
+        return self._budget
 
     def rng(self, name: str, p: int) -> random.Random:
         return random.Random(f"{self.seed}:{name}:{p}")
@@ -278,7 +286,16 @@ def _check_euler_exact(cfg: VerifyConfig) -> Reports:
     sum_i C(m,i) E_i(x) E_{m-i}(x) = 2((1-2x) E_m(2x) + E_{m+1}(2x))."""
     top = 20
     degrees = range(top + 1)
-    e_zero, e_poly = euler.euler_zero, euler.euler_poly
+    e_zero = euler.euler_zero
+    values: dict[tuple[int, Fraction], Fraction] = {}
+
+    def e_poly(m: int, x: Fraction) -> Fraction:
+        # the relations read most (m, x) pairs several times: each value once
+        value = values.get((m, x))
+        if value is None:
+            value = values[m, x] = euler.euler_poly(m, x)
+        return value
+
     conversion = [
         f"conversion m={m}"
         for m in degrees

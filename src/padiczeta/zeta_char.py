@@ -208,13 +208,14 @@ def ell_limit_oracle(
 def zeta_char_oracle(
     ctx: PadicContext, chi: DirichletCharacter, s, x, depth: int
 ) -> PadicNumber:
-    """Truncated sum sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a for x in Z_p."""
+    """Truncated sum sum_{a<p^N} chi(x+a) <x+a>^(1-s) (-1)^a for a rational x
+    in Z_p."""
     _check_char(ctx, chi)
-    x = Fraction(x)
-    if x.denominator % ctx.p == 0:
-        raise ArgumentOutsideZp("oracle argument must lie in Z_p")
+    _coerce_zp(ctx, x)
+    if isinstance(x, PadicNumber):
+        raise ArgumentViolation("the truncated oracle needs a rational x")
     s_key = _triple(ctx._exponent(s))
-    return _oracle_value(ctx.p, ctx.internal_prec, chi.k, x, s_key, depth)
+    return _oracle_value(ctx.p, ctx.internal_prec, chi.k, Fraction(x), s_key, depth)
 
 
 @lru_cache(maxsize=_CHAR_VALUES)  # one value an entry

@@ -330,10 +330,11 @@ def zeta_czp(ctx: PadicContext, s, x, budget: SeriesBudget = _DEFAULT_BUDGET) ->
 
 def zeta_czp_oracle(ctx: PadicContext, s, x: Fraction, depth: int) -> PadicNumber:
     """Truncated alternating sum sum_{a<p^depth} <x+a>^(1-s) (-1)^a; x and s
-    are read, and refused, as ``zeta_czp`` reads them."""
-    x = Fraction(x)
+    are read, and refused, as ``zeta_czp`` reads them, and x must be rational."""
     _coerce_czp(ctx, x)
-    sums = kernels.hurwitz_sums(ctx.p, ctx.internal_prec, x, ctx._exponent(s), (depth,))
+    if isinstance(x, PadicNumber):
+        raise ArgumentViolation("the truncated oracle needs a rational x")
+    sums = kernels.hurwitz_sums(ctx.p, ctx.internal_prec, Fraction(x), ctx._exponent(s), (depth,))
     return sums[depth]
 
 

@@ -84,6 +84,8 @@ def hurwitz_sums(
         a_num * pow(b_unit, -1, p) % p
     ]
     exponent = _exponent_one_minus(p, g_prec - 1, s)
+    # t^exponent = t^(1-s) only modulo p^(K+1), K the absolute precision of s
+    known = prec if s.absprec is None else min(prec, s.absprec + 1)
     targets = {p**n: n for n in depths}
     out: dict[int, PadicNumber] = {}
     acc = 0
@@ -94,7 +96,7 @@ def hurwitz_sums(
         acc = acc + term if a % 2 == 0 else acc - term
         n_int += b_den
         if a + 1 in targets:
-            out[targets[a + 1]] = wrap_mod(p, acc, prec)
+            out[targets[a + 1]] = wrap_mod(p, acc, known)
     return out
 
 
@@ -116,6 +118,8 @@ def char_hurwitz_sums(
     om = teichmuller_table(p, g_prec)
     ominv = _inverse_teichmuller_table(p, g_prec)
     exponent = _exponent_one_minus(p, g_prec - 1, s)
+    # t^exponent = t^(1-s) only modulo p^(K+1), K the absolute precision of s
+    known = prec if s.absprec is None else min(prec, s.absprec + 1)
     # chi(n) t^(1-s) with t = n/omega(n); chi(n) = omega(n)^k needs only n mod p
     chi_tab = tuple(pow(om[u], k, mod) if u else 0 for u in range(p))
     targets = {p**n: n for n in depths}
@@ -130,7 +134,7 @@ def char_hurwitz_sums(
             acc = acc + term if a % 2 == 0 else acc - term
         n_int += 1
         if a + 1 in targets:
-            out[targets[a + 1]] = wrap_mod(p, acc, prec)
+            out[targets[a + 1]] = wrap_mod(p, acc, known)
     return out
 
 

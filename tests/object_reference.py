@@ -5,10 +5,18 @@ Every step here is a ``PadicNumber`` operation, so the precision rules are
 those of the arithmetic itself.  The library evaluates the same quantities on
 integer residues; ``test_integer_paths.py`` checks that both produce the
 same bytes.
+
+The ``PadicNumber`` operators themselves, ``agreement_depth``, ``render`` and
+``PadicContext.from_fraction`` are kept at the end in the form that reads
+every operand through the predicates and the partner coercion, renders by
+joining the digit terms and copies every rational; the library reads the
+slots and fills a cached template, and ``test_object_paths.py`` checks that
+both give the same values and errors.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from padiczeta import euler, zeta_czp as czp
@@ -19,12 +27,16 @@ from padiczeta.errors import (
     ExponentOutsideDomain,
     OutsideExpDomain,
     OutsideLogDomain,
+    ParseError,
+    PrecisionError,
 )
 from padiczeta.padic import (
     EVALUATION_CAP,
     PadicContext,
     PadicNumber,
+    _base_p_digits,
     _embed_fraction,
+    _normal_form,
     vp_fraction,
     vp_int,
 )
@@ -217,3 +229,99 @@ def representation_sum(ctx, chi, s, x, big_m, budget) -> PadicNumber:
         return cv if cv.is_exact_zero else cv * czp.zeta_czp(ctx, s, xj * inv_m, budget)
 
     return alternating_sum(ctx, big_m, term).cap_absprec(budget.target(ctx))
+
+
+# ---- the PadicNumber operators, read through predicates and partners ----------
+
+
+def _partner(a: PadicNumber, b):
+    """b as a ``PadicNumber`` of a's prime; an int or Fraction is embedded at
+    the precision a implies; None for any other type."""
+    if isinstance(b, PadicNumber):
+        if b.p != a.p:
+            raise ParseError("mixing p-adic numbers with different primes")
+        return b
+    if not isinstance(b, (int, Fraction)):
+        return None
+    if b == 0:
+        return PadicNumber.exact_zero(a.p)
+    if a.is_exact_zero:
+        raise PrecisionError("cannot infer a precision against an exact zero")
+    v = vp_fraction(b, a.p)
+    r = a.valuation - v if a.is_bounded_zero else max(a.relprec, a.absprec - v)
+    return _embed_fraction(a.p, b, max(r, 1))
+
+
+def neg(a: PadicNumber) -> PadicNumber:
+    if a.is_zero():
+        return a
+    return PadicNumber(a.p, a.valuation, a.p**a.relprec - a.unit, a.relprec)
+
+
+def add(a: PadicNumber, b) -> PadicNumber:
+    b = _partner(a, b)
+    if b is None:
+        raise TypeError("unsupported operand")
+    if a.is_exact_zero:
+        return b
+    if b.is_exact_zero:
+        return a
+    absprec = min(a.absprec, b.absprec)
+    if a.is_bounded_zero and b.is_bounded_zero:
+        return PadicNumber.bounded_zero(a.p, absprec)
+    if a.is_bounded_zero:
+        return b.cap_absprec(absprec)
+    if b.is_bounded_zero:
+        return a.cap_absprec(absprec)
+    base = min(a.valuation, b.valuation)
+    m = a.unit * a.p ** (a.valuation - base) + b.unit * a.p ** (b.valuation - base)
+    return PadicNumber(a.p, *_normal_form(a.p, base, m, absprec))
+
+
+def sub(a: PadicNumber, b) -> PadicNumber:
+    b = _partner(a, b)
+    if b is None:
+        raise TypeError("unsupported operand")
+    return add(a, neg(b))
+
+
+def mul(a: PadicNumber, b) -> PadicNumber:
+    b = _partner(a, b)
+    if b is None:
+        raise TypeError("unsupported operand")
+    if a.is_exact_zero or b.is_exact_zero:
+        return PadicNumber.exact_zero(a.p)
+    if a.is_bounded_zero or b.is_bounded_zero:
+        return PadicNumber.bounded_zero(a.p, a.valuation + b.valuation)
+    rel = min(a.relprec, b.relprec)
+    return PadicNumber(a.p, a.valuation + b.valuation, a.unit * b.unit % a.p**rel, rel)
+
+
+def agreement_depth(a: PadicNumber, b: PadicNumber):
+    d = sub(a, b)
+    return math.inf if d.is_exact_zero else d.valuation
+
+
+def render(x: PadicNumber) -> str:
+    if x.is_exact_zero:
+        return "0"
+    if x.is_bounded_zero:
+        return f"O({x.p}^{x.valuation})"
+    parts = []
+    for i, d in enumerate(_base_p_digits(x.unit, x.p, x.relprec)):
+        if i == 0:
+            parts.append(str(d))
+        elif i == 1:
+            parts.append(f"{d}*{x.p}")
+        else:
+            parts.append(f"{d}*{x.p}^{i}")
+    return f"{x.p}^{x.valuation} * ({' + '.join(parts)})"
+
+
+def from_fraction(ctx: PadicContext, q, relprec: int | None = None) -> PadicNumber:
+    if not isinstance(q, int):
+        q = Fraction(q)
+    r = ctx.internal_prec if relprec is None else relprec
+    if q != 0 and r < 1:
+        raise ValueError("relprec must be >= 1")
+    return _embed_fraction(ctx.p, q, r)

@@ -520,3 +520,36 @@ class TestSeriesOracleParity:
         for call in (series, oracle):
             with pytest.raises(ArgumentInZp):
                 call(ctx5, 2, Fraction(1, 3))
+
+    def test_a_padic_x_is_refused_by_the_oracles(self, ctx5):
+        chi = DirichletCharacter(5, 1, 1)
+        outside, inside = ctx5.coerce(Fraction(1, 5)), ctx5.coerce(1)
+        # the series accept a PadicNumber x; the truncated sums need a rational
+        assert zeta_czp(ctx5, 2, outside).absprec == ctx5.workprec
+        assert zeta_char(ctx5, chi, 2, inside).absprec == ctx5.workprec
+        with pytest.raises(ArgumentViolation, match="rational x"):
+            zeta_czp_oracle(ctx5, 2, outside, 3)
+        with pytest.raises(ArgumentViolation, match="rational x"):
+            zeta_char_oracle(ctx5, chi, 2, inside, 3)
+
+    def test_oracles_claim_only_the_digits_s_implies(self):
+        # s = 2 + O(5) fixes t^(1-s) modulo 5^2 only; s = 7 lies in that class
+        ctx = PadicContext(5, 12)
+        coarse = ctx.parse_value("0:2")
+        chi = DirichletCharacter(5, 1, 1)
+        sides = [
+            (
+                zeta_czp_oracle(ctx, coarse, Fraction(1, 5), 3),
+                zeta_czp_oracle(ctx, 7, Fraction(1, 5), 3),
+                zeta_czp(ctx, coarse, Fraction(1, 5)),
+            ),
+            (
+                zeta_char_oracle(ctx, chi, coarse, 1, 3),
+                zeta_char_oracle(ctx, chi, 7, 1, 3),
+                zeta_char(ctx, chi, coarse, 1),
+            ),
+        ]
+        for coarse_sum, full_sum, series in sides:
+            assert coarse_sum.absprec == series.absprec == 2
+            assert full_sum.absprec == ctx.internal_prec
+            assert agreement_depth(coarse_sum, full_sum) == 2
