@@ -26,14 +26,6 @@ from .characters import DirichletCharacter
 from .errors import ArgumentViolation, PadicError
 from .padic import PadicContext, PadicNumber, parse_rational, render, to_json_dict
 from .report import report_writer
-from .verify import (
-    IDENTITY_NAMES,
-    VerifyConfig,
-    calibrate,
-    default_slack,
-    load_slack,
-    run_verify,
-)
 from .zeta_char import ell, zeta_char
 from .zeta_czp import SeriesBudget, zeta_czp
 
@@ -110,14 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--primes", default=None, help="comma list of primes (default 3,5,7)"
-    )
-    p_verify.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="measure oracle slack constants and write a fixture",
-    )
-    p_verify.add_argument(
-        "--slack-fixture", default=None, help="path to a calibration fixture"
     )
     p_verify.add_argument(
         "--report-both-forms",
@@ -209,6 +193,9 @@ def _selected_identities(args) -> list[str] | None:
 
 
 def _cmd_verify(args, out: TextIO) -> int:
+    # imported here, so that compute and table do not load the identity network
+    from .verify import IDENTITY_NAMES, VerifyConfig, run_verify
+
     if args.list_identities:
         out.writelines(name + "\n" for name in IDENTITY_NAMES)
         return 0
@@ -218,7 +205,6 @@ def _cmd_verify(args, out: TextIO) -> int:
         primes = (args.p,)
     else:
         primes = (3, 5, 7)
-    slack = load_slack(args.slack_fixture) if args.slack_fixture else default_slack()
     cfg = VerifyConfig(
         primes=primes,
         workprec=args.prec,
@@ -227,19 +213,7 @@ def _cmd_verify(args, out: TextIO) -> int:
         max_terms=args.max_terms,
         seed=args.seed,
         report_both_forms=args.report_both_forms,
-        slack=slack,
     )
-    if args.calibrate:
-        measured = calibrate(cfg)
-        json.dump({"families": measured, "version": 1}, out, sort_keys=True, separators=(",", ":"))
-        out.write("\n")
-        exceeded = {
-            name: c for name, c in measured.items() if c > int(slack.get(name, 0))
-        }
-        if exceeded:
-            print(f"measured slack exceeds fixture: {exceeded}", file=sys.stderr)
-            return 1
-        return 0
     # each report is written as its check returns it and then dropped (map,
     # unlike a loop variable, keeps no reference to the last one)
     write = report_writer(out, args.format)

@@ -1,4 +1,4 @@
-"""Identity grids, the verification driver, and slack calibration.
+"""Identity grids and the verification driver.
 
 Each named identity is one registry record: a grid of parameter tuples and a
 check that turns one tuple into reports.  ``run_verify`` runs the checks
@@ -8,27 +8,26 @@ no more than one check's reports are held at a time.  The checks are the only
 code that turns a comparison into a report; the evaluators they call return
 values.
 
-Oracle-backed identities pass when the agreement depth reaches N - c, where
-the per-family slack constants c come from a checked-in calibration fixture
-(regenerated with ``verify --calibrate``).  A verification run fails if any
-measured slack exceeds the fixture.
+A check compared against a truncation states the agreement depth its
+report requires in code, next to the comparison: the depth N of each
+truncated-sum oracle and the step exponent k of the finite differences of
+``derivative-*`` (``_compare_at_depth``), and N - v*deg f for
+``change-of-variable``, whose proof is at ``_check_change_of_variable``.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from importlib import resources
 from itertools import chain, product
 from math import comb
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from . import euler, kernels
 from .characters import DirichletCharacter, _char_values
-from .errors import PadicError, ParseError
+from .errors import PadicError
 from .fermionic import (
     Integrand,
     alternating_power_sum,
@@ -70,38 +69,12 @@ from .zeta_czp import (
 __all__ = [
     "IDENTITY_NAMES",
     "VerifyConfig",
-    "calibrate",
     "default_slack",
     "run_verify",
 ]
 
 Reports = list[VerificationReport]
 Task = tuple[str, Callable[[], Reports]]
-
-
-def _parse_slack(text: str, source) -> dict[str, int]:
-    """The slack constants of a calibration fixture: a JSON object whose
-    ``families`` object maps each report family to an integer (text that is
-    not JSON raises ValueError)."""
-    obj = json.loads(text)
-    families = obj.get("families") if isinstance(obj, dict) else None
-    if not isinstance(families, dict) or any(type(v) is not int for v in families.values()):
-        raise ParseError(
-            f"{source}: a calibration fixture is an object whose \"families\" maps"
-            " report families to integers"
-        )
-    return families
-
-
-def default_slack() -> dict[str, int]:
-    """Slack constants from the packaged calibration fixture."""
-    path = resources.files("padiczeta").joinpath("data/calibration.json")
-    return _parse_slack(path.read_text(), path)
-
-
-def load_slack(path) -> dict[str, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_slack(fh.read(), path)
 
 
 @dataclass(frozen=True)
@@ -113,7 +86,6 @@ class VerifyConfig:
     max_terms: int = 6000
     seed: int = 20259
     report_both_forms: bool = False
-    slack: Mapping[str, int] = field(default_factory=default_slack)
 
     def __post_init__(self):
         if self.oracle_depth < 2:
@@ -137,9 +109,6 @@ class VerifyConfig:
 
     def rng(self, name: str, p: int) -> random.Random:
         return random.Random(f"{self.seed}:{name}:{p}")
-
-    def c(self, family: str) -> int:
-        return int(self.slack.get(family, 0))
 
     def depth_char(self) -> int:
         return min(self.oracle_depth, 5)
@@ -185,14 +154,14 @@ class _Identity:
     ``grid(cfg)`` returns its parameter tuples in report order, drawing any
     random point from ``cfg.rng(name, p)``; ``check(cfg, *params)`` returns
     the reports of one gridpoint and calls the evaluators by their
-    module-global names.  ``families`` maps each report identity that is
-    compared against an oracle to the calibrated slack family it feeds.
+    module-global names.  A check compared against a truncation states the
+    agreement depth it requires itself, as ``_compare_at_depth`` or the
+    proved bound of ``_check_change_of_variable`` does.
     """
 
     name: str
     grid: Callable[[VerifyConfig], list[tuple]]
     check: Callable[..., Reports]
-    families: Mapping[str, str]
 
     def tasks(self, cfg: VerifyConfig) -> list[Task]:
         return [(self.name, partial(self.check, cfg, *params)) for params in self.grid(cfg)]
@@ -201,11 +170,11 @@ class _Identity:
 _REGISTRY: list[_Identity] = []
 
 
-def _identity(name: str, grid, families: Mapping[str, str] | None = None):
+def _identity(name: str, grid):
     """Register the decorated check as identity ``name``, run over ``grid``."""
 
     def register(check):
-        _REGISTRY.append(_Identity(name, grid, check, families or {}))
+        _REGISTRY.append(_Identity(name, grid, check))
         return check
 
     return register
@@ -220,19 +189,14 @@ def _per_p(axes) -> Callable[[VerifyConfig], list[tuple]]:
     return lambda cfg: [(p, *point) for p in cfg.primes for point in product(*axes(cfg, p))]
 
 
-def _compare_calibrated(
-    cfg: VerifyConfig, identity: str, params: dict, value, oracle, depth: int, **kwargs
+def _compare_at_depth(
+    identity: str, params: dict, value, reference, depth: int, **kwargs
 ) -> VerificationReport:
-    """compare_values at reference depth N = ``depth``, passing at agreement
-    depth N - c, where c is the calibrated slack of the report's family."""
+    """compare_values requiring agreement depth ``depth``, its reference depth:
+    N digits against a depth-N truncated-sum oracle (the oracle families), and
+    k digits for the difference quotient at step p^k (``derivative-*``)."""
     return compare_values(
-        identity,
-        params,
-        value,
-        oracle,
-        required_depth=depth - cfg.c(_REPORT_FAMILY[identity]),
-        reference_depth=depth,
-        **kwargs,
+        identity, params, value, reference, required_depth=depth, reference_depth=depth, **kwargs
     )
 
 
@@ -505,19 +469,17 @@ def _check_special_neg(cfg: VerifyConfig, p: int, x: Fraction) -> Reports:
 @_identity(
     "special-pos",
     _per_p(lambda cfg, p: ((1, 2, 3), _x_grid(p)[:2])),
-    {"special-pos": "special-pos"},
 )
 def _check_special_pos(cfg: VerifyConfig, p: int, m: int, x: Fraction) -> Reports:
     depth = cfg.oracle_depth
     values = zeta_special_pos(cfg.ctx(p), m, x, depth, cfg.budget())
     params = {"p": p, "m": m, "x": x, "N": depth}
-    return [_compare_calibrated(cfg, "special-pos", params, *values, depth)]
+    return [_compare_at_depth("special-pos", params, *values, depth)]
 
 
 @_identity(
     "oracle-czp",
     _per_p(lambda cfg, p: (_s_grid(cfg, "oracle-czp", p), _x_grid(p))),
-    {"oracle-czp": "oracle-czp"},
 )
 def _check_oracle_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
     ctx = cfg.ctx(p)
@@ -530,8 +492,7 @@ def _check_oracle_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
     margins = {n: agreement_depth(series, sums[n]) - n for n in depths}
     n_depth = min(margins, key=margins.get)
     return [
-        _compare_calibrated(
-            cfg,
+        _compare_at_depth(
             "oracle-czp",
             {"p": p, "s": s, "x": x, "N": n_depth},
             series,
@@ -549,7 +510,6 @@ def _check_oracle_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Reports:
             (1, 2), _char_ks(p), (0, 2, _random_s(cfg, "oracle-char", p)), (0, 1)
         )
     ),
-    {"oracle-char": "oracle-char"},
 )
 def _check_oracle_char(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> Reports:
     ctx = cfg.ctx(p)
@@ -558,13 +518,12 @@ def _check_oracle_char(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> 
     series = zeta_char(ctx, chi, s, x, cfg.budget())
     oracle = zeta_char_oracle(ctx, chi, s, x, depth)
     params = {"p": p, "char": chi.label, "s": s, "x": x, "N": depth}
-    return [_compare_calibrated(cfg, "oracle-char", params, series, oracle, depth)]
+    return [_compare_at_depth("oracle-char", params, series, oracle, depth)]
 
 
 @_identity(
     "ell-oracle",
     _per_p(lambda cfg, p: ((1, 2), [k for k in (1, 3) if k <= p - 2], (0, 2, 5))),
-    {"ell-oracle": "ell-oracle"},
 )
 def _check_ell_oracle(cfg: VerifyConfig, p: int, v: int, k: int, s) -> Reports:
     ctx = cfg.ctx(p)
@@ -573,7 +532,7 @@ def _check_ell_oracle(cfg: VerifyConfig, p: int, v: int, k: int, s) -> Reports:
     value = ell(ctx, chi, s, cfg.budget())
     oracle = ell_limit_oracle(ctx, chi, s, depth)
     params = {"p": p, "char": chi.label, "s": s, "N": depth}
-    return [_compare_calibrated(cfg, "ell-oracle", params, value, oracle, depth)]
+    return [_compare_at_depth("ell-oracle", params, value, oracle, depth)]
 
 
 @_identity(
@@ -651,7 +610,6 @@ def _check_distribution_czp(cfg: VerifyConfig, p: int, s, x: Fraction) -> Report
             (0, 2, _random_s(cfg, "derivative-czp", p, 6)), _x_grid(p)[:2], cfg.fd_exponents()
         )
     ),
-    {"derivative-czp": "derivative-czp"},
 )
 def _check_derivative_czp(cfg: VerifyConfig, p: int, s, x: Fraction, k: int) -> Reports:
     ctx = cfg.ctx(p)
@@ -661,7 +619,7 @@ def _check_derivative_czp(cfg: VerifyConfig, p: int, s, x: Fraction, k: int) -> 
     ) / ctx.from_int(h)
     formula = dzeta_dx(ctx, s, x, cfg.budget())
     params = {"p": p, "s": s, "x": x, "h": f"{p}^{k}"}
-    return [_compare_calibrated(cfg, "derivative-czp", params, fd, formula, k)]
+    return [_compare_at_depth("derivative-czp", params, fd, formula, k)]
 
 
 def _grid_shifted_expansion(cfg: VerifyConfig) -> list[tuple]:
@@ -676,9 +634,7 @@ def _grid_shifted_expansion(cfg: VerifyConfig) -> list[tuple]:
     return points
 
 
-@_identity(
-    "shifted-expansion", _grid_shifted_expansion, {"shifted-expansion-oracle": "oracle-czp"}
-)
+@_identity("shifted-expansion", _grid_shifted_expansion)
 def _check_shifted_expansion(
     cfg: VerifyConfig, p: int, s, x: Fraction, u: Fraction, against_oracle: bool
 ) -> Reports:
@@ -692,7 +648,7 @@ def _check_shifted_expansion(
     depth = cfg.oracle_depth
     oracle = zeta_czp_oracle(ctx, s, x + u, depth)
     params = {"p": p, "s": s, "x": x, "u": u, "N": depth}
-    return [_compare_calibrated(cfg, "shifted-expansion-oracle", params, lhs, oracle, depth)]
+    return [_compare_at_depth("shifted-expansion-oracle", params, lhs, oracle, depth)]
 
 
 @_identity(
@@ -705,7 +661,6 @@ def _check_shifted_expansion(
             enumerate((0, 2, 3, _random_s(cfg, "raabe-czp", p))), enumerate(_x_grid(p)[:2])
         )
     ],
-    {"raabe-czp-oracle": "raabe-czp-oracle"},
 )
 def _check_raabe_czp(cfg: VerifyConfig, p: int, s, x: Fraction, with_oracle: bool) -> Reports:
     ctx = cfg.ctx(p)
@@ -727,8 +682,8 @@ def _check_raabe_czp(cfg: VerifyConfig, p: int, s, x: Fraction, with_oracle: boo
         depth = cfg.depth_raabe(p)
         oracle = integral_of_zeta_oracle(ctx, s, x, depth, cfg.budget())
         out.append(
-            _compare_calibrated(
-                cfg, "raabe-czp-oracle", {**params, "N": depth}, forms["termwise"], oracle, depth
+            _compare_at_depth(
+                "raabe-czp-oracle", {**params, "N": depth}, forms["termwise"], oracle, depth
             )
         )
     return out
@@ -828,7 +783,7 @@ def _grid_derivative_char(cfg: VerifyConfig) -> list[tuple]:
     return points
 
 
-@_identity("derivative-char", _grid_derivative_char, {"derivative-char": "derivative-char"})
+@_identity("derivative-char", _grid_derivative_char)
 def _check_derivative_char(
     cfg: VerifyConfig, p: int, v: int, k: int, s, x: int, h_exp: int | None
 ) -> Reports:
@@ -854,7 +809,7 @@ def _check_derivative_char(
     ) / ctx.from_int(h)
     formula = dzeta_char_dx(ctx, chi, s, x, cfg.budget())
     params = {"p": p, "char": chi.label, "s": s, "x": x, "h": f"{p}^{h_exp}"}
-    return [_compare_calibrated(cfg, "derivative-char", params, fd, formula, h_exp)]
+    return [_compare_at_depth("derivative-char", params, fd, formula, h_exp)]
 
 
 @_identity(
@@ -915,7 +870,6 @@ _RAABE_CHAR_POINTS = {
     lambda cfg: [
         (p, *point) for p in cfg.primes for point in _RAABE_CHAR_POINTS.get(p, [(1, 0, 1, 1)])
     ],
-    {"raabe-char": "raabe-char-oracle"},
 )
 def _check_raabe_char(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> Reports:
     ctx = cfg.ctx(p)
@@ -923,7 +877,7 @@ def _check_raabe_char(cfg: VerifyConfig, p: int, v: int, k: int, s, x: int) -> R
     depth = cfg.depth_raabe(p)
     lhs, rhs = raabe_char(ctx, chi, s, x, depth, cfg.budget())
     params = {"p": p, "char": chi.label, "s": s, "x": x, "N": depth}
-    return [_compare_calibrated(cfg, "raabe-char", params, lhs, rhs, depth)]
+    return [_compare_at_depth("raabe-char", params, lhs, rhs, depth)]
 
 
 # (p, v, k, coefficients of f, x)
@@ -934,21 +888,57 @@ _CHANGE_OF_VARIABLE_CASES = (
     (7, 1, 1, (0, 1), 1),
 )
 
+# the most digits a case may lose, v*deg f at its largest over the cases
+# (proved at the check): every case requires N minus this, N - 2
+_CHANGE_OF_VARIABLE_LOSS = max(
+    v * (len(coeffs) - 1) for _, v, _, coeffs, _ in _CHANGE_OF_VARIABLE_CASES
+)
+
+
+def default_slack() -> dict[str, int]:
+    """The digits each oracle family may lose below its depth N: the proved
+    loss of ``change-of-variable``; every other family loses none."""
+    return {"change-of-variable": _CHANGE_OF_VARIABLE_LOSS}
+
 
 @_identity(
     "change-of-variable",
     lambda cfg: [case for case in _CHANGE_OF_VARIABLE_CASES if case[0] in cfg.primes],
-    {"change-of-variable": "change-of-variable"},
 )
 def _check_change_of_variable(
     cfg: VerifyConfig, p: int, v: int, k: int, coeffs, x: int
 ) -> Reports:
+    """Both sides agree to at least N - v*deg f digits at depth N >= v.
+
+    Write a = j + p^v*b with j < p^v and b < n = p^(N-v).  Both p^v and n are
+    odd, so (-1)^a = (-1)^j (-1)^b, and chi(x+a) = chi(x+j): class j of the
+    truncated integral is (-1)^j chi(x+j) sum_{b<n} (-1)^b f(y_j + b) with
+    y_j = (x+j)/p^v.  On y^m, E_m(y+1) + E_m(y) = 2 y^m telescopes over the
+    odd count n to (E_m(y_j) + E_m(y_j + n))/2, which differs from the left
+    side's E_m(y_j) by
+        (E_m(y_j + n) - E_m(y_j))/2 = sum_{i>=1} C(m,i) E_{m-i}(y_j) n^i / 2.
+    E_l(y) = sum_i C(l,i) E_{l-i}(0) y^i with E_{l-i}(0) in Z_p (p is odd)
+    and v_p(y_j) >= -v, so term i has valuation at least
+    i(N-v) - v(m-i) = iN - vm >= N - vm.  chi's values are units or 0, so
+    for f with Z_p coefficients (the cases' are integers) the two sides
+    differ by valuation at least N - v*deg f.  Each case requires N minus
+    the largest such loss over the cases, ``_CHANGE_OF_VARIABLE_LOSS``.
+    """
     ctx = cfg.ctx(p)
     chi = DirichletCharacter(p, v, k)
     depth = min(cfg.oracle_depth, 4)
     lhs, rhs = change_of_variable(ctx, chi, Integrand.polynomial(coeffs), x, depth)
     params = {"p": p, "char": chi.label, "f": list(map(str, coeffs)), "x": x, "N": depth}
-    return [_compare_calibrated(cfg, "change-of-variable", params, lhs, rhs, depth)]
+    return [
+        compare_values(
+            "change-of-variable",
+            params,
+            lhs,
+            rhs,
+            required_depth=depth - _CHANGE_OF_VARIABLE_LOSS,
+            reference_depth=depth,
+        )
+    ]
 
 
 # identity name -> task builder(cfg); run_verify looks the builders up here
@@ -958,13 +948,6 @@ _BUILDERS: dict[str, Callable[[VerifyConfig], list[Task]]] = {
 }
 
 IDENTITY_NAMES = tuple(_BUILDERS)
-
-# report identity -> calibrated slack family
-_REPORT_FAMILY = {
-    report: family for identity in _REGISTRY for report, family in identity.families.items()
-}
-
-CALIBRATED_FAMILIES = tuple(dict.fromkeys(_REPORT_FAMILY.values()))
 
 
 def run_verify(
@@ -981,20 +964,3 @@ def run_verify(
         raise PadicError(f"unknown identities: {', '.join(unknown)}")
     return chain.from_iterable(task() for name in selected for _, task in _BUILDERS[name](cfg))
 
-
-def calibrate(cfg: VerifyConfig) -> dict[str, int]:
-    """Measure the oracle slack constants on the standard grids.
-
-    Returns max(0, reference_depth - agreement_depth) per family, the
-    smallest integers making every oracle comparison pass, folded over the
-    reports as ``run_verify`` yields them.
-    """
-    wide = replace(cfg, slack={name: 10**6 for name in CALIBRATED_FAMILIES})
-    measured = {name: 0 for name in CALIBRATED_FAMILIES}
-    names = [identity.name for identity in _REGISTRY if identity.families]
-    for rep in run_verify(wide, names):
-        family = _REPORT_FAMILY.get(rep.identity)
-        if family is None or rep.reference_depth is None or rep.agreement_depth is None:
-            continue
-        measured[family] = max(measured[family], rep.reference_depth - rep.agreement_depth)
-    return measured

@@ -9,12 +9,12 @@ import tracemalloc
 import weakref
 from fractions import Fraction
 from functools import partial
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padiczeta import verify
 from padiczeta.cli import main
 from padiczeta.padic import PadicContext, from_json_dict
 from padiczeta.report import (
@@ -24,7 +24,7 @@ from padiczeta.report import (
     report_to_json_line,
     report_writer,
 )
-from padiczeta.verify import _BUILDERS, VerifyConfig, default_slack, load_slack
+from padiczeta.verify import _BUILDERS, VerifyConfig
 from padiczeta.zeta_char import _oracle_value, _representation_value
 from padiczeta.zeta_czp import _zeta_value
 
@@ -306,7 +306,7 @@ class TestVerifyCommand:
             else:
                 assert proc.stderr == b""
 
-    def test_refused_run_leaves_the_output_file_alone(self, capsys, tmp_path):
+    def test_refused_run_leaves_the_output_file_alone(self, capsys, tmp_path, monkeypatch):
         # each command writes into the unnamed file before it is refused:
         # zeta-one's reports are built before oracle-czp refuses 3^13 terms,
         # and the table's first row before x = 1, which lies in Z_3
@@ -325,10 +325,15 @@ class TestVerifyCommand:
             assert json.loads(err)["error"]["code"] == error
             assert path.read_bytes() == b"keep\n"
             assert list(tmp_path.iterdir()) == [path]
-        # a run whose reports fail (exit 1) still writes every one of them
-        fixture = tmp_path / "tight.json"
-        fixture.write_text('{"families": {"oracle-czp": -3}}')
-        argv += ["3", "--slack-fixture", str(fixture), "--format", "json"]
+        # a run whose reports fail (exit 1) still writes every one of them:
+        # zeta(s, x) off by p^3 fails zeta-one at 16 digits
+        zeta_czp = verify.zeta_czp
+        monkeypatch.setattr(
+            verify,
+            "zeta_czp",
+            lambda ctx, s, x, budget: zeta_czp(ctx, s, x, budget) + ctx.from_int(ctx.p**3),
+        )
+        argv += ["3", "--format", "json"]
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         lines = out.splitlines()
@@ -446,6 +451,16 @@ class TestVerifyCommand:
             VerifyConfig(primes=(3,), oracle_depth=1)
         assert VerifyConfig(primes=(3,), oracle_depth=2).oracle_depth == 2
 
+    @pytest.mark.parametrize("option", [["--calibrate"], ["--slack-fixture", "x.json"]])
+    def test_no_calibration_options(self, capsys, option):
+        # the required depths are rules in code: there is no fixture to
+        # measure or to load
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--identity", "zeta-one", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert verify.default_slack() == {"change-of-variable": 2}
+
     def test_report_both_forms_adds_variant(self, capsys):
         code, out, _ = run_cli(
             [
@@ -460,54 +475,6 @@ class TestVerifyCommand:
         assert variants and all(v["status"] == "pass" for v in variants)
         # the variant's residual is recorded: agreement depth well below target
         assert any(v["agreement_depth"] is not None and v["agreement_depth"] <= 2 for v in variants)
-
-    def test_calibrate_writes_fixture(self, capsys, tmp_path):
-        out_path = tmp_path / "fixture.json"
-        code, out, _ = run_cli(
-            [
-                "verify", "--p", "5", "--prec", "12", "--oracle-depth", "3",
-                "--calibrate", "-o", str(out_path),
-            ],
-            capsys,
-        )
-        assert code == 0
-        obj = json.loads(out_path.read_text())
-        assert obj["version"] == 1
-        assert obj["families"] == {
-            "change-of-variable": 2,
-            "derivative-char": 0,
-            "derivative-czp": 0,
-            "ell-oracle": 0,
-            "oracle-char": 0,
-            "oracle-czp": 0,
-            "raabe-char-oracle": 0,
-            "raabe-czp-oracle": 0,
-            "special-pos": 0,
-        }
-
-    @pytest.mark.parametrize(
-        "text", ["{}", "[1]", '{"families": [0]}', '{"families": {"oracle-czp": "x"}}']
-    )
-    def test_malformed_slack_fixture_exits_2(self, capsys, tmp_path, text):
-        fixture = tmp_path / "bad.json"
-        fixture.write_text(text)
-        start = time.perf_counter()
-        code, out, err = run_cli(
-            ["verify", "--identity", "zeta-one", "--slack-fixture", str(fixture)], capsys
-        )
-        assert time.perf_counter() - start < 1
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"]["code"] == "ParseError"
-
-    def test_packaged_slack_fixture_loads(self, capsys):
-        packaged = resources.files("padiczeta").joinpath("data/calibration.json")
-        assert load_slack(packaged) == default_slack()
-        assert default_slack()["change-of-variable"] == 2
-        code, _, _ = run_cli(
-            ["verify", "--p", "5", "--identity", "zeta-one", "--slack-fixture", str(packaged)],
-            capsys,
-        )
-        assert code == 0
 
 
 class TestTableCommand:

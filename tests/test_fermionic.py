@@ -19,7 +19,9 @@ from padiczeta.fermionic import (
 from padiczeta.padic import PadicContext, agreement_depth
 from padiczeta.verify import (
     _ALTERNATING_POINTS,
+    _CHANGE_OF_VARIABLE_CASES,
     VerifyConfig,
+    _check_change_of_variable,
     _check_shift_integral,
     _literal_alternating_sum,
 )
@@ -164,6 +166,24 @@ class TestChangeOfVariable:
         chi = DirichletCharacter(5, 1, 2)
         lhs, rhs = change_of_variable(ctx5, chi, Integrand.polynomial([0, 0, 1]), 2, 4)
         assert agreement_depth(lhs, rhs) >= 4 - 2
+
+    @pytest.mark.parametrize("oracle_depth", range(2, 7))
+    def test_reports_meet_the_proved_bound(self, oracle_depth):
+        # v_p(lhs - rhs) >= N - v*deg f (proved at _check_change_of_variable),
+        # with equality for the quadratic twist at p = 5 and the linear f at
+        # p = 7; the p = 3 and constant cases agree to every digit
+        cfg = VerifyConfig(oracle_depth=oracle_depth)
+        n = min(oracle_depth, 4)
+        for case in _CHANGE_OF_VARIABLE_CASES:
+            p, v, k, coeffs, x = case
+            (rep,) = _check_change_of_variable(cfg, *case)
+            bound = n - v * (len(coeffs) - 1)
+            assert rep.passed and rep.reference_depth == n
+            assert rep.agreement_depth >= bound
+            if (p, len(coeffs)) in ((5, 3), (7, 2)):
+                assert rep.agreement_depth == bound
+            else:
+                assert rep.agreement_depth == min(rep.lhs_prec, rep.rhs_prec)
 
     def test_integrand_polynomial_eval_matches_coeffs(self, ctx5):
         f = Integrand.polynomial([Fraction(1, 2), 0, 3])
