@@ -32,9 +32,10 @@ y0 prime to p and v = v_p(step) >= 1.  With t = step/y0, f(b) = y0^e sum_k
 C(e,k) t^k b^k, C(e,k) in Z_p for any e in Z_p (negative or reduced too), so
 v_p(c_k) >= k*v.  The monomials (x+a)^m are polynomials of degree m in a:
 D = m + 1.  These oracles stay independent of the series path: nothing reads
-an Euler number or log/exp, and unit powers are modular ``pow`` of the
-actual terms.  An angle <x+a> is y0 + b*step times a unit c free of b, and
-c^e leaves the sum.  ``hurwitz_sums`` (and the special-value oracle, s = 1 +
+an Euler number, log/exp or the binomial tables of the series prefactor, and
+unit powers are modular ``pow`` of the actual terms.  An angle <x+a> is
+y0 + b*step times a unit c free of b, and c^e leaves the sum.
+``hurwitz_sums`` (and the special-value oracle, s = 1 +
 m) is one progression x + a = (num + a*den)/den.  ``char_hurwitz_sums``
 splits a = r + p*b: on each class chi(x+a) and omega(x+a) are constant and
 (-1)^a = (-1)^r (-1)^b.  As t^c = t^c' mod p^(K+1) for t = 1 mod p if c = c'

@@ -25,9 +25,10 @@ machinery, and ``tests/test_layering.py`` holds the package to two kinds of
 cache.  A cache whose values grow with precision is a ``_BitsMemo``, bounded
 by ``_MEMO_BITS`` of retained bits and evicting in insertion order: the
 coefficient sets of ``zeta_czp``, the weights of ``kernels``, and here the
-Teichmuller tables, the log and exp coefficients and the %-templates of
-``render``, one per (p, relprec).  Its values are ints, tuples of ints and
-strings, never changed once stored, so the count of bits is exact.
+Teichmuller tables, the log and exp coefficients, the binomial tables of
+the unit powers and the %-templates of ``render``, one per (p, relprec).
+Its values are ints, tuples of ints and strings, never changed once stored,
+so the count of bits is exact.
 ``functools.lru_cache`` serves only the count-bounded caches whose entries
 are a few numbers each: ``zeta_czp._zeta_value``,
 ``zeta_char._representation_value`` and ``_oracle_value``, and
@@ -35,10 +36,14 @@ are a few numbers each: ``zeta_czp._zeta_value``,
 
 ``PadicContext.log`` and ``exp`` sum their series as one integer residue over
 memoised coefficients, with the precision that term-by-term ``PadicNumber``
-arithmetic gives.  ``unit_power`` and ``angle_power`` share one integer route
-that claims the precision of exp(s log u) and computes u**n for an integer n,
-u**low by modular pow and u**(p**m * high) by log and exp on u**(p**m): the
-same digits, with shorter series (see the helpers at the end of the module).
+arithmetic gives; they serve only those two public methods.  ``unit_power``
+and ``angle_power``, and so the prefactor <x>^(1-s) of every series value,
+share one integer route that claims the precision of exp(s log u) and
+computes u**n for an integer n: u**low by modular pow, and b**high for
+b = u**(p**m) by one Horner pass of the binomial series over a table of
+C(high, j) p**(j*e) memoised per exponent (see the helpers at the end of the
+module).  The oracle kernels take neither route: they raise each term by
+modular pow.
 """
 
 from __future__ import annotations
@@ -686,6 +691,11 @@ class PadicContext:
             raise ValueError(
                 f"p**{self.internal_prec} has more than {MAX_MODULUS_BITS} bits"
             )
+        # the key of every series value holds the context: hash it once
+        object.__setattr__(self, "_hash", hash((self.p, self.workprec, self.series_guard)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def internal_prec(self) -> int:
@@ -842,28 +852,31 @@ class PadicContext:
         return acc / math.factorial(i)
 
 
-# ---- log/exp series on integer residues ----------------------------------------
+# ---- log/exp series and unit powers on integer residues -------------------------
 #
 # ``_log_residue`` and ``_exp_residue`` are the integer halves of
-# ``PadicContext.log`` and ``exp``.  ``_power_residue`` (``unit_power``,
-# ``angle_power``) claims the precision p**T of exp(s log u) under the product
-# rule; as u**(p**j) = 1 mod p**(k + j), k = v_p(u - 1), u**s mod p**T is u**n
-# for the integer n = s mod p**(T - k), whatever the route.  It splits
-# n = low + p**m * high (argument reduction, Brent 1976): u**low and
-# b = u**(p**m) by modular pow, b**high = exp(high log b) by series of about
-# T/(k + m) terms instead of T/k.  A digit of m costs about 2 log2(p)
-# products, so m = isqrt(T / bit_length(p)) - k, or 0 (p = 1009, 24 digits).
+# ``PadicContext.log`` and ``exp``.  For z = p**k * zu known modulo p**target
+# (k >= 1), term n of either series is c_n * zu**n with c_n = p**e_n / m_n for
+# a p-adic unit m_n and e_n >= k, so every term is known modulo p**target:
+# changing zu by a multiple of p**(target-k) moves it by a multiple of
+# p**target.  A capped sum's residue modulo its smallest absolute precision
+# does not depend on the order of addition, so sum_n c_n zu**n reduced once
+# modulo p**target is the value term-by-term PadicNumber arithmetic gives.
+# The coefficients depend on (p, k, target) only and are memoised (7 Mbit of
+# log and 15 of exp at p = 3, k = 1, 2000 digits); the term counts follow the
+# stopping rules of the object-arithmetic loops.
 #
-# For z = p**k * zu known modulo p**target (k >= 1), term n of either series
-# is c_n * zu**n with c_n = p**e_n / m_n for a p-adic unit m_n and e_n >= k,
-# so every term is known modulo p**target: changing zu by a multiple of
-# p**(target-k) moves it by a multiple of p**target.  A capped sum's residue
-# modulo its smallest absolute precision does not depend on the order of
-# addition, so sum_n c_n zu**n reduced once modulo p**target is the value
-# term-by-term PadicNumber arithmetic gives.  The coefficients depend on
-# (p, k, target) only and are memoised (7 Mbit of log and 15 of exp at p = 3,
-# k = 1, 2000 digits); the term counts follow the stopping rules of the
-# object-arithmetic loops.
+# ``_power_residue`` (``unit_power``, ``angle_power``) claims the precision
+# p**T of exp(s log u) under the product rule; as u**(p**j) = 1 mod
+# p**(k + j), k = v_p(u - 1), u**s mod p**T is u**n for the integer
+# n = s mod p**(T - k), whatever the route.  It splits n = low + p**m * high
+# (argument reduction, Brent 1976): u**low and b = u**(p**m) = 1 + p**e * w,
+# e = k + m, by modular pow.  As high is a non-negative integer,
+# b**high = sum_j C(high, j) p**(j*e) w**j exactly, and modulo p**T the terms
+# j*e >= T vanish: one Horner pass of at most (T - 1) // e steps
+# (Brent-Zimmermann, Modern Computer Arithmetic, ch. 4), where log and exp
+# took one pass each.  A digit of m costs about 2 log2(p) products, so
+# m = isqrt(T / bit_length(p)) - k, or 0 (p = 1009, 24 digits).
 @_BitsMemo
 def _log_coefficients(p: int, k: int, target: int) -> tuple[int, ...]:
     """(-1)**(n+1) p**(n*k) / n modulo p**target for n = 1..N."""
@@ -951,12 +964,40 @@ def _power_residue(p: int, unit: int, rel: int, sv: int, su: int, sr: int) -> tu
     high, low = divmod(su * p**sv % p ** (target - k), p**m)
     value = pow(unit, low, mod)
     if high:
-        # b**high = exp(high log b) for b = unit**(p**m), which is 1 modulo
-        # exactly p**(k + m); high < p**(target - k - m), the relprec of log b
-        lv, lu, lr = _log_residue(p, pow(unit, p**m, mod), target)
-        hv, hu = _vp_split(high, p)
-        value = value * _exp_residue(p, lv + hv, hu * lu % p ** (lr - hv), lr - hv) % mod
+        # b = unit**(p**m) = 1 + p**e * w, and e = k + m < target
+        e = k + m
+        w = (pow(unit, p**m, mod) - 1) // p**e
+        value = value * (1 + _horner(_binomial_coefficients(p, target, e, high), w, mod)) % mod
     return value, target
+
+
+@_BitsMemo
+def _binomial_coefficients(p: int, target: int, e: int, high: int) -> tuple[int, ...]:
+    """C(high, j) p**(j*e) modulo p**target for j = 1..min(J, high), J the
+    last j with j*e < target.
+
+    Built on residues, as ``zeta_czp._coefficients`` builds C(1-s, i): step j
+    multiplies by high - j + 1 and divides by j, their valuations kept apart
+    from the unit part of C(high, j).  Entry j and every later one are
+    multiples of p**(j*e), so from step j on that unit is needed modulo
+    p**(target - j*e) only, and the unit part q of j, small and prime to p,
+    divides it exactly: (unit + c * mod) / q for the c < q that makes the sum
+    a multiple of q.  A series value shares its s, and so high, with the
+    other x of a grid or a representation sum.
+    """
+    out = []
+    val, unit = 0, 1  # v_p(C(high, j)) and its unit part
+    for j in range(1, min((target - 1) // e, high) + 1):
+        t, r = _vp_split(high - j + 1, p)
+        tq, q = _vp_split(j, p)
+        val += t - tq
+        mod = p ** (target - j * e)
+        unit = unit * r % mod
+        if q > 1:
+            unit = (unit + (-unit * pow(mod, -1, q)) % q * mod) // q
+        v = val + j * e
+        out.append(unit % p ** (target - v) * p**v if v < target else 0)
+    return tuple(out)
 
 
 def _angle_power_residue(p: int, prec: int, xu: int, xr: int, sv: int, su: int, sr: int) -> tuple:

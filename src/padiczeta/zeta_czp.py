@@ -11,7 +11,8 @@ target precision.  The truncated alternating sums of <x+a>^(1-s) serve as
 the independent oracle (``zeta_czp_oracle``; at s = 1+m they also give the
 oracle of ``zeta_special_pos``); they are computed by the
 modular-exponentiation kernel ``kernels.hurwitz_sums``, a genuinely different
-route from the exp/log evaluation used here.
+route from the series and its prefactor, which takes u**high from a binomial
+table (``padic._power_residue``) and no log or exp.
 
 The coefficients C(1-s, i) w(i) do not depend on x, and the sum's precision
 only on v_p(x) and the relative precision of x.  For each weight w (E_i(0)
@@ -31,8 +32,10 @@ term count is a new entry, and a set over the memo's bound is kept alone, so
 a representation sum, whose terms share one key, builds its one set once.
 Each x then costs an integer Horner pass in 1/x modulo that precision, which
 gives the value and precision of summing the terms as ``PadicNumber``
-objects.  The prefactor <x>^(1-s) (``padic._angle_power_residue``), its
-product with the sum and the cap are integers: one ``PadicNumber`` a value.
+objects.  The prefactor <x>^(1-s) (``padic._angle_power_residue``: a
+modular pow and one Horner pass over a binomial table memoised per exponent,
+so the x of one s share it), its product with the sum and the cap are
+integers: one ``PadicNumber`` a value.
 
 The identities ask for the same zeta(s, y) again and again (a representation
 sum, its shifts and its twists at one s), so the whole expansion
@@ -105,6 +108,13 @@ class SeriesBudget:
 
     max_terms: int = 6000
     target_prec: int | None = None
+
+    def __post_init__(self):
+        # the key of every series value holds the budget: hash it once
+        object.__setattr__(self, "_hash", hash((self.max_terms, self.target_prec)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def target(self, ctx: PadicContext) -> int:
         return ctx.workprec if self.target_prec is None else self.target_prec

@@ -280,6 +280,17 @@ class TestVerifyCommand:
         info = _zeta_value.cache_info()
         assert info.hits > info.misses
 
+    def test_value_cache_reads_of_the_benchmark_seed(self, tmp_path):
+        # the 13,247 series reads and 5,496 representation-sum reads of a
+        # default verify: the cached hashes of PadicContext and SeriesBudget
+        # key them as the fields do
+        for memo in (_zeta_value, _representation_value, _oracle_value):
+            memo.cache_clear()
+        argv = ["verify", "--seed", "4001", "--format", "json", "-o", str(tmp_path / "v.jsonl")]
+        assert main(argv) == 0
+        assert _zeta_value.cache_info()[:2] == (10178, 3069)
+        assert _representation_value.cache_info()[:2] == (3927, 1569)
+
     def test_json_stdout_bytes_equal_the_output_file(self, tmp_path):
         # every command writes the same bytes to stdout as to -o PATH
         verify = ["verify", "--p", "5", "--prec", "12", "--identity", "euler-exact,zeta-one"]

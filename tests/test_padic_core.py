@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padiczeta import padic
 from padiczeta.errors import (
     ArgumentViolation,
     DivisionByZero,
@@ -22,6 +23,7 @@ from padiczeta.padic import (
     MAX_MODULUS_BITS,
     PadicContext,
     PadicNumber,
+    _power_residue,
     _vp_split,
     agreement_depth,
     alternating_sum,
@@ -52,6 +54,13 @@ class TestContextBound:
         # 3**(10**18) would not fit in memory
         with pytest.raises(ValueError):
             PadicContext(3, 10**18)
+
+    def test_equal_contexts_hash_equal(self):
+        # the hash is computed once, at construction; equality is the fields'
+        for args in ((3, 16), (5, 12, 6), (1009, 60, 8)):
+            a, b = PadicContext(*args), PadicContext(*args)
+            assert a == b and a is not b and hash(a) == hash(b)
+        assert len({PadicContext(3, 16), PadicContext(3, 16, 8), PadicContext(3, 16, 6)}) == 2
 
 
 class TestEmbedding:
@@ -309,6 +318,94 @@ class TestUnitPower:
     def test_exponent_domain(self, ctx5):
         with pytest.raises(ExponentOutsideDomain):
             ctx5.angle_power(ctx5.from_int(2), Fraction(1, 5))
+
+
+def _defining_power(p, unit, rel, sv, su, sr):
+    """u**n modulo p**T for n = s mod p**(T - k), by one modular pow, with
+    T the precision that ``_power_residue`` claims: k = v_p(u - 1), or rel
+    where u = 1 mod p**rel, and n = 0 for the bounded zero s = O(p**sv)."""
+    z = (unit - 1) % p**rel
+    k = _vp_split(z, p)[0] if z else rel
+    target = sv + k + (min(sr, rel - k) if sr else 0)
+    n = su * p**sv % p ** (target - k) if sr else 0
+    return pow(unit, n, p**target), target
+
+
+def _unit_of_order(p, k, rel, c):
+    """1 + p**k * c modulo p**rel for c prime to p: v_p(u - 1) = k below rel,
+    and u = 1 mod p**rel from k = rel up."""
+    return (1 + p**k * c) % p**rel
+
+
+class TestPowerResidue:
+    """``_power_residue`` against the defining power: u**s modulo p**T is
+    u**n for the integer n = s mod p**(T - k), which one modular pow gives
+    with neither the binomial table nor log and exp."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_defining_power(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 1009, 10007)), label="p")
+        k = data.draw(st.sampled_from((1, 2, 3)), label="k")
+        sv = data.draw(st.sampled_from((0, 1, 2)), label="sv")
+        rel = data.draw(st.integers(1, 398), label="rel")
+        sr = data.draw(st.integers(0, 400), label="sr")
+        c = data.draw(st.integers(1, p**rel), label="c")
+        unit = _unit_of_order(p, k, rel, c + (c % p == 0))
+        su = 0
+        if sr:
+            # a small s leaves the high part 0 or short; the full range fills the table
+            su = data.draw(st.one_of(st.integers(1, p**3), st.integers(1, p**sr)), label="su")
+            su += su % p == 0
+        expected = _defining_power(p, unit, rel, sv, su, sr)
+        assert 1 <= expected[1] <= 400
+        assert _power_residue(p, unit, rel, sv, su, sr) == expected
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 1009, 10007))
+    def test_edges(self, p):
+        # T = 200 and k = 1: the split point m is at least 2, and J = 199 // e
+        # is at least 19, e = k + m
+        memo = padic._binomial_coefficients
+        rel, bits = 200, p.bit_length()
+        m = math.isqrt(rel // bits) - 1
+        e = 1 + m
+        cases = {
+            "high = 0": (2, rel),
+            "high = 3 < J": (2 + 3 * p**m, rel),
+            "a bounded-zero s": (0, 0),
+        }
+        for name, (su, sr) in cases.items():
+            memo.cache_clear()
+            args = (p, _unit_of_order(p, 1, rel, 2), rel, 0, su, sr)
+            assert _power_residue(*args) == _defining_power(*args), name
+            tables = [value for value, _ in memo._entries.values()]
+            if name == "high = 3 < J":
+                assert list(memo._entries) == [(p, rel, e, 3)]
+                assert len(tables[0]) == 3 < (rel - 1) // e
+            else:
+                assert tables == [], name
+        # k = rel: u = 1 mod p**rel, the log is a bounded zero
+        for k in (1, 2, 3):
+            args = (p, _unit_of_order(p, k, k, 2), k, 2, 2, rel)
+            assert _power_residue(*args) == _defining_power(*args) == (1, k + 2)
+
+    def test_memo_is_keyed_by_the_exponent(self):
+        memo = padic._binomial_coefficients
+        memo.cache_clear()
+        # s = 2**150: past the first, every base-3 digit of 1/2 is 1, so its
+        # digit windows at k = 1 and k = 2 coincide and so would its tables
+        p, rel, su = 3, 100, 2**150
+        args = (p, 4, rel, 0, su, rel)  # k = 1
+        value = _power_residue(*args)
+        assert memo.cache_info() == (0, 1, 1)
+        assert _power_residue(*args) == value == _defining_power(*args)
+        assert memo.cache_info() == (1, 1, 1)
+        # another unit at the same k reads the same table
+        assert _power_residue(p, 7, rel, 0, su, rel) == _defining_power(p, 7, rel, 0, su, rel)
+        assert memo.cache_info() == (2, 1, 1)
+        # k = 2 splits n at another point: a new table
+        assert _power_residue(p, 19, rel, 0, su, rel) == _defining_power(p, 19, rel, 0, su, rel)
+        assert memo.cache_info() == (2, 2, 2)
 
 
 class TestBinomial:

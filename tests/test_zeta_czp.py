@@ -342,6 +342,13 @@ class TestValueCache:
         b = zeta_czp(PadicContext(3, 20, 4), Fraction(1, 2), x)
         assert (a.absprec, b.absprec) == (16, 20)
 
+    def test_equal_budgets_hash_equal(self):
+        # the hash is computed once, at construction; equality is the fields'
+        for kwargs in ({}, {"max_terms": 50}, {"target_prec": 10}):
+            a, b = SeriesBudget(**kwargs), SeriesBudget(**kwargs)
+            assert a == b and a is not b and hash(a) == hash(b)
+        assert len({SeriesBudget(), SeriesBudget(6000, None), SeriesBudget(target_prec=6000)}) == 2
+
     def test_budget_targets_are_separate_entries(self, ctx5):
         _zeta_value.cache_clear()
         x = Fraction(3, 25)
